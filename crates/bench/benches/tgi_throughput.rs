@@ -9,8 +9,9 @@
 //! clone, weight/REE vectors, and a contribution vector on every single
 //! evaluation. Before any timing, the bench asserts the two paths agree to
 //! the last bit on every (suite, weighting, mean) cell it will run. A
-//! second section times a full [`GridSweep`] cold (simulating) and warm
-//! (memoized), Fire vs Fire-GPU against SystemG.
+//! second section times a (cluster × cores) [`FleetSweep`] cold
+//! (simulating) and warm (memoized), Fire vs Fire-GPU at every paper core
+//! count against SystemG.
 
 use serde::Serialize;
 use std::path::PathBuf;
@@ -18,7 +19,7 @@ use std::time::Instant;
 use tgi_core::evaluator::{EvalScratch, TgiEvaluator};
 use tgi_core::{MeanKind, Measurement, Perf, ReferenceSystem, Seconds, Tgi, Watts, Weighting};
 use tgi_harness::sweep::FIRE_CORE_COUNTS;
-use tgi_harness::{system_g_reference, GridSweep};
+use tgi_harness::{system_g_reference, FleetSweep};
 
 #[derive(Serialize)]
 struct Machine {
@@ -215,13 +216,16 @@ fn main() {
         assert!(speedup >= 10.0, "evaluator below the 10x bar: {speedup:.2}x");
     }
 
-    // Grid sweep: cold run simulates every (cluster, cores) point; the warm
-    // rerun answers every one of the same cells from the memo cache.
-    let sweep = GridSweep::new()
-        .cluster("Fire", cluster_sim::ClusterSpec::fire())
-        .cluster("Fire-GPU", cluster_sim::ClusterSpec::fire_gpu())
-        .cores(&FIRE_CORE_COUNTS)
-        .paper_axes();
+    // Grid sweep: one row per (cluster, cores) point. The cold run
+    // simulates every row; the warm rerun answers every one of the same
+    // cells from the memo cache.
+    let mut sweep = FleetSweep::new();
+    for spec in [cluster_sim::ClusterSpec::fire(), cluster_sim::ClusterSpec::fire_gpu()] {
+        for cores in FIRE_CORE_COUNTS {
+            sweep = sweep.system_at(spec.clone(), cores);
+        }
+    }
+    let sweep = sweep.suite("fire", cluster_sim::Workload::fire_suite()).paper_axes();
     let reference = system_g_reference();
     let start = Instant::now();
     let cold = sweep.run(&reference).expect("grid evaluates");

@@ -42,6 +42,25 @@ impl Ranking {
         Ranking::default()
     }
 
+    /// Builds a ranking from (name, TGI) pairs with one sort — the same
+    /// entries, in the same order, as calling [`Ranking::try_add`] for each
+    /// pair, without re-sorting the list on every insert.
+    ///
+    /// Errors on the first non-finite score, as [`Ranking::try_add`] does.
+    pub fn try_from_scores<S: Into<String>>(
+        scores: impl IntoIterator<Item = (S, f64)>,
+    ) -> Result<Self, TgiError> {
+        let scores = scores.into_iter();
+        let mut entries = Vec::with_capacity(scores.size_hint().0);
+        for (name, tgi) in scores {
+            check_finite(tgi)?;
+            entries.push(RankedSystem { name: name.into(), tgi, detail: None });
+        }
+        let mut ranking = Ranking { entries };
+        ranking.sort();
+        Ok(ranking)
+    }
+
     /// Adds a system by name and raw TGI value.
     ///
     /// # Panics
@@ -55,9 +74,7 @@ impl Ranking {
     /// scores: NaN has no place in a total order, and a ±∞ "score" always
     /// indicates an upstream division gone wrong, not a green machine.
     pub fn try_add(&mut self, name: impl Into<String>, tgi: f64) -> Result<(), TgiError> {
-        if !tgi.is_finite() {
-            return Err(TgiError::NotFinite { quantity: "ranking score" });
-        }
+        check_finite(tgi)?;
         self.entries.push(RankedSystem { name: name.into(), tgi, detail: None });
         self.sort();
         Ok(())
@@ -78,9 +95,7 @@ impl Ranking {
         name: impl Into<String>,
         result: TgiResult,
     ) -> Result<(), TgiError> {
-        if !result.value().is_finite() {
-            return Err(TgiError::NotFinite { quantity: "ranking score" });
-        }
+        check_finite(result.value())?;
         self.entries.push(RankedSystem {
             name: name.into(),
             tgi: result.value(),
@@ -122,6 +137,14 @@ impl Ranking {
     /// The top-ranked (greenest) system.
     pub fn greenest(&self) -> Option<&RankedSystem> {
         self.entries.first()
+    }
+}
+
+fn check_finite(tgi: f64) -> Result<(), TgiError> {
+    if tgi.is_finite() {
+        Ok(())
+    } else {
+        Err(TgiError::NotFinite { quantity: "ranking score" })
     }
 }
 
@@ -229,6 +252,32 @@ mod tests {
         assert!(r.is_empty(), "rejected scores must not be inserted");
         r.try_add("fine", 1.0).unwrap();
         assert_eq!(r.len(), 1);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let err = Ranking::try_from_scores([("fine", 1.0), ("broken", bad)]).unwrap_err();
+            assert!(matches!(err, TgiError::NotFinite { quantity: "ranking score" }));
+        }
+    }
+
+    #[test]
+    fn one_sort_matches_repeated_add_on_shuffled_ties() {
+        // Four distinct scores (±0 compare equal), each shared by several
+        // names, in a scrambled insertion order.
+        let scores: Vec<(String, f64)> = (0..40u64)
+            .map(|i| {
+                let k = (i * 17 + 5) % 40;
+                (format!("sys-{:02}", k % 13), [0.5, 1.25, 0.5, 2.0, -0.0, 0.0][(k % 6) as usize])
+            })
+            .collect();
+        let mut incremental = Ranking::new();
+        for (name, tgi) in &scores {
+            incremental.add(name.clone(), *tgi);
+        }
+        let once = Ranking::try_from_scores(scores).unwrap();
+        assert_eq!(once.len(), incremental.len());
+        for (a, b) in once.entries().iter().zip(incremental.entries()) {
+            assert_eq!((&a.name, a.tgi.to_bits()), (&b.name, b.tgi.to_bits()));
+        }
+        assert_eq!(once, incremental);
     }
 
     #[test]

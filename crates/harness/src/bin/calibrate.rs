@@ -10,7 +10,7 @@
 //! failures (a sweep point the reference cannot score) are reported on
 //! stderr with exit 1 — never a panic.
 
-use tgi_core::Weighting;
+use tgi_core::{MeanKind, Weighting};
 use tgi_harness::{experiments, FireSweep};
 
 const USAGE: &str = "\
@@ -75,8 +75,8 @@ fn run() -> Result<(), tgi_core::TgiError> {
 
     println!("\nTGI series:");
     for w in [Weighting::Arithmetic, Weighting::Time, Weighting::Energy, Weighting::Power] {
-        let series = sweep.tgi_series(&reference, w.clone())?;
-        let vals: Vec<String> = series.iter().map(|(_, r)| format!("{:.3}", r.value())).collect();
+        let series = sweep.tgi_values(&reference, &w, MeanKind::Arithmetic)?;
+        let vals: Vec<String> = series.iter().map(|v| format!("{v:.3}")).collect();
         println!("  {:16} {}", w.label(), vals.join(" "));
     }
 

@@ -11,11 +11,11 @@
 //! tgi-experiments --markdown <file> all # also write a Markdown report
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use tgi_harness::{
-    fig2_hpl_efficiency, fig3_stream_efficiency, fig4_iozone_efficiency, fig5_tgi_arithmetic,
-    fig6_tgi_weighted, system_g_reference, table1_reference_performance, table2_pcc,
-    ExperimentBundle, FigureData, FireSweep, TableData,
+    extensions, fig2_hpl_efficiency, fig3_stream_efficiency, fig4_iozone_efficiency,
+    fig5_tgi_arithmetic, fig6_tgi_weighted, system_g_reference, table1_reference_performance,
+    table2_pcc, ExperimentBundle, FigureData, FireSweep, TableData,
 };
 
 const USAGE: &str = "\
@@ -38,36 +38,43 @@ fn parse_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Removes `flag <value>` from `args` and returns the value as a path.
+fn take_path(args: &mut Vec<String>, flag: &str, what: &str) -> Option<PathBuf> {
+    let pos = args.iter().position(|a| a == flag)?;
+    if pos + 1 >= args.len() {
+        parse_error(&format!("{flag} requires a {what} argument"));
+    }
+    let value = args.remove(pos + 1);
+    args.remove(pos);
+    Some(PathBuf::from(value))
+}
+
+/// Writes `contents` to `path`, or reports the error and exits 1.
+fn write_or_exit(path: &Path, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    eprintln!("wrote {}", path.display());
+}
+
+/// Unwraps an artifact, or reports `what failed: error` and exits 1.
+fn or_exit<T>(what: &str, result: Result<T, tgi_core::TgiError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what} failed: {e}");
+        std::process::exit(1);
+    })
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");
         return;
     }
-    let mut csv_dir: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--csv") {
-        if pos + 1 >= args.len() {
-            parse_error("--csv requires a directory argument");
-        }
-        csv_dir = Some(PathBuf::from(args.remove(pos + 1)));
-        args.remove(pos);
-    }
-    let mut json_path: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        if pos + 1 >= args.len() {
-            parse_error("--json requires a file argument");
-        }
-        json_path = Some(PathBuf::from(args.remove(pos + 1)));
-        args.remove(pos);
-    }
-    let mut md_path: Option<PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--markdown") {
-        if pos + 1 >= args.len() {
-            parse_error("--markdown requires a file argument");
-        }
-        md_path = Some(PathBuf::from(args.remove(pos + 1)));
-        args.remove(pos);
-    }
+    let csv_dir = take_path(&mut args, "--csv", "directory");
+    let json_path = take_path(&mut args, "--json", "file");
+    let md_path = take_path(&mut args, "--markdown", "file");
     if let Some(unknown) = args.iter().find(|a| a.starts_with('-')) {
         parse_error(&format!("unknown argument `{unknown}`"));
     }
@@ -113,54 +120,15 @@ fn main() {
     }
     if args.iter().any(|a| a == "list") {
         eprintln!("scoring the built-in fleet under FLOPS/W and TGI...");
-        match tgi_harness::list::Green500StyleList::build(
-            &reference,
-            &tgi_harness::list::builtin_fleet(),
-        ) {
-            Ok(l) => tables.push(l.to_table()),
-            Err(e) => {
-                eprintln!("list failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        tables.push(or_exit("list", extensions::green500_style_list(&reference)));
     }
     if args.iter().any(|a| a == "extensions") {
         eprintln!("running extension experiments (GPU platform, cooling, DVFS)...");
-        match tgi_harness::extensions::gpu_platform_comparison(&reference) {
-            Ok(t) => tables.push(t),
-            Err(e) => {
-                eprintln!("gpu extension failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        match tgi_harness::extensions::center_wide_tgi(&reference) {
-            Ok(t) => tables.push(t),
-            Err(e) => {
-                eprintln!("cooling extension failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        match tgi_harness::extensions::mean_ablation(&reference) {
-            Ok(t) => tables.push(t),
-            Err(e) => {
-                eprintln!("mean ablation failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        match tgi_harness::extensions::dvfs_sweep(&reference) {
-            Ok(f) => figures.push(f),
-            Err(e) => {
-                eprintln!("dvfs extension failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        match tgi_harness::extensions::more_systems_ranking(&reference) {
-            Ok(r) => println!("{r}"),
-            Err(e) => {
-                eprintln!("ranking extension failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        tables.push(or_exit("gpu extension", extensions::gpu_platform_comparison(&reference)));
+        tables.push(or_exit("cooling extension", extensions::center_wide_tgi(&reference)));
+        tables.push(or_exit("mean ablation", extensions::mean_ablation(&reference)));
+        figures.push(or_exit("dvfs extension", extensions::dvfs_sweep(&reference)));
+        println!("{}", or_exit("ranking extension", extensions::more_systems_ranking(&reference)));
     }
 
     for f in &figures {
@@ -180,11 +148,7 @@ fn main() {
             eprintln!("wrote {}", path.display());
         }
         if let Some(path) = md_path {
-            if let Err(e) = std::fs::write(&path, bundle.to_markdown()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!("wrote {}", path.display());
+            write_or_exit(&path, &bundle.to_markdown());
         }
     }
 
@@ -193,21 +157,9 @@ fn main() {
             eprintln!("cannot create {}: {e}", dir.display());
             std::process::exit(1);
         }
-        for f in &figures {
-            let path = dir.join(format!("{}.csv", f.id));
-            if let Err(e) = std::fs::write(&path, f.to_csv()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!("wrote {}", path.display());
-        }
-        for t in &tables {
-            let path = dir.join(format!("{}.csv", t.id));
-            if let Err(e) = std::fs::write(&path, t.to_csv()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!("wrote {}", path.display());
+        let figure_csvs = figures.iter().map(|f| (&f.id, f.to_csv()));
+        for (id, csv) in figure_csvs.chain(tables.iter().map(|t| (&t.id, t.to_csv()))) {
+            write_or_exit(&dir.join(format!("{id}.csv")), &csv);
         }
     }
 }

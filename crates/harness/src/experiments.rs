@@ -16,65 +16,63 @@ pub fn system_g_reference() -> ReferenceSystem {
     builder.build().expect("SystemG suite is non-empty and unique")
 }
 
+/// A one-series figure of a benchmark's energy efficiency, scaled to
+/// millions (MFLOPS/W or MB/s per W), against `x` of each sweep point.
+fn efficiency_figure(
+    sweep: &FireSweep,
+    benchmark: &str,
+    x: impl Fn(f64) -> f64,
+    (id, title, x_label, y_label): (&str, &str, &str, &str),
+) -> FigureData {
+    let pairs: Vec<(f64, f64)> =
+        sweep.efficiency_series(benchmark).into_iter().map(|(c, ee)| (x(c), ee / 1e6)).collect();
+    FigureData {
+        id: id.into(),
+        title: title.into(),
+        x_label: x_label.into(),
+        y_label: y_label.into(),
+        series: vec![Series::from_pairs(y_label, &pairs)],
+    }
+}
+
 /// Figure 2: energy efficiency of HPL (MFLOPS/W) vs number of MPI processes
 /// on the Fire cluster.
 pub fn fig2_hpl_efficiency(sweep: &FireSweep) -> FigureData {
-    let pairs: Vec<(f64, f64)> = sweep
-        .efficiency_series("hpl")
-        .into_iter()
-        .map(|(x, ee)| (x, ee / 1e6)) // FLOPS/W → MFLOPS/W
-        .collect();
-    FigureData {
-        id: "fig2".into(),
-        title: "Energy Efficiency of HPL".into(),
-        x_label: "processes".into(),
-        y_label: "MFLOPS/Watt".into(),
-        series: vec![Series::from_pairs("MFLOPS/Watt", &pairs)],
-    }
+    let labels = ("fig2", "Energy Efficiency of HPL", "processes", "MFLOPS/Watt");
+    efficiency_figure(sweep, "hpl", |cores| cores, labels)
 }
 
 /// Figure 3: energy efficiency of STREAM (MB/s per watt) vs number of MPI
 /// processes on the Fire cluster.
 pub fn fig3_stream_efficiency(sweep: &FireSweep) -> FigureData {
-    let pairs: Vec<(f64, f64)> = sweep
-        .efficiency_series("stream")
-        .into_iter()
-        .map(|(x, ee)| (x, ee / 1e6)) // B/s per W → MB/s per W
-        .collect();
-    FigureData {
-        id: "fig3".into(),
-        title: "Energy Efficiency of Stream".into(),
-        x_label: "processes".into(),
-        y_label: "MBPS/Watt".into(),
-        series: vec![Series::from_pairs("MBPS/Watt", &pairs)],
-    }
+    let labels = ("fig3", "Energy Efficiency of Stream", "processes", "MBPS/Watt");
+    efficiency_figure(sweep, "stream", |cores| cores, labels)
 }
 
 /// Figure 4: energy efficiency of IOzone (MB/s per watt) vs number of nodes
 /// on the Fire cluster.
 pub fn fig4_iozone_efficiency(sweep: &FireSweep) -> FigureData {
     let cores_per_node = ClusterSpec::fire().node.cores() as f64;
-    let pairs: Vec<(f64, f64)> = sweep
-        .efficiency_series("iozone")
-        .into_iter()
-        .map(|(cores, ee)| ((cores / cores_per_node).ceil(), ee / 1e6))
-        .collect();
-    FigureData {
-        id: "fig4".into(),
-        title: "Energy Efficiency of IOzone".into(),
-        x_label: "nodes".into(),
-        y_label: "MBPS/Watt".into(),
-        series: vec![Series::from_pairs("MBPS/Watt", &pairs)],
-    }
+    let labels = ("fig4", "Energy Efficiency of IOzone", "nodes", "MBPS/Watt");
+    efficiency_figure(sweep, "iozone", |cores| (cores / cores_per_node).ceil(), labels)
+}
+
+/// TGI (arithmetic mean) under one weighting at every sweep point, as
+/// `(cores, TGI)` pairs.
+fn tgi_pairs(
+    sweep: &FireSweep,
+    reference: &ReferenceSystem,
+    weighting: &Weighting,
+) -> Vec<(f64, f64)> {
+    let values = sweep
+        .tgi_values(reference, weighting, MeanKind::Arithmetic)
+        .expect("sweep measurements match the reference suite");
+    sweep.points().iter().zip(values).map(|(p, v)| (p.cores as f64, v)).collect()
 }
 
 /// Figure 5: TGI using the arithmetic mean vs number of cores on Fire.
 pub fn fig5_tgi_arithmetic(sweep: &FireSweep, reference: &ReferenceSystem) -> FigureData {
-    let values = sweep
-        .tgi_values(reference, &Weighting::Arithmetic, MeanKind::Arithmetic)
-        .expect("sweep measurements match the reference suite");
-    let pairs: Vec<(f64, f64)> =
-        sweep.points().iter().zip(&values).map(|(p, &v)| (p.cores as f64, v)).collect();
+    let pairs = tgi_pairs(sweep, reference, &Weighting::Arithmetic);
     FigureData {
         id: "fig5".into(),
         title: "TGI using Arithmetic Mean".into(),
@@ -87,19 +85,14 @@ pub fn fig5_tgi_arithmetic(sweep: &FireSweep, reference: &ReferenceSystem) -> Fi
 /// Figure 6: TGI using the weighted arithmetic mean — time, power, and
 /// energy weights — vs number of cores on Fire.
 pub fn fig6_tgi_weighted(sweep: &FireSweep, reference: &ReferenceSystem) -> FigureData {
-    let mut series = Vec::new();
-    for (w, label) in [
+    let series = [
         (Weighting::Time, "Weights Using Time"),
         (Weighting::Power, "Weights Using Power"),
         (Weighting::Energy, "Weights Using Energy"),
-    ] {
-        let values = sweep
-            .tgi_values(reference, &w, MeanKind::Arithmetic)
-            .expect("sweep measurements match the reference suite");
-        let pairs: Vec<(f64, f64)> =
-            sweep.points().iter().zip(&values).map(|(p, &v)| (p.cores as f64, v)).collect();
-        series.push(Series::from_pairs(label, &pairs));
-    }
+    ]
+    .iter()
+    .map(|(w, label)| Series::from_pairs(*label, &tgi_pairs(sweep, reference, w)))
+    .collect();
     FigureData {
         id: "fig6".into(),
         title: "TGI using Weighted Arithmetic Mean".into(),
@@ -169,20 +162,13 @@ pub fn pcc_for_weighting(
 /// Time/Energy/Power columns; the arithmetic-mean column reproduces the
 /// values quoted in §IV-B's text (.99/.96/.58).
 pub fn table2_pcc(sweep: &FireSweep, reference: &ReferenceSystem) -> TableData {
-    let am = pcc_for_weighting(sweep, reference, Weighting::Arithmetic);
-    let time = pcc_for_weighting(sweep, reference, Weighting::Time);
-    let energy = pcc_for_weighting(sweep, reference, Weighting::Energy);
-    let power = pcc_for_weighting(sweep, reference, Weighting::Power);
-
+    let columns = [Weighting::Arithmetic, Weighting::Time, Weighting::Energy, Weighting::Power]
+        .map(|w| pcc_for_weighting(sweep, reference, w));
     let rows = (0..3)
         .map(|i| {
-            vec![
-                display_name(&am[i].0).to_string(),
-                format!("{:.2}", am[i].1),
-                format!("{:.2}", time[i].1),
-                format!("{:.2}", energy[i].1),
-                format!("{:.2}", power[i].1),
-            ]
+            let mut row = vec![display_name(&columns[0][i].0).to_string()];
+            row.extend(columns.iter().map(|column| format!("{:.2}", column[i].1)));
+            row
         })
         .collect();
 

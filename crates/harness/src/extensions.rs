@@ -10,11 +10,18 @@
 //! * [`more_systems_ranking`] — "establish the general applicability of TGI
 //!   by benchmarking more systems": a ranked list across every built-in
 //!   cluster variant.
+//! * [`green500_style_list`] — the list TGI argues for: [`builtin_fleet`]
+//!   ranked side by side under FLOPS/W and TGI.
+//!
+//! Every function that scores a set of systems does so through one
+//! [`FleetSweep`] and reads its artifacts off the [`crate::FleetTable`].
 
+use crate::fleet::FleetSweep;
 use crate::report::TableData;
 use cluster_sim::{ClusterSpec, ExecutionEngine, Workload};
 use power_model::cooling::CoolingModel;
-use tgi_core::{Measurement, Ranking, ReferenceSystem, Tgi, TgiError, Weighting};
+use tgi_core::evaluator::TgiEvaluator;
+use tgi_core::{MeanKind, Measurement, Ranking, ReferenceSystem, Tgi, TgiError, Weighting};
 
 fn run_suite(cluster: &ClusterSpec) -> Vec<Measurement> {
     ExecutionEngine::new(cluster.clone())
@@ -37,25 +44,43 @@ fn tgi_of(
         .value())
 }
 
+/// The paper's Fire suite on every system at full scale, scored under the
+/// arithmetic weighting and mean (override the axes for other cells).
+fn fire_suite_sweep(specs: impl IntoIterator<Item = ClusterSpec>) -> FleetSweep {
+    FleetSweep::new()
+        .fleet(specs)
+        .suite("fire", Workload::fire_suite())
+        .weightings(&[Weighting::Arithmetic])
+        .means(&[MeanKind::Arithmetic])
+}
+
+fn hpl(measurements: &[Measurement]) -> &Measurement {
+    measurements.iter().find(|m| m.id() == "hpl").expect("suite contains hpl")
+}
+
 /// GPU-platform extension: CPU-only Fire vs GPU-accelerated Fire under
 /// FLOPS/W (HPL only) and TGI (system-wide). The GPU system's FLOPS/W gain
 /// is dramatic; its TGI gain is muted because memory and I/O did not get
 /// faster while the hosts idle hotter — exactly the blind spot TGI exists
 /// to expose.
 pub fn gpu_platform_comparison(reference: &ReferenceSystem) -> Result<TableData, TgiError> {
-    let mut rows = Vec::new();
-    for cluster in [ClusterSpec::fire(), ClusterSpec::fire_gpu()] {
-        let measurements = run_suite(&cluster);
-        let hpl = measurements.iter().find(|m| m.id() == "hpl").expect("suite contains hpl");
-        let mflops_per_w = hpl.energy_efficiency() / 1e6;
-        let tgi = tgi_of(reference, &measurements, Weighting::Arithmetic)?;
-        rows.push(vec![
-            cluster.name.clone(),
-            format!("{:.1}", hpl.performance().as_gflops()),
-            format!("{:.2}", mflops_per_w),
-            format!("{:.4}", tgi),
-        ]);
-    }
+    let sweep = fire_suite_sweep([ClusterSpec::fire(), ClusterSpec::fire_gpu()]);
+    let table = sweep.run(reference)?;
+    let mut rows: Vec<Vec<String>> = table
+        .systems()
+        .iter()
+        .enumerate()
+        .map(|(s, name)| {
+            let measurements = sweep.measurements(s, 0);
+            let hpl = hpl(&measurements);
+            vec![
+                name.clone(),
+                format!("{:.1}", hpl.performance().as_gflops()),
+                format!("{:.2}", hpl.energy_efficiency() / 1e6),
+                format!("{:.4}", table.value(s, 0, 0, 0)),
+            ]
+        })
+        .collect();
     // Relative gains row.
     let gain = |col: usize| -> f64 {
         let a: f64 = rows[0][col].parse().expect("numeric cell");
@@ -117,20 +142,74 @@ pub fn more_systems_ranking(reference: &ReferenceSystem) -> Result<Ranking, TgiE
     gpu_low_io.name = "Fire-GPU-SlowFS".to_string();
     gpu_low_io.shared_fs.server_cap_mbps /= 2.0;
 
-    let mut ranking = Ranking::new();
-    for cluster in [ClusterSpec::fire(), ClusterSpec::fire_gpu(), ClusterSpec::sandy(), gpu_low_io]
-    {
-        let measurements = run_suite(&cluster);
-        let result =
-            Tgi::builder().reference(reference.clone()).measurements(measurements).compute()?;
-        ranking.add_result(cluster.name.clone(), result);
-    }
+    let fleet = [ClusterSpec::fire(), ClusterSpec::fire_gpu(), ClusterSpec::sandy(), gpu_low_io];
+    let mut ranking = fire_suite_sweep(fleet).run(reference)?.green500_ranking(0, 0, 0)?;
     // The reference itself always ranks at TGI = 1 by construction.
     let self_suite: Vec<Measurement> = reference.iter().map(|(_, m)| m.clone()).collect();
-    let self_result =
-        Tgi::builder().reference(reference.clone()).measurements(self_suite).compute()?;
-    ranking.add_result(reference.name().to_string(), self_result);
+    let evaluator = TgiEvaluator::new(reference);
+    let self_tgi =
+        evaluator.evaluate_result(&self_suite, &Weighting::Arithmetic, MeanKind::Arithmetic)?;
+    ranking.try_add_result(reference.name(), self_tgi)?;
     Ok(ranking)
+}
+
+/// The built-in fleet: every cluster preset plus instructive variants.
+pub fn builtin_fleet() -> Vec<ClusterSpec> {
+    let mut fast_io = ClusterSpec::fire();
+    fast_io.name = "Fire-FastIO".to_string();
+    fast_io.shared_fs.server_cap_mbps *= 3.0;
+    fast_io.shared_fs.per_client_mbps *= 2.0;
+    vec![ClusterSpec::fire(), ClusterSpec::fire_gpu(), ClusterSpec::sandy(), fast_io]
+}
+
+/// A Green500-style list (§I: the Green500 ranks by FLOPS/W): the
+/// [`builtin_fleet`] in TGI order, with each system's HPL FLOPS/W rank and
+/// its movement between the two. The systems that move are exactly the
+/// ones whose non-CPU subsystems diverge from their CPU story.
+pub fn green500_style_list(reference: &ReferenceSystem) -> Result<TableData, TgiError> {
+    let sweep = fire_suite_sweep(builtin_fleet());
+    let table = sweep.run(reference)?;
+    let suites: Vec<_> = (0..table.systems().len()).map(|s| sweep.measurements(s, 0)).collect();
+    let mflops_per_watt = |s: usize| hpl(&suites[s]).energy_efficiency() / 1e6;
+    let by_flops_per_watt = Ranking::try_from_scores(
+        table.systems().iter().enumerate().map(|(s, name)| (name.as_str(), mflops_per_watt(s))),
+    )?;
+    let rows = table
+        .green500_ranking(0, 0, 0)?
+        .entries()
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            let s = table.systems().iter().position(|n| *n == entry.name).expect("own row");
+            let tgi_rank = i + 1;
+            let fw_rank = by_flops_per_watt.rank_of(&entry.name).expect("own row");
+            let arrow = match fw_rank as i64 - tgi_rank as i64 {
+                0 => "=".to_string(),
+                up if up > 0 => format!("▲{up}"),
+                down => format!("▼{}", -down),
+            };
+            vec![
+                tgi_rank.to_string(),
+                entry.name.clone(),
+                format!("{:.1}", hpl(&suites[s]).performance().as_gflops()),
+                format!("{:.2}", mflops_per_watt(s)),
+                format!("#{fw_rank}"),
+                format!("{:.4}", entry.tgi),
+                arrow,
+            ]
+        })
+        .collect();
+    Ok(TableData {
+        id: "green500-style".into(),
+        title: format!(
+            "System-wide list (TGI vs {}; Δ = movement vs FLOPS/W rank)",
+            reference.name()
+        ),
+        headers: ["Rank", "System", "HPL GFLOPS", "MFLOPS/W", "FLOPS/W rank", "TGI", "Δ"]
+            .map(String::from)
+            .to_vec(),
+        rows,
+    })
 }
 
 /// DVFS extension: sweep the CPU clock from 50% to 100% of nominal on Fire
@@ -198,25 +277,19 @@ pub fn native_hpl_scaling(
 /// ordering holds column-wise, and the geometric mean is the only one whose
 /// score inverts exactly under a reference swap.
 pub fn mean_ablation(reference: &ReferenceSystem) -> Result<TableData, TgiError> {
-    use tgi_core::MeanKind;
-    let measurements = run_suite(&ClusterSpec::fire());
-    let mut rows = Vec::new();
-    for mean in [MeanKind::Arithmetic, MeanKind::Geometric, MeanKind::Harmonic] {
-        let mut row = vec![mean.label().to_string()];
-        for weighting in
-            [Weighting::Arithmetic, Weighting::Time, Weighting::Energy, Weighting::Power]
-        {
-            let v = Tgi::builder()
-                .mean(mean)
-                .reference(reference.clone())
-                .weighting(weighting)
-                .measurements(measurements.iter().cloned())
-                .compute()?
-                .value();
-            row.push(format!("{v:.4}"));
-        }
-        rows.push(row);
-    }
+    let table = fire_suite_sweep([ClusterSpec::fire()]).paper_axes().run(reference)?;
+    let rows = table
+        .means()
+        .iter()
+        .enumerate()
+        .map(|(m, mean)| {
+            let mut row = vec![mean.label().to_string()];
+            row.extend(
+                (0..table.weightings().len()).map(|w| format!("{:.4}", table.value(0, 0, w, m))),
+            );
+            row
+        })
+        .collect();
     Ok(TableData {
         id: "ext-means".into(),
         title: "Central-tendency ablation: TGI under AM/GM/HM × weightings".into(),
@@ -325,6 +398,22 @@ mod tests {
         assert!(peak_idx > 0 && peak_idx < ee.len() - 1, "peak at index {peak_idx}: {ee:?}");
         // TGI series is finite and positive everywhere.
         assert!(fig.series[1].ys().iter().all(|v| v.is_finite() && *v > 0.0));
+    }
+
+    #[test]
+    fn green500_style_list_moves_the_gpu_system_down_from_its_flops_per_watt_rank() {
+        let t = green500_style_list(&system_g_reference()).unwrap();
+        assert_eq!(t.rows.len(), builtin_fleet().len());
+        assert_eq!(t.headers.len(), 7);
+        // TGI order: the TGI column is non-increasing down the ranks.
+        let tgis: Vec<f64> = t.rows.iter().map(|r| r[5].parse().expect("numeric")).collect();
+        assert!(tgis.windows(2).all(|w| w[0] >= w[1]), "{tgis:?}");
+        // The GPU system ranks better under FLOPS/W than under TGI.
+        let gpu = t.rows.iter().find(|r| r[1] == "Fire-GPU").expect("listed");
+        let tgi_rank: usize = gpu[0].parse().expect("numeric");
+        let fw_rank: usize = gpu[4].trim_start_matches('#').parse().expect("numeric");
+        assert!(fw_rank < tgi_rank, "FLOPS/W #{fw_rank} vs TGI #{tgi_rank}");
+        assert_eq!(gpu[6], format!("▼{}", tgi_rank - fw_rank));
     }
 
     #[test]

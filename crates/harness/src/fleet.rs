@@ -1,12 +1,14 @@
-//! Synthetic Green500: fleet-scale (system × suite × weighting × mean)
-//! TGI sweeps.
+//! The sweep engine: (system × cores × suite × weighting × mean) TGI
+//! studies.
 //!
-//! [`crate::GridSweep`] studies one machine across core counts; a
-//! [`FleetSweep`] studies *hundreds* of machines at full scale — the
-//! ROADMAP's synthetic Green500. The hot-path guarantees mirror PR 4's
-//! grid machinery, scaled up:
+//! Every row of a [`FleetSweep`] is one (system, cores) point:
+//! [`FleetSweep::system`] adds a machine at full scale, as the Green500
+//! runs it, and [`FleetSweep::system_at`] adds it at any core count — so
+//! the paper's Fire core-count study (§IV, Figures 5–6), a cluster
+//! comparison, and a synthetic Green500 of thousands of generated machines
+//! are all the same engine with different rows. The hot-path guarantees:
 //!
-//! * **Single-flight memoized simulation** — every system wraps its engine
+//! * **Single-flight memoized simulation** — every row wraps its engine
 //!   in [`cluster_sim::MemoizedEngine`], whose sharded cache guarantees a
 //!   missed (suite, cores) key is simulated exactly once, no matter how
 //!   many workers race on it ([`FleetSweep::duplicate_simulations`] stays
@@ -20,27 +22,29 @@
 //!   [`FleetSweep::run`] equals [`FleetSweep::run_sequential`] bitwise
 //!   (asserted in tests and the committed bench).
 //!
-//! The result is a structure-of-arrays [`FleetTable`]; its
-//! [`FleetTable::green500_ranking`] view sorts one (suite, weighting,
-//! mean) column into a [`tgi_core::Ranking`] — descending TGI, ties broken
-//! on spec id.
+//! The result is a structure-of-arrays [`FleetTable`]. Its views are the
+//! artifacts: [`FleetTable::green500_ranking`] sorts one (suite,
+//! weighting, mean) column into a [`tgi_core::Ranking`] (descending TGI,
+//! ties broken on spec id), and [`FleetTable::series`],
+//! [`FleetTable::figure`] and [`FleetTable::table_at`] slice the rows that
+//! share a system name along the cores axis.
 
-use crate::report::csv_field;
+use crate::report::{csv_field, FigureData, Series, TableData};
 use cluster_sim::{ClusterSpec, ExecutionEngine, MemoizedEngine, Workload};
 use power_model::{AnomalyConfig, AnomalyCounts, AnomalyKind};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tgi_core::evaluator::{EvalScratch, TgiEvaluator};
-use tgi_core::{MeanKind, Ranking, ReferenceSystem, TgiError, Weighting};
+use tgi_core::{MeanKind, Measurement, Ranking, ReferenceSystem, TgiError, Weighting};
 use tgi_telemetry::{QuantileHistogram, QuantileSummary};
 
-/// One fleet member: a memoizing engine plus the scale it runs at.
+/// One row: a memoizing engine plus the scale it runs at.
 #[derive(Debug)]
 struct FleetSystem {
     engine: MemoizedEngine,
-    /// Process count for every suite: the full machine, as Green500 runs.
+    /// Process count for every suite.
     cores: usize,
 }
 
@@ -51,7 +55,8 @@ struct FleetSuite {
     workloads: Vec<Workload>,
 }
 
-/// A configurable (system × suite × weighting × mean) fleet sweep.
+/// A configurable (system × cores × suite × weighting × mean) sweep; each
+/// row is one (system, cores) point.
 ///
 /// ```no_run
 /// use cluster_sim::{FleetConfig, Workload};
@@ -67,7 +72,6 @@ struct FleetSuite {
 #[derive(Debug)]
 pub struct FleetSweep {
     systems: Vec<FleetSystem>,
-    names: Vec<String>,
     suites: Vec<FleetSuite>,
     weightings: Vec<Weighting>,
     means: Vec<MeanKind>,
@@ -87,7 +91,6 @@ impl Default for FleetSweep {
     fn default() -> Self {
         FleetSweep {
             systems: Vec::new(),
-            names: Vec::new(),
             suites: Vec::new(),
             weightings: Vec::new(),
             means: Vec::new(),
@@ -105,9 +108,16 @@ impl FleetSweep {
     }
 
     /// Appends one system, running at its full core count.
-    pub fn system(mut self, spec: ClusterSpec) -> Self {
+    pub fn system(self, spec: ClusterSpec) -> Self {
         let cores = spec.total_cores();
-        self.names.push(spec.name.clone());
+        self.system_at(spec, cores)
+    }
+
+    /// Appends one system running every suite on `cores` processes. Add
+    /// the same spec at several core counts for a scaling study; each
+    /// call is one row. [`FleetSweep::run`] rejects a core count of 0 or
+    /// one above the spec's total.
+    pub fn system_at(mut self, spec: ClusterSpec, cores: usize) -> Self {
         self.systems
             .push(FleetSystem { engine: MemoizedEngine::new(ExecutionEngine::new(spec)), cores });
         self
@@ -158,7 +168,7 @@ impl FleetSweep {
         .means(&[MeanKind::Arithmetic, MeanKind::Geometric, MeanKind::Harmonic])
     }
 
-    /// Number of systems in the fleet.
+    /// Number of rows — (system, cores) points — in the fleet.
     pub fn len(&self) -> usize {
         self.systems.len()
     }
@@ -195,6 +205,17 @@ impl FleetSweep {
         self.cell_latency.summary()
     }
 
+    /// The memo's measurements for one (row, suite) point, in workload
+    /// order: the `Arc` the cache holds, so after a run this is a memo hit
+    /// and never re-simulates.
+    ///
+    /// # Panics
+    /// Panics if an index is out of range on its axis.
+    pub fn measurements(&self, row: usize, suite: usize) -> Arc<Vec<Measurement>> {
+        let system = &self.systems[row];
+        system.engine.suite_measurements(&self.suites[suite].workloads, system.cores)
+    }
+
     fn check_axes(&self) -> Result<(), TgiError> {
         if self.systems.is_empty()
             || self.suites.is_empty()
@@ -204,6 +225,17 @@ impl FleetSweep {
             return Err(TgiError::DegenerateStatistic(
                 "a fleet sweep needs systems, a suite, weightings, and means",
             ));
+        }
+        for system in &self.systems {
+            let total = system.engine.engine().cluster().total_cores();
+            if system.cores == 0 || system.cores > total {
+                return Err(TgiError::OutOfRange {
+                    quantity: "fleet core count",
+                    value: system.cores as f64,
+                    lo: 1.0,
+                    hi: total as f64,
+                });
+            }
         }
         Ok(())
     }
@@ -238,8 +270,9 @@ impl FleetSweep {
     /// Evaluates the fleet in parallel over the rayon shim. Bit-identical
     /// to [`FleetSweep::run_sequential`] at any thread count.
     ///
-    /// Errors if an axis is empty or any evaluation fails (missing
-    /// reference entry, invalid weights, …).
+    /// Errors if an axis is empty, a row's core count is out of range for
+    /// its system, or any evaluation fails (missing reference entry,
+    /// invalid weights, …).
     pub fn run(&self, reference: &ReferenceSystem) -> Result<FleetTable, TgiError> {
         self.check_axes()?;
         let cells_per_point = self.weightings.len() * self.means.len();
@@ -329,7 +362,11 @@ impl FleetSweep {
         });
         FleetTable {
             reference_name: reference.name().to_string(),
-            systems: self.names.clone(),
+            systems: self
+                .systems
+                .iter()
+                .map(|s| s.engine.engine().cluster().name.clone())
+                .collect(),
             nodes: self.systems.iter().map(|s| s.engine.engine().cluster().nodes).collect(),
             cores: self.systems.iter().map(|s| s.cores).collect(),
             pues: self.systems.iter().map(|s| s.engine.engine().cluster().pue).collect(),
@@ -342,9 +379,10 @@ impl FleetSweep {
     }
 }
 
-/// Structure-of-arrays result of a [`FleetSweep`]: per-system metadata
+/// Structure-of-arrays result of a [`FleetSweep`]: per-row metadata
 /// columns plus one flat row-major value block
-/// (`[system][suite][weighting][mean]`).
+/// (`[system][suite][weighting][mean]`), where a system index names a row
+/// — one (system, cores) point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetTable {
     reference_name: String,
@@ -370,7 +408,8 @@ impl FleetTable {
         &self.reference_name
     }
 
-    /// System ids, in fleet order.
+    /// System ids, one per row, in fleet order. A system added at several
+    /// core counts appears once per row.
     pub fn systems(&self) -> &[String] {
         &self.systems
     }
@@ -380,7 +419,7 @@ impl FleetTable {
         &self.nodes
     }
 
-    /// Core counts (the scale each system ran at), parallel to
+    /// Core counts (the scale each row ran at), parallel to
     /// [`FleetTable::systems`].
     pub fn cores(&self) -> &[usize] {
         &self.cores
@@ -478,11 +517,82 @@ impl FleetTable {
         weighting: usize,
         mean: usize,
     ) -> Result<Ranking, TgiError> {
-        let mut ranking = Ranking::new();
-        for (s, name) in self.systems.iter().enumerate() {
-            ranking.try_add(name.clone(), self.value(s, suite, weighting, mean))?;
+        Ranking::try_from_scores(
+            self.systems
+                .iter()
+                .enumerate()
+                .map(|(s, name)| (name.as_str(), self.value(s, suite, weighting, mean))),
+        )
+    }
+
+    /// The TGI-vs-cores series for one system over the rows that share its
+    /// name, in row order — the Figure 5/6 shape. `None` if no row has
+    /// that name.
+    pub fn series(
+        &self,
+        system: &str,
+        suite: usize,
+        weighting: usize,
+        mean: usize,
+    ) -> Option<Series> {
+        let pairs: Vec<(f64, f64)> = (0..self.systems.len())
+            .filter(|&s| self.systems[s] == system)
+            .map(|s| (self.cores[s] as f64, self.value(s, suite, weighting, mean)))
+            .collect();
+        let label = format!(
+            "{system} ({}, {})",
+            self.weightings[weighting].label(),
+            self.means[mean].label()
+        );
+        (!pairs.is_empty()).then(|| Series::from_pairs(label, &pairs))
+    }
+
+    /// A figure with one TGI-vs-cores series per system name, in order of
+    /// first appearance, for one (suite, weighting, mean) column.
+    pub fn figure(&self, suite: usize, weighting: usize, mean: usize) -> FigureData {
+        let series = (0..self.systems.len())
+            .filter(|&s| !self.systems[..s].contains(&self.systems[s]))
+            .map(|s| self.series(&self.systems[s], suite, weighting, mean).expect("own row"))
+            .collect();
+        FigureData {
+            id: "fleet".into(),
+            title: format!(
+                "TGI vs cores ({} weights, {} mean, vs {})",
+                self.weightings[weighting].label(),
+                self.means[mean].label(),
+                self.reference_name
+            ),
+            x_label: "cores".into(),
+            y_label: "Green Index".into(),
+            series,
         }
-        Ok(ranking)
+    }
+
+    /// The weighting × mean table for one system at one core count, ready
+    /// for text/CSV/Markdown rendering. `None` if no row matches.
+    pub fn table_at(&self, system: &str, cores: usize, suite: usize) -> Option<TableData> {
+        let s = (0..self.systems.len())
+            .find(|&s| self.systems[s] == system && self.cores[s] == cores)?;
+        let mut headers = vec!["weighting".to_string()];
+        headers.extend(self.means.iter().map(|m| m.label().to_string()));
+        let rows = self
+            .weightings
+            .iter()
+            .enumerate()
+            .map(|(w, weighting)| {
+                let mut row = vec![weighting.label().to_string()];
+                row.extend(
+                    (0..self.means.len()).map(|m| format!("{:.4}", self.value(s, suite, w, m))),
+                );
+                row
+            })
+            .collect();
+        Some(TableData {
+            id: format!("fleet-{system}-{cores}"),
+            title: format!("TGI of {system} at {cores} cores (vs {})", self.reference_name),
+            headers,
+            rows,
+        })
     }
 
     /// Long-format CSV: one `system,nodes,cores,pue,suite,weighting,mean,tgi`
@@ -516,6 +626,7 @@ impl FleetTable {
 mod tests {
     use super::*;
     use crate::experiments::system_g_reference;
+    use crate::sweep::{FireSweep, FIRE_CORE_COUNTS};
     use cluster_sim::FleetConfig;
     use tgi_core::Tgi;
 
@@ -527,21 +638,73 @@ mod tests {
             .means(&[MeanKind::Arithmetic, MeanKind::Geometric])
     }
 
+    /// Fire at every paper core count, then Fire-GPU at two scales.
+    fn multi_scale_sweep() -> FleetSweep {
+        let fire = FIRE_CORE_COUNTS.iter().map(|&c| (ClusterSpec::fire(), c));
+        let gpu = [64, 128].map(|c| (ClusterSpec::fire_gpu(), c));
+        fire.chain(gpu)
+            .fold(FleetSweep::new(), |sweep, (spec, cores)| sweep.system_at(spec, cores))
+            .suite("fire", Workload::fire_suite())
+            .paper_axes()
+    }
+
     #[test]
     fn parallel_matches_sequential_bitwise_at_several_thread_counts() {
-        let sweep = small_sweep(6);
         let reference = system_g_reference();
-        let sequential = sweep.run_sequential(&reference).unwrap();
-        for threads in [1, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let parallel = pool.install(|| sweep.run(&reference)).unwrap();
-            assert_eq!(parallel.len(), sequential.len());
-            for (a, b) in parallel.values().iter().zip(sequential.values()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "thread count {threads} changed a cell");
+        for sweep in [small_sweep(6), multi_scale_sweep()] {
+            let sequential = sweep.run_sequential(&reference).unwrap();
+            for threads in [1, 2, 8] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let parallel = pool.install(|| sweep.run(&reference)).unwrap();
+                assert_eq!(parallel.len(), sequential.len());
+                for (a, b) in parallel.values().iter().zip(sequential.values()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "thread count {threads} changed a cell");
+                }
+                assert_eq!(parallel, sequential);
             }
-            assert_eq!(parallel, sequential);
+            assert_eq!(sweep.duplicate_simulations(), 0);
         }
-        assert_eq!(sweep.duplicate_simulations(), 0);
+    }
+
+    #[test]
+    fn fire_rows_match_the_paper_sweep_bitwise() {
+        // The oracle tying the fleet engine to the paper path: Fire rows at
+        // the paper's core counts are Figures 5/6 and Table II's TGI values.
+        let reference = system_g_reference();
+        let table = multi_scale_sweep().run(&reference).unwrap();
+        let paper = FireSweep::run();
+        let mean = table.means().iter().position(|&m| m == MeanKind::Arithmetic).unwrap();
+        for (w, weighting) in table.weightings().iter().enumerate() {
+            let expected = paper.tgi_values(&reference, weighting, MeanKind::Arithmetic).unwrap();
+            let series = table.series("Fire", 0, w, mean).unwrap();
+            assert_eq!(series.xs(), FIRE_CORE_COUNTS.map(|c| c as f64).to_vec());
+            for (point, want) in series.points.iter().zip(&expected) {
+                assert_eq!(point.y.to_bits(), want.to_bits(), "{weighting} at {} cores", point.x);
+            }
+        }
+    }
+
+    #[test]
+    fn renders_series_figure_and_table_per_system() {
+        let table = multi_scale_sweep().run(&system_g_reference()).unwrap();
+        let s = table.series("Fire-GPU", 0, 0, 0).unwrap();
+        assert_eq!(s.xs(), vec![64.0, 128.0]);
+        assert_eq!(s.points[1].y, table.value(9, 0, 0, 0));
+        assert!(table.series("Nope", 0, 0, 0).is_none());
+
+        let fig = table.figure(0, 2, 1);
+        let names: Vec<&str> = fig.series.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["Fire (energy-weighted, geometric)", "Fire-GPU (energy-weighted, geometric)"]
+        );
+        assert!(fig.title.contains("energy-weighted") && fig.title.contains("geometric"));
+
+        let t = table.table_at("Fire-GPU", 128, 0).unwrap();
+        assert_eq!(t.headers, vec!["weighting", "arithmetic", "geometric", "harmonic"]);
+        assert_eq!(t.rows.len(), 4);
+        assert_eq!(t.rows[2][2], format!("{:.4}", table.value(9, 0, 2, 1)));
+        assert!(table.table_at("Fire", 7, 0).is_none());
     }
 
     #[test]
@@ -585,6 +748,11 @@ mod tests {
         assert_eq!(m2, 4, "second run re-simulates nothing");
         assert_eq!(h2, h1 + 4);
         assert_eq!(sweep.duplicate_simulations(), 0);
+        // The measurements accessor hands out the memo's own Arc: a hit.
+        let cached = sweep.measurements(1, 0);
+        assert_eq!(cached.len(), Workload::fire_suite().len());
+        assert!(Arc::ptr_eq(&cached, &sweep.measurements(1, 0)));
+        assert_eq!(sweep.memo_stats(), (h2 + 2, 4));
     }
 
     #[test]
@@ -602,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_axes_are_rejected() {
+    fn empty_axes_and_bad_cores_are_rejected() {
         let reference = system_g_reference();
         let no_suite =
             FleetSweep::new().fleet(FleetConfig::new(2).systems(2).generate()).paper_axes();
@@ -612,6 +780,23 @@ mod tests {
             no_systems.run_sequential(&reference),
             Err(TgiError::DegenerateStatistic(_))
         ));
+        for cores in [0, 256] {
+            let sweep = FleetSweep::new()
+                .system_at(ClusterSpec::fire(), cores)
+                .suite("fire", Workload::fire_suite())
+                .paper_axes();
+            for result in [sweep.run(&reference), sweep.run_sequential(&reference)] {
+                assert!(
+                    matches!(
+                        result,
+                        Err(TgiError::OutOfRange { quantity: "fleet core count", hi, .. })
+                            if hi == 128.0
+                    ),
+                    "cores = {cores}: {result:?}"
+                );
+            }
+            assert_eq!(sweep.memo_stats(), (0, 0), "nothing simulated for cores = {cores}");
+        }
     }
 
     #[test]

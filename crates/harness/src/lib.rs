@@ -14,8 +14,10 @@
 //!
 //! [`sweep`] runs the underlying Fire core-count sweep once and shares it
 //! across figures; [`report`] renders figures/tables as text and CSV.
-//! [`grid`] generalizes the sweep to a full (cluster × cores × weighting ×
-//! mean) study evaluated in parallel with memoized cluster simulations.
+//! [`fleet`] is the one engine for everything larger: a (system × cores ×
+//! suite × weighting × mean) study evaluated in parallel over memoized
+//! cluster simulations, whose table's views are the cluster comparisons,
+//! scaling series and Green500-style lists of [`extensions`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,9 +26,7 @@ pub mod experiments;
 pub mod export;
 pub mod extensions;
 pub mod fleet;
-pub mod grid;
 pub mod journal;
-pub mod list;
 pub mod report;
 pub mod sweep;
 pub mod telemetry;
@@ -37,7 +37,6 @@ pub use experiments::{
 };
 pub use export::ExperimentBundle;
 pub use fleet::{FleetSweep, FleetTable};
-pub use grid::{GridSweep, GridTable};
 pub use report::{FigureData, Series, TableData};
 pub use sweep::FireSweep;
 pub use telemetry::TelemetrySession;

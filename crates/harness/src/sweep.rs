@@ -8,7 +8,7 @@
 
 use cluster_sim::{ClusterSpec, ExecutionEngine, Workload};
 use tgi_core::evaluator::{EvalScratch, TgiEvaluator};
-use tgi_core::{MeanKind, Measurement, ReferenceSystem, TgiResult, Weighting};
+use tgi_core::{MeanKind, Measurement, ReferenceSystem, Weighting};
 
 /// The paper's Fire sweep: 16…128 cores in steps of 16 (one core-per-node
 /// granularity step per point on the 8-node cluster).
@@ -32,30 +32,23 @@ pub struct FireSweep {
 impl FireSweep {
     /// Runs the sweep on the Fire cluster with the paper's workload set.
     pub fn run() -> Self {
-        Self::run_with(ClusterSpec::fire(), &Workload::fire_suite(), &FIRE_CORE_COUNTS)
+        Self::run_on(ExecutionEngine::new(ClusterSpec::fire()))
     }
 
     /// Runs the paper's sweep with run-to-run performance noise (relative
     /// σ, deterministic per seed) — for robustness studies of the
     /// correlation results.
     pub fn run_noisy(sigma: f64, seed: u64) -> Self {
-        let engine = ExecutionEngine::new(ClusterSpec::fire()).with_run_noise(sigma, seed);
-        Self::run_on(engine, &Workload::fire_suite(), &FIRE_CORE_COUNTS)
+        Self::run_on(ExecutionEngine::new(ClusterSpec::fire()).with_run_noise(sigma, seed))
     }
 
-    /// Runs a custom sweep.
-    pub fn run_with(cluster: ClusterSpec, workloads: &[Workload], cores: &[usize]) -> Self {
-        Self::run_on(ExecutionEngine::new(cluster), workloads, cores)
-    }
-
-    /// Runs a sweep on a pre-configured engine (noise, DVFS, meter serial).
-    pub fn run_on(engine: ExecutionEngine, workloads: &[Workload], cores: &[usize]) -> Self {
-        let points = cores
+    fn run_on(engine: ExecutionEngine) -> Self {
+        let points = FIRE_CORE_COUNTS
             .iter()
             .map(|&c| SweepPoint {
                 cores: c,
                 measurements: engine
-                    .run_suite(workloads, c)
+                    .run_suite(&Workload::fire_suite(), c)
                     .into_iter()
                     .map(|r| r.measurement())
                     .collect(),
@@ -83,39 +76,9 @@ impl FireSweep {
             .collect()
     }
 
-    /// TGI at every sweep point under a weighting scheme, with full
-    /// per-benchmark contribution breakdowns.
-    ///
-    /// One [`TgiEvaluator`] serves the whole series — the reference is
-    /// resolved once, and no measurements or weightings are cloned per
-    /// point. Values are bit-identical to the `Tgi::builder` path.
-    pub fn tgi_series(
-        &self,
-        reference: &ReferenceSystem,
-        weighting: Weighting,
-    ) -> Result<Vec<(f64, TgiResult)>, tgi_core::TgiError> {
-        let evaluator = TgiEvaluator::new(reference);
-        let mut scratch = EvalScratch::default();
-        self.points
-            .iter()
-            .map(|p| {
-                evaluator
-                    .evaluate_result_with(
-                        &p.measurements,
-                        &weighting,
-                        MeanKind::Arithmetic,
-                        &mut scratch,
-                    )
-                    .map(|r| (p.cores as f64, r))
-            })
-            .collect()
-    }
-
-    /// Bare TGI values at every sweep point — the allocation-light path for
-    /// correlation studies that only need the scalar (Table II).
-    ///
-    /// Bitwise-identical to mapping [`FireSweep::tgi_series`] results
-    /// through [`TgiResult::value`], without building contribution vectors.
+    /// TGI at every sweep point under one (weighting, mean) cell. One
+    /// [`TgiEvaluator`] serves the whole series — the reference is resolved
+    /// once — and values are bit-identical to the `Tgi::builder` path.
     pub fn tgi_values(
         &self,
         reference: &ReferenceSystem,
@@ -134,7 +97,6 @@ impl FireSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::system_g_reference;
 
     #[test]
     fn sweep_covers_all_core_counts() {
@@ -156,43 +118,5 @@ mod tests {
             assert!(series.iter().all(|&(_, ee)| ee > 0.0), "{b}");
         }
         assert!(sweep.efficiency_series("nonexistent").is_empty());
-    }
-
-    #[test]
-    fn tgi_series_has_one_value_per_point() {
-        let sweep = FireSweep::run();
-        let reference = system_g_reference();
-        let series = sweep.tgi_series(&reference, Weighting::Arithmetic).unwrap();
-        assert_eq!(series.len(), 8);
-        assert!(series.iter().all(|(_, r)| r.value() > 0.0));
-    }
-
-    #[test]
-    fn tgi_values_match_tgi_series_bitwise() {
-        let sweep = FireSweep::run();
-        let reference = system_g_reference();
-        for weighting in
-            [Weighting::Arithmetic, Weighting::Time, Weighting::Energy, Weighting::Power]
-        {
-            let series = sweep.tgi_series(&reference, weighting.clone()).unwrap();
-            let values = sweep.tgi_values(&reference, &weighting, MeanKind::Arithmetic).unwrap();
-            assert_eq!(series.len(), values.len());
-            for ((_, r), v) in series.iter().zip(&values) {
-                assert_eq!(r.value().to_bits(), v.to_bits(), "{weighting}");
-            }
-        }
-    }
-
-    #[test]
-    fn hpl_efficiency_rises_then_dips_through_sweep() {
-        let sweep = FireSweep::run();
-        let series = sweep.efficiency_series("hpl");
-        let ys: Vec<f64> = series.iter().map(|&(_, y)| y).collect();
-        // Rising through mid-scale, peaking around 64–80 processes, then a
-        // mild dip as convex CPU power outruns the saturating performance.
-        assert!(ys[1] > ys[0] && ys[2] > ys[1] && ys[3] > ys[2], "rising: {ys:?}");
-        let peak = ys.iter().cloned().fold(0.0, f64::max);
-        assert!(*ys.last().unwrap() < peak, "tail dips: {ys:?}");
-        assert!(*ys.last().unwrap() > 0.7 * peak, "dip is mild: {ys:?}");
     }
 }

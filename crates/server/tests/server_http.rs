@@ -243,6 +243,17 @@ fn oversized_and_malformed_framing_close_with_an_error() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_400_and_the_server_survives() {
+    let server = start_server();
+    let mut client = connect(&server);
+    let r = client.request("POST", "/evaluate", &"[".repeat(10_000)).expect("send");
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.body.contains("nesting"), "{}", r.body);
+    let r = client.request("GET", "/healthz", "").expect("send");
+    assert_eq!(r.status, 200, "{}", r.body);
+}
+
+#[test]
 fn list_and_fleet_summary_cover_all_nodes() {
     let server = start_server();
     let mut client = connect(&server);

@@ -10,7 +10,8 @@
 //! cluster variants, runs the three-benchmark suite on each through the
 //! simulator, and prints both rankings so the difference is visible.
 
-use tgi::cluster::{ClusterSpec, ExecutionEngine, Workload};
+use tgi::cluster::{ClusterSpec, Workload};
+use tgi::harness::FleetSweep;
 use tgi::prelude::*;
 
 /// Build a few plausible cluster variants from the Fire baseline.
@@ -40,27 +41,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Reference: SystemG at full scale (regenerates Table I's data).
     let reference = tgi::harness::system_g_reference();
 
-    let mut tgi_ranking = Ranking::new();
-    let mut flops_per_watt_ranking = Ranking::new();
+    // One sweep scores the whole fleet; both lists are views over it.
+    let sweep = FleetSweep::new()
+        .fleet(fleet())
+        .suite("fire", Workload::fire_suite())
+        .weightings(&[Weighting::Arithmetic])
+        .means(&[MeanKind::Arithmetic]);
+    let table = sweep.run(&reference)?;
+    let tgi_ranking = table.green500_ranking(0, 0, 0)?;
 
-    for cluster in fleet() {
-        let name = cluster.name.clone();
-        let engine = ExecutionEngine::new(cluster.clone());
-        let measurements: Vec<Measurement> = engine
-            .run_suite(&Workload::fire_suite(), cluster.total_cores())
-            .into_iter()
-            .map(|r| r.measurement())
-            .collect();
-
-        // Traditional metric: MFLOPS/W under HPL only.
-        let hpl = measurements.iter().find(|m| m.id() == "hpl").expect("suite has hpl");
-        flops_per_watt_ranking.add(name.clone(), hpl.energy_efficiency() / 1e6);
-
-        // TGI across the whole suite.
-        let result =
-            Tgi::builder().reference(reference.clone()).measurements(measurements).compute()?;
-        tgi_ranking.add_result(name, result);
-    }
+    // Traditional metric: MFLOPS/W under HPL only.
+    let flops_per_watt_ranking =
+        Ranking::try_from_scores(table.systems().iter().enumerate().map(|(s, name)| {
+            let measurements = sweep.measurements(s, 0);
+            let hpl = measurements.iter().find(|m| m.id() == "hpl").expect("suite has hpl");
+            (name.as_str(), hpl.energy_efficiency() / 1e6)
+        }))?;
 
     println!("== Ranked by HPL MFLOPS/W (the Green500 convention) ==");
     print!("{flops_per_watt_ranking}");

@@ -11,17 +11,9 @@
 //! systems for three different application profiles and shows the purchase
 //! decision flipping with the weights.
 
-use tgi::cluster::{ClusterSpec, ExecutionEngine, Workload};
+use tgi::cluster::{ClusterSpec, Workload};
+use tgi::harness::FleetSweep;
 use tgi::prelude::*;
-
-fn measure(cluster: ClusterSpec) -> Vec<Measurement> {
-    let cores = cluster.total_cores();
-    ExecutionEngine::new(cluster)
-        .run_suite(&Workload::fire_suite(), cores)
-        .into_iter()
-        .map(|r| r.measurement())
-        .collect()
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reference = tgi::harness::system_g_reference();
@@ -36,30 +28,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.shared_fs.server_cap_mbps *= 2.0;
     b.node.mem_bandwidth_gbps *= 1.4;
 
-    let candidates = [(a.name.clone(), measure(a)), (b.name.clone(), measure(b))];
-
     // Application profiles as explicit weights over (hpl, stream, iozone).
     // Note the CPU profile's extreme weight: because Fire-class machines
     // have a far smaller relative efficiency (REE) on HPL than on the other
     // benchmarks, only a strongly CPU-committed buyer weights it enough to
     // dominate the index.
-    let profiles: [(&str, Vec<f64>); 3] = [
-        ("CPU-bound simulation", vec![0.92, 0.05, 0.03]),
-        ("memory-intensive CFD", vec![0.20, 0.65, 0.15]),
-        ("I/O-heavy genomics", vec![0.15, 0.15, 0.70]),
+    let profiles = ["CPU-bound simulation", "memory-intensive CFD", "I/O-heavy genomics"];
+    let weights = [
+        Weighting::Custom(vec![0.92, 0.05, 0.03]),
+        Weighting::Custom(vec![0.20, 0.65, 0.15]),
+        Weighting::Custom(vec![0.15, 0.15, 0.70]),
     ];
 
+    // One sweep: the two candidates × one weighting per profile.
+    let table = FleetSweep::new()
+        .fleet([a, b])
+        .suite("fire", Workload::fire_suite())
+        .weightings(&weights)
+        .means(&[MeanKind::Arithmetic])
+        .run(&reference)?;
+
     println!("{:<24} {:>14} {:>14}", "application profile", "Candidate-A", "Candidate-B");
-    for (profile, weights) in &profiles {
-        let mut scores = Vec::new();
-        for (_, measurements) in &candidates {
-            let tgi = Tgi::builder()
-                .reference(reference.clone())
-                .weighting(Weighting::Custom(weights.clone()))
-                .measurements(measurements.iter().cloned())
-                .compute()?;
-            scores.push(tgi.value());
-        }
+    for (p, profile) in profiles.iter().enumerate() {
+        let scores = [table.value(0, 0, p, 0), table.value(1, 0, p, 0)];
         let winner = if scores[0] > scores[1] { "A" } else { "B" };
         println!("{:<24} {:>14.4} {:>14.4}   -> pick {winner}", profile, scores[0], scores[1]);
     }

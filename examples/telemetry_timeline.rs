@@ -5,13 +5,13 @@
 //! ```
 //!
 //! Installs the telemetry collector, runs a small simulated suite plus a
-//! grid sweep, then writes `results/trace.json` (Chrome `trace_event`
+//! Fire core-count sweep, then writes `results/trace.json` (Chrome `trace_event`
 //! JSON — drag it into <https://ui.perfetto.dev> or `chrome://tracing`)
 //! and `results/metrics.prom` (Prometheus text exposition), and prints
 //! the end-of-run span/metric summary.
 
 use tgi::cluster::{ClusterSpec, Workload};
-use tgi::harness::{system_g_reference, GridSweep};
+use tgi::harness::{system_g_reference, FleetSweep};
 use tgi::suite::{BenchmarkSuite, SimulatedBenchmark, SuiteRunner};
 
 fn main() {
@@ -30,13 +30,17 @@ fn main() {
     let report = SuiteRunner::new().repeats(2).run(&suite);
     println!("suite: {} items, {} succeeded", report.entries.len(), report.measurements().len());
 
-    // A grid sweep on top: parallel evaluation plus memoized simulations,
-    // so the timeline shows pool activity and the memo counters move.
-    let sweep =
-        GridSweep::new().cluster("Fire", ClusterSpec::fire()).cores(&[32, 64, 128]).paper_axes();
-    let table = sweep.run(&system_g_reference()).expect("grid evaluates");
+    // A core-count sweep on top: parallel evaluation plus memoized
+    // simulations, so the timeline shows pool activity and the memo
+    // counters move.
+    let sweep = [32, 64, 128]
+        .into_iter()
+        .fold(FleetSweep::new(), |sweep, cores| sweep.system_at(ClusterSpec::fire(), cores))
+        .suite("fire", Workload::fire_suite())
+        .paper_axes();
+    let table = sweep.run(&system_g_reference()).expect("sweep evaluates");
     let (hits, misses) = sweep.memo_stats();
-    println!("grid: {} cells ({misses} simulations, {hits} memo hits)", table.len());
+    println!("sweep: {} cells ({misses} simulations, {hits} memo hits)", table.len());
 
     // Stop recording and export.
     let events = tgi::telemetry::uninstall();

@@ -1,5 +1,5 @@
 //! End-to-end telemetry acceptance: one instrumented run across the whole
-//! pipeline — resilient suite with a forced retry, memoized grid sweep,
+//! pipeline — resilient suite with a forced retry, memoized fleet sweep,
 //! explicit thread-pool work — must produce a valid Chrome trace with
 //! correctly nesting spans and a Prometheus snapshot whose retry, memo-hit,
 //! and pool-steal counters are all nonzero.
@@ -10,9 +10,9 @@ use std::time::Duration;
 
 use rayon::prelude::*;
 use serde::Value;
-use tgi::cluster::ClusterSpec;
+use tgi::cluster::{ClusterSpec, Workload};
 use tgi::core::Measurement;
-use tgi::harness::{system_g_reference, GridSweep};
+use tgi::harness::{system_g_reference, FleetSweep};
 use tgi::suite::{Benchmark, BenchmarkSuite, SuiteError, SuiteRunner};
 
 /// The collector is process-global; serialize the tests that install it.
@@ -52,11 +52,16 @@ fn run_instrumented_pipeline() -> (Vec<tgi::telemetry::Event>, tgi::telemetry::M
     let report = SuiteRunner::new().retries(2).backoff(Duration::from_millis(1)).run(&suite);
     assert_eq!(report.measurements().len(), 1, "flaky benchmark must recover");
 
-    // 2. Grid sweep run twice: the second pass is answered from the memo.
-    let sweep = GridSweep::new().cluster("Fire", ClusterSpec::fire()).cores(&[32, 64]).paper_axes();
+    // 2. Fire core-count sweep run twice: the second pass is answered from
+    //    the memo.
+    let sweep = FleetSweep::new()
+        .system_at(ClusterSpec::fire(), 32)
+        .system_at(ClusterSpec::fire(), 64)
+        .suite("fire", Workload::fire_suite())
+        .paper_axes();
     let reference = system_g_reference();
-    sweep.run(&reference).expect("grid evaluates");
-    sweep.run(&reference).expect("grid re-evaluates");
+    sweep.run(&reference).expect("sweep evaluates");
+    sweep.run(&reference).expect("sweep re-evaluates");
     let (hits, _misses) = sweep.memo_stats();
     assert!(hits > 0, "second sweep must hit the memo");
 
