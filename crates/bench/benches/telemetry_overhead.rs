@@ -105,8 +105,7 @@ fn main() {
     });
     let disabled_histogram_ns = median_of(runs, || {
         time_per_iter(iters, |i| {
-            tgi_telemetry::histogram!("bench_disabled_seconds", &[0.001, 0.1, 1.0])
-                .observe(i as f64);
+            tgi_telemetry::histogram!("bench_disabled_seconds").record(i as f64);
             black_box(noop_unit(i));
         })
     });
@@ -123,8 +122,7 @@ fn main() {
     });
     let enabled_histogram_ns = median_of(runs, || {
         time_per_iter(enabled_iters, |i| {
-            tgi_telemetry::histogram!("bench_enabled_seconds", &[0.001, 0.1, 1.0])
-                .observe(i as f64);
+            tgi_telemetry::histogram!("bench_enabled_seconds").record(i as f64);
             black_box(noop_unit(i));
         })
     });

@@ -31,7 +31,7 @@
 
 use crate::report::{csv_field, FigureData, Series, TableData};
 use cluster_sim::{ClusterSpec, ExecutionEngine, MemoizedEngine, Workload};
-use power_model::{AnomalyConfig, AnomalyCounts, AnomalyKind};
+use power_model::{AnomalyConfig, AnomalyCounts};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
@@ -342,13 +342,8 @@ impl FleetSweep {
         let runs = system.engine.run_suite(&suite.workloads, system.cores);
         let mut counts = AnomalyCounts::default();
         for run in runs.iter() {
-            for event in power_model::anomaly::scan(&run.trace, config) {
-                match event.kind {
-                    AnomalyKind::Spike => counts.spikes += 1,
-                    AnomalyKind::Drift => counts.drifts += 1,
-                    AnomalyKind::Dropout => counts.dropouts += 1,
-                }
-            }
+            let events = power_model::anomaly::scan(&run.trace, config);
+            counts.absorb(AnomalyCounts::from_events(&events));
         }
         counts
     }

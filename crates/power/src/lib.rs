@@ -23,10 +23,10 @@
 //!   any [`std::io::BufRead`] and write through any [`std::io::Write`]
 //!   without materializing the file in memory.
 //! * [`persist`] — on-disk traces: [`PowerTrace::to_store`] /
-//!   [`PowerTrace::from_store`] round-trip through the compressed
-//!   `tgi-trace-store` format, and [`persist::StoreBackedTrace`] answers
-//!   the `PowerTrace` query surface from chunk footers bit-identically
-//!   without rehydrating the trace.
+//!   [`persist::StoreBackedTrace::to_trace`] round-trip through the
+//!   compressed `tgi-trace-store` format, and `StoreBackedTrace` answers
+//!   [`TraceQuery`] from chunk footers bit-identically without
+//!   rehydrating the trace.
 //! * [`analysis`] — single-pass trace post-processing: percentiles
 //!   (selection-based, with a reusable sorted cache), idle estimation,
 //!   two-pointer moving averages, monotonic-deque sliding extrema, and
@@ -74,7 +74,7 @@ pub use meter::{MeterSpec, PowerMeter, WattsUpPro};
 pub use node::NodePowerModel;
 pub use persist::StoreBackedTrace;
 pub use psu::PsuEfficiency;
-pub use sampler::{BackgroundSampler, PowerSource, StreamingSampler};
+pub use sampler::{BackgroundSampler, PowerSource};
 pub use thermal::ThermalModel;
-pub use trace::PowerTrace;
+pub use trace::{PowerTrace, TraceQuery};
 pub use utilization::{UtilizationProfile, UtilizationSample};

@@ -4,26 +4,26 @@
 //! Three integration points:
 //!
 //! * [`PowerTrace::to_store`] persists an in-memory trace into a store
-//!   directory; [`PowerTrace::from_store`] materializes one back. The
+//!   directory; [`StoreBackedTrace::to_trace`] materializes one back. The
 //!   round trip is `to_bits`-identical sample-for-sample (the codec is
 //!   lossless at the bit-pattern level).
-//! * [`StoreBackedTrace`] is a query handle over an open store with the
-//!   `PowerTrace` query surface — `energy`, `energy_between`, `power_at`,
-//!   `window`, peak/min — answering from chunk footers and at most the
-//!   window's two boundary chunks, bit-identical to the in-memory prefix
-//!   index over the same samples.
-//! * `BackgroundSampler::start_streaming` (in [`crate::sampler`]) records
-//!   straight into an open store, so long captures never hold the full
-//!   trace in memory.
+//! * [`StoreBackedTrace`] implements [`TraceQuery`] over an open store —
+//!   `energy`, `energy_between`, `window`, the provided `average_power`
+//!   and `scan_anomalies` — plus `power_at` and peak/min, answering from
+//!   chunk footers and at most the window's two boundary chunks,
+//!   bit-identical to the in-memory prefix index over the same samples.
+//! * `BackgroundSampler::start_into` (in [`crate::sampler`]) records
+//!   straight into a `StoreBackedTrace`, so long captures never hold the
+//!   full trace in memory.
 //!
-//! Fallibility differs by direction: in-memory queries are infallible,
-//! store-backed ones return [`StoreError`] because they may touch disk and
-//! hit torn or corrupt payloads.
+//! Every [`TraceQuery`] read returns [`StoreError`] because a stored trace
+//! may touch disk and hit torn or corrupt payloads; the in-memory
+//! implementation is always `Ok`.
 
-use crate::trace::PowerTrace;
+use crate::trace::{PowerTrace, TraceQuery};
 use std::path::Path;
-use tgi_core::{Joules, Seconds, Watts};
-use tgi_trace_store::{StoreConfig, StoreError, TraceStore};
+use tgi_core::{Joules, Watts};
+use tgi_trace_store::{clamp_window, StoreConfig, StoreError, TraceStore};
 
 impl PowerTrace {
     /// Persists every sample into a (fresh or existing) store at `dir` and
@@ -39,23 +39,9 @@ impl PowerTrace {
         store.sync()?;
         Ok(store)
     }
-
-    /// Materializes a store back into an in-memory trace — sample columns
-    /// and the rebuilt prefix index are `to_bits`-identical to the trace
-    /// that produced the store.
-    pub fn from_store(store: &TraceStore) -> Result<PowerTrace, StoreError> {
-        let (times, watts) = store.to_columns()?;
-        let mut trace = PowerTrace::with_capacity(times.len());
-        // The store validated at its append boundary and its decoder
-        // re-checks on the way out, so the columns satisfy the trace
-        // invariants; extend re-validates cheaply anyway for defense in
-        // depth at this crate's boundary.
-        trace.extend_from_slices(&times, &watts);
-        Ok(trace)
-    }
 }
 
-/// A [`PowerTrace`]-shaped query handle over an on-disk [`TraceStore`].
+/// A [`TraceQuery`] handle over an on-disk [`TraceStore`].
 ///
 /// Queries have the same semantics (clamping, interpolation, duplicate
 /// handling, NaN panics) as their `PowerTrace` counterparts and return
@@ -87,11 +73,6 @@ impl StoreBackedTrace {
         &mut self.store
     }
 
-    /// Unwraps back into the store.
-    pub fn into_store(self) -> TraceStore {
-        self.store
-    }
-
     /// Appends one sample, WAL-first. Invalid samples are rejected as
     /// [`StoreError::InvalidSample`] (the store boundary reports errors
     /// where the in-memory trace panics).
@@ -119,29 +100,9 @@ impl StoreBackedTrace {
         self.store.time_bounds()
     }
 
-    /// Trace duration — O(1) from footers.
-    pub fn duration(&self) -> Seconds {
-        match self.time_bounds() {
-            Some((a, b)) => Seconds::new(b - a),
-            None => Seconds::new(0.0),
-        }
-    }
-
     /// Total trapezoidal energy — O(1) from the footer chain snapshots.
     pub fn energy(&self) -> Joules {
         Joules::new(self.store.energy_total())
-    }
-
-    /// Time-weighted average power over the whole trace. Falls back to 0
-    /// for an empty or zero-duration store (the in-memory sample-mean
-    /// fallback would require decompressing everything).
-    pub fn average_power(&self) -> Watts {
-        let d = self.duration().value();
-        if d > 0.0 {
-            Watts::new(self.energy().value() / d)
-        } else {
-            Watts::new(0.0)
-        }
     }
 
     /// Peak sampled power — O(1).
@@ -187,49 +148,46 @@ impl StoreBackedTrace {
     /// # Panics
     /// Panics if either bound is NaN.
     pub fn window(&self, t0: f64, t1: f64) -> Result<PowerTrace, StoreError> {
-        assert!(!t0.is_nan() && !t1.is_nan(), "window bounds must not be NaN");
-        let (first, last) = match self.time_bounds() {
-            Some(b) => b,
-            None => return Ok(PowerTrace::new()),
-        };
-        let a = t0.max(first);
-        let b = t1.min(last);
-        if b < a {
+        let Some((a, b)) = clamp_window(self.time_bounds(), t0, t1) else {
             return Ok(PowerTrace::new());
-        }
+        };
         let (times, watts) = self.store.samples_in(a, b)?;
-        let mut out = PowerTrace::with_capacity(times.len() + 2);
-        if times.first().map(|&t| t > a).unwrap_or(true) {
-            // `a` falls strictly inside a segment: open with an
-            // interpolated sample.
-            let w = self.store.power_at(a)?.expect("a is in range");
-            out.push_unvalidated(a, w);
-        }
-        for (&t, &w) in times.iter().zip(&watts) {
-            out.push_unvalidated(t, w);
-        }
-        if out.time_bounds().map(|(_, end)| end < b).unwrap_or(true) {
-            let w = self.store.power_at(b)?.expect("b is in range");
-            out.push_unvalidated(b, w);
-        }
-        Ok(out)
+        PowerTrace::clipped(a, b, &times, &watts, |t| {
+            Ok(self.store.power_at(t)?.expect("t is in the span"))
+        })
     }
 
-    /// Materializes the full trace into memory.
+    /// Materializes the full trace into memory — sample columns and the
+    /// rebuilt prefix index are `to_bits`-identical to the trace that was
+    /// stored.
     pub fn to_trace(&self) -> Result<PowerTrace, StoreError> {
-        PowerTrace::from_store(&self.store)
+        self.window(f64::NEG_INFINITY, f64::INFINITY)
+    }
+}
+
+impl TraceQuery for StoreBackedTrace {
+    fn len(&self) -> Result<usize, StoreError> {
+        Ok(StoreBackedTrace::len(self) as usize)
     }
 
-    /// Scans a window of the stored trace (the whole trace when a bound
-    /// is `None`) with a fresh [`crate::anomaly::AnomalyDetector`] — the
-    /// post-hoc query behind the server's `/traces/{node}/anomalies`.
-    pub fn scan_anomalies(
-        &self,
-        config: crate::anomaly::AnomalyConfig,
-        from: Option<f64>,
-        to: Option<f64>,
-    ) -> Result<Vec<crate::anomaly::AnomalyEvent>, StoreError> {
-        crate::anomaly::scan_stored(self, config, from, to)
+    fn time_bounds(&self) -> Result<Option<(f64, f64)>, StoreError> {
+        Ok(StoreBackedTrace::time_bounds(self))
+    }
+
+    fn energy(&self) -> Result<Joules, StoreError> {
+        Ok(StoreBackedTrace::energy(self))
+    }
+
+    fn energy_between(&self, t0: f64, t1: f64) -> Result<Joules, StoreError> {
+        StoreBackedTrace::energy_between(self, t0, t1)
+    }
+
+    fn average_power_between(&self, t0: f64, t1: f64) -> Result<Watts, StoreError> {
+        StoreBackedTrace::average_power_between(self, t0, t1)
+    }
+
+    fn window(&self, t0: f64, t1: f64) -> Result<PowerTrace, StoreError> {
+        StoreBackedTrace::window(self, t0, t1)
     }
 }
 
@@ -259,89 +217,13 @@ mod tests {
         }
     }
 
-    fn synth_trace(n: usize) -> PowerTrace {
-        let mut trace = PowerTrace::with_capacity(n);
-        for i in 0..n {
-            let t = i as f64 * 0.25;
-            let w = 120.0 + 35.0 * ((i % 13) as f64) + if i % 4 == 0 { 0.1 } else { 0.0 };
-            trace.push(t, Watts::new(w));
-        }
-        trace
-    }
-
-    #[test]
-    fn to_store_from_store_round_trips_bitwise() {
-        let scratch = ScratchDir::new("round_trip");
-        let trace = synth_trace(700);
-        let config = StoreConfig { chunk_samples: 64, retain_seconds: None };
-        let store = trace.to_store(&scratch.0, config).unwrap();
-        assert_eq!(store.len(), 700);
-        assert!(store.sealed_chunks() >= 10);
-        let back = PowerTrace::from_store(&store).unwrap();
-        assert_eq!(back, trace);
-        assert_eq!(back.prefix_energy(), trace.prefix_energy());
-        assert_eq!(back.energy().value().to_bits(), trace.energy().value().to_bits());
-    }
-
-    #[test]
-    fn store_backed_queries_match_in_memory_bitwise() {
-        let scratch = ScratchDir::new("parity");
-        let trace = synth_trace(500);
-        let config = StoreConfig { chunk_samples: 32, retain_seconds: None };
-        let store = trace.to_store(&scratch.0, config).unwrap();
-        let backed = StoreBackedTrace::new(store);
-        assert_eq!(backed.len(), trace.len() as u64);
-        assert_eq!(backed.time_bounds(), trace.time_bounds());
-        assert_eq!(backed.energy().value().to_bits(), trace.energy().value().to_bits());
-        assert_eq!(backed.peak_power().value(), trace.peak_power().value());
-        assert_eq!(backed.min_power().value(), trace.min_power().value());
-        for &(t0, t1) in &[(0.0, 124.75), (3.3, 77.7), (10.0, 10.0), (-5.0, 1e9), (60.125, 60.375)]
-        {
-            assert_eq!(
-                backed.energy_between(t0, t1).unwrap().value().to_bits(),
-                trace.energy_between(t0, t1).value().to_bits(),
-                "energy_between({t0}, {t1})"
-            );
-            assert_eq!(
-                backed.average_power_between(t0, t1).unwrap().value().to_bits(),
-                trace.average_power_between(t0, t1).value().to_bits(),
-                "average_power_between({t0}, {t1})"
-            );
-        }
-        for &t in &[0.0, 0.125, 61.9, 124.75, -1.0, 200.0] {
-            assert_eq!(
-                backed.power_at(t).unwrap().map(|w| w.value().to_bits()),
-                trace.power_at(t).map(|w| w.value().to_bits()),
-                "power_at({t})"
-            );
-        }
-    }
-
-    #[test]
-    fn store_backed_window_matches_in_memory() {
-        let scratch = ScratchDir::new("window");
-        let trace = synth_trace(300);
-        let config = StoreConfig { chunk_samples: 32, retain_seconds: None };
-        let backed = StoreBackedTrace::new(trace.to_store(&scratch.0, config).unwrap());
-        for &(t0, t1) in &[(5.3, 40.9), (0.0, 74.75), (12.0, 12.0), (70.0, 90.0)] {
-            let w_mem = trace.window(t0, t1);
-            let w_store = backed.window(t0, t1).unwrap();
-            assert_eq!(w_store, w_mem, "window({t0}, {t1})");
-            assert_eq!(
-                w_store.energy().value().to_bits(),
-                w_mem.energy().value().to_bits(),
-                "window({t0}, {t1}) energy"
-            );
-        }
-    }
-
     #[test]
     fn empty_store_behaves_like_empty_trace() {
         let scratch = ScratchDir::new("empty");
         let backed = StoreBackedTrace::open(&scratch.0, StoreConfig::default()).unwrap();
         assert!(backed.is_empty());
         assert_eq!(backed.energy().value(), 0.0);
-        assert_eq!(backed.average_power().value(), 0.0);
+        assert_eq!(TraceQuery::average_power(&backed).unwrap().value(), 0.0);
         assert_eq!(backed.peak_power().value(), 0.0);
         assert_eq!(backed.min_power().value(), 0.0);
         assert_eq!(backed.energy_between(0.0, 10.0).unwrap().value(), 0.0);

@@ -13,13 +13,13 @@ use crate::anomaly::{AnomalyConfig, AnomalyDetector, AnomalyEvent};
 use crate::node::NodePowerModel;
 use crate::trace::PowerTrace;
 use crate::utilization::UtilizationSample;
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tgi_core::Watts;
-use tgi_trace_store::{StoreError, TraceStore};
+use tgi_trace_store::{check_sample, StoreError};
 
 /// Inline anomaly watching for a sampler thread: every sample flows
 /// through an [`AnomalyDetector`], closed events become telemetry
@@ -28,31 +28,29 @@ use tgi_trace_store::{StoreError, TraceStore};
 struct SampleWatch {
     detector: AnomalyDetector,
     events: Vec<AnomalyEvent>,
-    scratch: Vec<AnomalyEvent>,
 }
 
 impl SampleWatch {
     fn new(config: Option<AnomalyConfig>) -> Option<Self> {
-        config.map(|c| SampleWatch {
-            detector: AnomalyDetector::new(c),
-            events: Vec::new(),
-            scratch: Vec::new(),
-        })
+        config.map(|c| SampleWatch { detector: AnomalyDetector::new(c), events: Vec::new() })
     }
 
     fn push(&mut self, t: f64, watts: f64) {
-        self.detector.push(t, watts, &mut self.scratch);
-        self.publish();
+        let seen = self.events.len();
+        self.detector.push(t, watts, &mut self.events);
+        self.publish(seen);
     }
 
     fn finish(mut self) -> Vec<AnomalyEvent> {
-        self.detector.finish(&mut self.scratch);
-        self.publish();
+        let seen = self.events.len();
+        self.detector.finish(&mut self.events);
+        self.publish(seen);
         self.events
     }
 
-    fn publish(&mut self) {
-        for event in self.scratch.drain(..) {
+    /// Publishes the events closed since the first `seen`.
+    fn publish(&self, seen: usize) {
+        for event in &self.events[seen..] {
             if tgi_telemetry::enabled() {
                 tgi_telemetry::counter!("tgi_power_anomalies_total").inc();
             }
@@ -62,7 +60,6 @@ impl SampleWatch {
                 .field("end", event.end)
                 .field("severity", event.severity)
                 .end();
-            self.events.push(event);
         }
     }
 }
@@ -165,23 +162,88 @@ fn process_cpu_seconds() -> Option<f64> {
     Some((utime + stime) / 100.0)
 }
 
-/// A sampler thread recording a [`PowerSource`] at a fixed interval.
-pub struct BackgroundSampler {
+/// Where a sampler thread records. Sealed: the sinks are [`PowerTrace`]
+/// (in memory) and [`StoreBackedTrace`](crate::persist::StoreBackedTrace)
+/// (on disk, every sample write-ahead logged).
+mod sink {
+    use crate::persist::StoreBackedTrace;
+    use crate::trace::{PowerTrace, TraceQuery};
+    use tgi_core::Watts;
+    use tgi_trace_store::StoreError;
+
+    pub trait SampleSink: TraceQuery + Send + 'static {
+        /// Appends one validated sample whose time continues the sink.
+        fn record(&mut self, t: f64, w: f64) -> Result<(), StoreError>;
+
+        /// Makes every recorded sample durable.
+        fn sync(&mut self) -> Result<(), StoreError> {
+            Ok(())
+        }
+    }
+
+    impl SampleSink for PowerTrace {
+        fn record(&mut self, t: f64, w: f64) -> Result<(), StoreError> {
+            self.push_unvalidated(t, w);
+            Ok(())
+        }
+    }
+
+    impl SampleSink for StoreBackedTrace {
+        fn record(&mut self, t: f64, w: f64) -> Result<(), StoreError> {
+            self.push(t, Watts::new(w))
+        }
+
+        fn sync(&mut self) -> Result<(), StoreError> {
+            self.store_mut().sync()
+        }
+    }
+}
+
+/// A sampler thread recording a [`PowerSource`] at a fixed interval into
+/// a sink: a [`PowerTrace`] by default, or a
+/// [`StoreBackedTrace`](crate::persist::StoreBackedTrace) for captures too
+/// long to hold in memory.
+pub struct BackgroundSampler<S = PowerTrace> {
     stop: Sender<()>,
-    handle: JoinHandle<(PowerTrace, Vec<AnomalyEvent>)>,
+    handle: JoinHandle<Result<(S, Vec<AnomalyEvent>), StoreError>>,
 }
 
 impl BackgroundSampler {
-    /// Starts sampling `source` every `interval`.
+    /// Starts sampling `source` every `interval` into a fresh in-memory
+    /// trace.
     pub fn start(source: Arc<dyn PowerSource>, interval: Duration) -> Self {
-        Self::start_watched(source, interval, None)
+        // Typical native runs take a few seconds at millisecond intervals.
+        Self::start_into(PowerTrace::with_capacity(256), source, interval, None)
     }
 
-    /// Starts sampling with an inline [`AnomalyDetector`] when `watch` is
-    /// set: every sample is screened as it is recorded, closed anomalies
-    /// are emitted as `power.anomaly` telemetry instants immediately, and
+    /// Stops sampling and returns the recorded trace.
+    ///
+    /// # Panics
+    /// If the source produced an invalid reading (see
+    /// [`BackgroundSampler::start_into`]).
+    pub fn stop(self) -> PowerTrace {
+        self.stop_with_anomalies().expect("power source produced an invalid reading").0
+    }
+}
+
+impl<S: sink::SampleSink> BackgroundSampler<S> {
+    /// Starts sampling `source` every `interval` into `sink`, a
+    /// [`PowerTrace`] or a [`StoreBackedTrace`](crate::persist::StoreBackedTrace).
+    /// Timestamps continue from the sink's last sample, so a resumed
+    /// capture stays monotone. The thread records a first sample at once
+    /// and a final one on stop, then syncs the sink before
+    /// [`Self::stop_with_anomalies`] returns.
+    ///
+    /// Every reading must be a finite, non-negative wattage: the first
+    /// that is not ends the capture with [`StoreError::InvalidSample`]
+    /// (its `index` counts this capture's readings), in either sink.
+    ///
+    /// With `watch` set, every sample also flows through an inline
+    /// [`AnomalyDetector`]: closed anomalies are emitted as
+    /// `power.anomaly` telemetry instants at once, and
     /// [`Self::stop_with_anomalies`] returns the full list.
-    pub fn start_watched(
+    pub fn start_into(
+        mut sink: S,
         source: Arc<dyn PowerSource>,
         interval: Duration,
         watch: Option<AnomalyConfig>,
@@ -191,29 +253,33 @@ impl BackgroundSampler {
         let handle = std::thread::spawn(move || {
             let session_span = tgi_telemetry::span_cat("sampler.session", "power")
                 .field("interval_secs", interval.as_secs_f64());
-            // Pre-size all four SoA columns; typical native runs take a few
-            // seconds at millisecond intervals.
-            let mut trace = PowerTrace::with_capacity(256);
+            let offset = sink.time_bounds()?.map_or(0.0, |(_, last)| last);
             let mut watch = SampleWatch::new(watch);
-            let start = Instant::now();
-            let mut last_sample = Instant::now();
-            let sample = |trace: &mut PowerTrace, watch: &mut Option<SampleWatch>, t: f64| {
-                let w = source.power_now();
-                trace.push(t, w);
-                if let Some(watch) = watch {
-                    watch.push(t, w.value());
+            let mut readings = 0usize;
+            let mut sample = |sink: &mut S, t: f64| {
+                let w = source.power_now().value();
+                check_sample(offset + t, w, f64::NEG_INFINITY)
+                    .map_err(|detail| StoreError::InvalidSample { index: readings, detail })?;
+                sink.record(offset + t, w)?;
+                readings += 1;
+                if let Some(watch) = &mut watch {
+                    watch.push(offset + t, w);
                 }
                 if tgi_telemetry::enabled() {
                     tgi_telemetry::counter!("tgi_sampler_samples_total").inc();
                 }
+                Ok(())
             };
-            sample(&mut trace, &mut watch, 0.0);
-            loop {
-                // Wait for the interval or a stop signal, whichever first.
-                if stop_rx.recv_timeout(interval).is_ok() {
+            let start = Instant::now();
+            let mut last_sample = start;
+            let mut result = sample(&mut sink, 0.0);
+            while result.is_ok() {
+                // Wait for the interval or a stop signal, whichever first;
+                // a sampler dropped without `stop` ends the capture too.
+                if !matches!(stop_rx.recv_timeout(interval), Err(RecvTimeoutError::Timeout)) {
                     break;
                 }
-                sample(&mut trace, &mut watch, start.elapsed().as_secs_f64());
+                result = sample(&mut sink, start.elapsed().as_secs_f64());
                 if tgi_telemetry::enabled() {
                     // An overrun means the cadence slipped: the gap since the
                     // previous sample spans what should have been 2+ samples,
@@ -228,108 +294,24 @@ impl BackgroundSampler {
                 }
                 last_sample = Instant::now();
             }
-            // Final sample so the trace covers the full duration.
-            sample(&mut trace, &mut watch, start.elapsed().as_secs_f64());
-            session_span.field("samples", trace.len()).end();
+            if result.is_ok() {
+                // Final sample so the trace covers the full duration, then
+                // force it to disk.
+                result =
+                    sample(&mut sink, start.elapsed().as_secs_f64()).and_then(|()| sink.sync());
+            }
+            session_span.field("samples", readings).end();
             let anomalies = watch.map(SampleWatch::finish).unwrap_or_default();
-            (trace, anomalies)
+            result.map(|()| (sink, anomalies))
         });
         BackgroundSampler { stop: stop_tx, handle }
     }
 
-    /// Stops sampling and returns the recorded trace.
-    pub fn stop(self) -> PowerTrace {
-        self.stop_with_anomalies().0
-    }
-
-    /// Stops sampling and returns the trace plus the anomalies the inline
-    /// detector flagged (always empty without
-    /// [`Self::start_watched`]'s config).
-    pub fn stop_with_anomalies(self) -> (PowerTrace, Vec<AnomalyEvent>) {
-        let _ = self.stop.send(());
-        self.handle.join().expect("sampler thread must not panic")
-    }
-
-    /// Starts a sampler that streams every sample straight into an open
-    /// [`TraceStore`] instead of accumulating a trace in memory — the
-    /// capture-length-independent path for long recordings. Each sample is
-    /// write-ahead logged by the store, so a crash mid-capture loses at
-    /// most the un-synced WAL tail.
-    pub fn start_streaming(
-        source: Arc<dyn PowerSource>,
-        interval: Duration,
-        store: TraceStore,
-    ) -> StreamingSampler {
-        Self::start_streaming_watched(source, interval, store, None)
-    }
-
-    /// [`Self::start_streaming`] with an inline [`AnomalyDetector`] when
-    /// `watch` is set (see [`Self::start_watched`] for the semantics).
-    pub fn start_streaming_watched(
-        source: Arc<dyn PowerSource>,
-        interval: Duration,
-        mut store: TraceStore,
-        watch: Option<AnomalyConfig>,
-    ) -> StreamingSampler {
-        assert!(interval > Duration::ZERO, "sampling interval must be positive");
-        let (stop_tx, stop_rx) = bounded::<()>(1);
-        let handle = std::thread::spawn(move || {
-            let session_span = tgi_telemetry::span_cat("sampler.stream", "power")
-                .field("interval_secs", interval.as_secs_f64());
-            // Streamed timestamps continue from the store's last sample so
-            // resumed captures stay monotone.
-            let offset = store.time_bounds().map(|(_, last)| last).unwrap_or(0.0);
-            let mut watch = SampleWatch::new(watch);
-            let start = Instant::now();
-            let mut append = |store: &mut TraceStore, t: f64, w: Watts| {
-                store.append(offset + t, w.value().max(0.0))?;
-                if let Some(watch) = &mut watch {
-                    watch.push(offset + t, w.value().max(0.0));
-                }
-                if tgi_telemetry::enabled() {
-                    tgi_telemetry::counter!("tgi_sampler_samples_total").inc();
-                }
-                Ok::<(), StoreError>(())
-            };
-            let mut result = append(&mut store, 0.0, source.power_now());
-            while result.is_ok() {
-                if stop_rx.recv_timeout(interval).is_ok() {
-                    break;
-                }
-                result = append(&mut store, start.elapsed().as_secs_f64(), source.power_now());
-            }
-            if result.is_ok() {
-                // Final sample so the trace covers the full duration, then
-                // force the WAL tail to disk.
-                result = append(&mut store, start.elapsed().as_secs_f64(), source.power_now())
-                    .and_then(|()| store.sync());
-            }
-            session_span.field("samples", store.len()).end();
-            let anomalies = watch.map(SampleWatch::finish).unwrap_or_default();
-            result.map(|()| (store, anomalies))
-        });
-        StreamingSampler { stop: stop_tx, handle }
-    }
-}
-
-/// A sampler thread streaming into a [`TraceStore`] (see
-/// [`BackgroundSampler::start_streaming`]).
-pub struct StreamingSampler {
-    stop: Sender<()>,
-    handle: JoinHandle<Result<(TraceStore, Vec<AnomalyEvent>), StoreError>>,
-}
-
-impl StreamingSampler {
-    /// Stops sampling and returns the store, synced through the last
-    /// sample (or the store error that aborted the capture).
-    pub fn stop(self) -> Result<TraceStore, StoreError> {
-        self.stop_with_anomalies().map(|(store, _)| store)
-    }
-
-    /// Stops sampling and returns the store plus the anomalies the inline
-    /// detector flagged (always empty without
-    /// [`BackgroundSampler::start_streaming_watched`]'s config).
-    pub fn stop_with_anomalies(self) -> Result<(TraceStore, Vec<AnomalyEvent>), StoreError> {
+    /// Stops sampling and returns the sink, synced through the last
+    /// sample, plus the anomalies the inline detector flagged (always
+    /// empty without a `watch` config) — or the error that ended the
+    /// capture.
+    pub fn stop_with_anomalies(self) -> Result<(S, Vec<AnomalyEvent>), StoreError> {
         let _ = self.stop.send(());
         self.handle.join().expect("sampler thread must not panic")
     }
@@ -338,6 +320,8 @@ impl StreamingSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::StoreBackedTrace;
+    use crate::trace::TraceQuery;
 
     #[test]
     fn constant_source_sampled() {
@@ -359,6 +343,18 @@ mod tests {
     }
 
     #[test]
+    fn dropped_sampler_thread_exits() {
+        let source = Arc::new(ConstantSource(100.0));
+        drop(BackgroundSampler::start(Arc::clone(&source) as _, Duration::from_millis(1)));
+        // The thread holds the other reference until it returns.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&source) > 1 {
+            assert!(Instant::now() < deadline, "sampler thread outlived its handle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
     fn immediate_stop_still_yields_trace() {
         let sampler =
             BackgroundSampler::start(Arc::new(ConstantSource(100.0)), Duration::from_millis(500));
@@ -371,25 +367,71 @@ mod tests {
         use tgi_trace_store::StoreConfig;
         let dir = std::env::temp_dir().join(format!("tgi_stream_sampler_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = TraceStore::open(&dir, StoreConfig { chunk_samples: 16, retain_seconds: None })
-            .unwrap();
-        let sampler = BackgroundSampler::start_streaming(
+        let config = StoreConfig { chunk_samples: 16, retain_seconds: None };
+        let store = StoreBackedTrace::open(&dir, config.clone()).unwrap();
+        let sampler = BackgroundSampler::start_into(
+            store,
             Arc::new(ConstantSource(250.0)),
             Duration::from_millis(5),
-            store,
+            None,
         );
         std::thread::sleep(Duration::from_millis(60));
-        let store = sampler.stop().unwrap();
+        let (store, _) = sampler.stop_with_anomalies().unwrap();
         assert!(store.len() >= 3, "expected several samples, got {}", store.len());
-        let (first, last) = store.time_bounds().unwrap();
-        let avg = store.energy_between(first, last).unwrap() / (last - first);
+        let avg = TraceQuery::average_power(&store).unwrap().value();
         assert!((avg - 250.0).abs() < 1e-9, "streamed average {avg}");
         // The store is durable: a reopen (fresh process) sees the samples.
         let n = store.len();
+        let (_, last) = store.time_bounds().unwrap();
         drop(store);
-        let store = TraceStore::open(&dir, StoreConfig { chunk_samples: 16, retain_seconds: None })
-            .unwrap();
+        let store = StoreBackedTrace::open(&dir, config).unwrap();
         assert_eq!(store.len(), n);
+        // A second capture into the reopened store resumes its timeline
+        // (a timestamp restarting at 0 would be rejected as backwards).
+        let sampler = BackgroundSampler::start_into(
+            store,
+            Arc::new(ConstantSource(250.0)),
+            Duration::from_millis(5),
+            None,
+        );
+        let (store, _) = sampler.stop_with_anomalies().unwrap();
+        assert!(store.len() >= n + 2);
+        assert!(store.time_bounds().unwrap().1 >= last);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Reads 100 W, except -5 W on its third poll.
+    struct NegativeBlip(std::sync::atomic::AtomicUsize);
+
+    impl PowerSource for NegativeBlip {
+        fn power_now(&self) -> Watts {
+            let n = self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Watts::new(if n == 2 { -5.0 } else { 100.0 })
+        }
+    }
+
+    /// Captures into `sink` until the blip has been read; the error that
+    /// ended the capture.
+    fn blip_error<S: sink::SampleSink>(sink: S) -> StoreError {
+        let source = Arc::new(NegativeBlip(Default::default()));
+        let interval = Duration::from_millis(1);
+        let sampler = BackgroundSampler::start_into(sink, Arc::clone(&source) as _, interval, None);
+        while source.0.load(std::sync::atomic::Ordering::Relaxed) < 3 {
+            std::thread::sleep(interval);
+        }
+        sampler.stop_with_anomalies().err().expect("a negative reading ends the capture")
+    }
+
+    #[test]
+    fn invalid_reading_ends_the_capture_in_either_sink() {
+        // (`Watts::new` already rejects non-finite readings in debug
+        // builds; the sampler's check covers those in release.)
+        let err = blip_error(PowerTrace::new());
+        assert!(matches!(err, StoreError::InvalidSample { index: 2, .. }), "memory sink: {err}");
+        let dir = std::env::temp_dir().join(format!("tgi_faulty_sampler_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let err = blip_error(StoreBackedTrace::open(&dir, Default::default()).unwrap());
+        assert!(matches!(err, StoreError::InvalidSample { index: 2, .. }), "store sink: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -422,7 +464,8 @@ mod tests {
     #[test]
     fn watched_sampler_flags_injected_spike_and_nothing_else() {
         let source = Arc::new(ScriptedSource(std::sync::atomic::AtomicUsize::new(0)));
-        let sampler = BackgroundSampler::start_watched(
+        let sampler = BackgroundSampler::start_into(
+            PowerTrace::new(),
             Arc::clone(&source) as Arc<dyn PowerSource>,
             Duration::from_micros(200),
             Some(crate::anomaly::AnomalyConfig::default()),
@@ -430,7 +473,7 @@ mod tests {
         while source.polls() < 500 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let (trace, anomalies) = sampler.stop_with_anomalies();
+        let (trace, anomalies) = sampler.stop_with_anomalies().unwrap();
         assert!(trace.len() >= 500);
         let spikes: Vec<_> =
             anomalies.iter().filter(|e| e.kind == crate::anomaly::AnomalyKind::Spike).collect();
@@ -451,7 +494,7 @@ mod tests {
         // The unwatched API still works and reports nothing.
         let sampler =
             BackgroundSampler::start(Arc::new(ConstantSource(100.0)), Duration::from_millis(5));
-        let (_, anomalies) = sampler.stop_with_anomalies();
+        let (_, anomalies) = sampler.stop_with_anomalies().unwrap();
         assert!(anomalies.is_empty());
     }
 

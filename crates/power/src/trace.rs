@@ -22,9 +22,94 @@
 //! `cum_energy` is accumulated in sample order with exactly the operations
 //! the naive trapezoid loop performs, so `energy()` is bit-identical to a
 //! from-scratch integration of the same samples.
+//!
+//! [`TraceQuery`] is the read contract shared with the on-disk
+//! [`crate::persist::StoreBackedTrace`]: code that only reads a trace takes
+//! `&dyn TraceQuery` (or a generic) and gets the same answers, bit for bit,
+//! wherever the samples live.
 
+use crate::anomaly::{AnomalyConfig, AnomalyEvent};
 use serde::{DeError, Deserialize, Serialize, Value};
 use tgi_core::{Joules, Seconds, Watts};
+use tgi_trace_store::{check_sample, clamp_window, StoreError};
+
+/// The trace reads every consumer needs, answered by the in-memory
+/// [`PowerTrace`] and the store-backed
+/// [`StoreBackedTrace`](crate::persist::StoreBackedTrace) alike.
+///
+/// Every read is fallible because a stored trace may touch disk; the
+/// in-memory implementation always returns `Ok`. Window bounds clamp to
+/// the trace span, and NaN bounds panic, as on [`PowerTrace`].
+pub trait TraceQuery {
+    /// Number of samples.
+    fn len(&self) -> Result<usize, StoreError>;
+
+    /// First and last sample timestamps, when the trace is non-empty.
+    fn time_bounds(&self) -> Result<Option<(f64, f64)>, StoreError>;
+
+    /// Total trapezoidal energy.
+    fn energy(&self) -> Result<Joules, StoreError>;
+
+    /// Trapezoidal energy over `[t0, t1]`, clamped to the trace span.
+    fn energy_between(&self, t0: f64, t1: f64) -> Result<Joules, StoreError>;
+
+    /// Time-weighted average power over `[t0, t1]`, clamped to the span.
+    fn average_power_between(&self, t0: f64, t1: f64) -> Result<Watts, StoreError>;
+
+    /// The in-memory sub-trace covering `[t0, t1]` (clamped), with
+    /// linearly interpolated boundary samples.
+    fn window(&self, t0: f64, t1: f64) -> Result<PowerTrace, StoreError>;
+
+    /// True when the trace holds no samples.
+    fn is_empty(&self) -> Result<bool, StoreError> {
+        Ok(self.len()? == 0)
+    }
+
+    /// Time between the first and last sample (0 when empty).
+    fn duration(&self) -> Result<Seconds, StoreError> {
+        Ok(Seconds::new(self.time_bounds()?.map_or(0.0, |(a, b)| b - a)))
+    }
+
+    /// Time-weighted average power (energy / duration) over the whole
+    /// trace. A trace spanning zero time (one sample, or every sample at
+    /// one timestamp) reports the plain mean of its samples; an empty
+    /// trace reports 0.
+    fn average_power(&self) -> Result<Watts, StoreError> {
+        let Some((first, last)) = self.time_bounds()? else {
+            return Ok(Watts::new(0.0));
+        };
+        if last > first {
+            return Ok(Watts::new(self.energy()?.value() / (last - first)));
+        }
+        // Every sample sits at `first`, so this window is the whole trace.
+        let samples = self.window(first, last)?;
+        let total = samples.prefix_watts().last().copied().unwrap_or(0.0);
+        Ok(Watts::new(total / samples.len() as f64))
+    }
+
+    /// Scans `[from, to]` (the whole trace when a bound is `None`) with a
+    /// fresh [`crate::anomaly::AnomalyDetector`], returning events in time
+    /// order — the post-hoc query behind the server's
+    /// `/traces/{node}/anomalies`.
+    fn scan_anomalies(
+        &self,
+        config: AnomalyConfig,
+        from: Option<f64>,
+        to: Option<f64>,
+    ) -> Result<Vec<AnomalyEvent>, StoreError> {
+        let Some((first, last)) = self.time_bounds()? else {
+            return Ok(Vec::new());
+        };
+        let window = self.window(from.unwrap_or(first), to.unwrap_or(last))?;
+        Ok(crate::anomaly::scan(&window, config))
+    }
+}
+
+/// Unwraps a [`TraceQuery`] answer from an in-memory trace, which never
+/// fails.
+fn in_memory<T>(answer: Result<T, StoreError>) -> T {
+    answer.expect("in-memory trace queries cannot fail")
+}
 
 /// One power sample.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,13 +176,11 @@ impl PowerTrace {
     /// Panics if `t` precedes the previous sample or any value is not
     /// finite/non-negative.
     pub fn push(&mut self, t: f64, watts: Watts) {
-        assert!(t.is_finite() && t >= 0.0, "sample time must be finite and non-negative");
-        let w = watts.value();
-        assert!(w.is_finite() && w >= 0.0, "power must be finite and non-negative");
-        if let Some(&last) = self.times.last() {
-            assert!(t >= last, "sample times must be non-decreasing");
+        let last = self.times.last().copied().unwrap_or(f64::NEG_INFINITY);
+        if let Err(broken) = check_sample(t, watts.value(), last) {
+            panic!("{broken}");
         }
-        self.append(t, w);
+        self.append(t, watts.value());
     }
 
     /// Appends a pre-validated sample (ingest paths that have already
@@ -138,9 +221,9 @@ impl PowerTrace {
         assert_eq!(times.len(), watts.len(), "times and watts must have equal lengths");
         let mut last = self.times.last().copied().unwrap_or(f64::NEG_INFINITY);
         for (&t, &w) in times.iter().zip(watts) {
-            assert!(t.is_finite() && t >= 0.0, "sample time must be finite and non-negative");
-            assert!(w.is_finite() && w >= 0.0, "power must be finite and non-negative");
-            assert!(t >= last, "sample times must be non-decreasing");
+            if let Err(broken) = check_sample(t, w, last) {
+                panic!("{broken}");
+            }
             last = t;
         }
         self.reserve(times.len());
@@ -220,10 +303,7 @@ impl PowerTrace {
 
     /// Trace duration: time between the first and last sample. O(1).
     pub fn duration(&self) -> Seconds {
-        match self.time_bounds() {
-            Some((a, b)) => Seconds::new(b - a),
-            None => Seconds::new(0.0),
-        }
+        in_memory(TraceQuery::duration(self))
     }
 
     /// Total energy by trapezoidal integration — O(1) from the prefix
@@ -233,16 +313,10 @@ impl PowerTrace {
     }
 
     /// Time-weighted average power (energy / duration) — O(1). Falls back
-    /// to the plain sample mean when the trace spans zero time.
+    /// to the plain sample mean when the trace spans zero time (see
+    /// [`TraceQuery::average_power`]).
     pub fn average_power(&self) -> Watts {
-        let d = self.duration().value();
-        if d > 0.0 {
-            Watts::new(self.energy().value() / d)
-        } else if let Some(&total) = self.cum_watts.last() {
-            Watts::new(total / self.len() as f64)
-        } else {
-            Watts::new(0.0)
-        }
+        in_memory(TraceQuery::average_power(self))
     }
 
     /// Peak sampled power — O(1).
@@ -278,17 +352,10 @@ impl PowerTrace {
     /// # Panics
     /// Panics if either bound is NaN (infinities clamp to the trace span).
     pub fn energy_between(&self, t0: f64, t1: f64) -> Joules {
-        assert!(!t0.is_nan() && !t1.is_nan(), "window bounds must not be NaN");
-        let (first, last) = match self.time_bounds() {
-            Some(b) => b,
-            None => return Joules::new(0.0),
-        };
-        let a = t0.max(first);
-        let b = t1.min(last);
-        if b <= a {
-            return Joules::new(0.0);
+        match clamp_window(self.time_bounds(), t0, t1) {
+            Some((a, b)) if a < b => Joules::new(self.cum_energy_at(b) - self.cum_energy_at(a)),
+            _ => Joules::new(0.0),
         }
-        Joules::new(self.cum_energy_at(b) - self.cum_energy_at(a))
     }
 
     /// Time-weighted average power over `[t0, t1]` (clamped to the trace
@@ -296,19 +363,12 @@ impl PowerTrace {
     /// interpolated instantaneous power at that point; a window entirely
     /// outside the trace reports 0.
     pub fn average_power_between(&self, t0: f64, t1: f64) -> Watts {
-        assert!(!t0.is_nan() && !t1.is_nan(), "window bounds must not be NaN");
-        let (first, last) = match self.time_bounds() {
-            Some(b) => b,
-            None => return Watts::new(0.0),
-        };
-        let a = t0.max(first);
-        let b = t1.min(last);
-        if b > a {
-            Watts::new((self.cum_energy_at(b) - self.cum_energy_at(a)) / (b - a))
-        } else if b == a {
-            self.power_at(a).unwrap_or_else(|| Watts::new(0.0))
-        } else {
-            Watts::new(0.0)
+        match clamp_window(self.time_bounds(), t0, t1) {
+            Some((a, b)) if a < b => {
+                Watts::new((self.cum_energy_at(b) - self.cum_energy_at(a)) / (b - a))
+            }
+            Some((a, _)) => self.power_at(a).unwrap_or(Watts::new(0.0)),
+            None => Watts::new(0.0),
         }
     }
 
@@ -333,31 +393,37 @@ impl PowerTrace {
     /// `window(t0, t1).energy() == energy_between(t0, t1)` — O(log n + k)
     /// for k samples in the window.
     pub fn window(&self, t0: f64, t1: f64) -> PowerTrace {
-        assert!(!t0.is_nan() && !t1.is_nan(), "window bounds must not be NaN");
-        let (first, last) = match self.time_bounds() {
-            Some(b) => b,
-            None => return PowerTrace::new(),
-        };
-        let a = t0.max(first);
-        let b = t1.min(last);
-        if b < a {
+        let Some((a, b)) = clamp_window(self.time_bounds(), t0, t1) else {
             return PowerTrace::new();
-        }
+        };
         let lo = self.times.partition_point(|&x| x < a);
         let hi = self.times.partition_point(|&x| x <= b);
-        let mut out = PowerTrace::with_capacity(hi.saturating_sub(lo) + 2);
-        if lo == hi || self.times[lo] > a {
-            // `a` falls strictly inside a segment: open with an
-            // interpolated sample (`a >= first` guarantees `lo > 0`).
-            out.append(a, self.power_at(a).expect("a is in range").value());
+        in_memory(PowerTrace::clipped(a, b, &self.times[lo..hi], &self.watts[lo..hi], |t| {
+            Ok(self.power_at(t).expect("t is in the span").value())
+        }))
+    }
+
+    /// The window `[a, b]` (already clamped to the span) over the stored
+    /// samples inside it, opening and closing with a sample interpolated
+    /// by `power_at` where `a` or `b` falls strictly inside a segment.
+    pub(crate) fn clipped(
+        a: f64,
+        b: f64,
+        times: &[f64],
+        watts: &[f64],
+        power_at: impl Fn(f64) -> Result<f64, StoreError>,
+    ) -> Result<PowerTrace, StoreError> {
+        let mut out = PowerTrace::with_capacity(times.len() + 2);
+        if times.first().is_none_or(|&t| t > a) {
+            out.append(a, power_at(a)?);
         }
-        for i in lo..hi {
-            out.append(self.times[i], self.watts[i]);
+        for (&t, &w) in times.iter().zip(watts) {
+            out.append(t, w);
         }
-        if out.time_bounds().map(|(_, end)| end < b).unwrap_or(true) {
-            out.append(b, self.power_at(b).expect("b is in range").value());
+        if out.time_bounds().is_none_or(|(_, end)| end < b) {
+            out.append(b, power_at(b)?);
         }
-        out
+        Ok(out)
     }
 
     /// Concatenates another trace, shifting its timestamps to start at this
@@ -372,6 +438,32 @@ impl PowerTrace {
         for s in other.iter() {
             self.push(offset + s.t, Watts::new(s.watts));
         }
+    }
+}
+
+impl TraceQuery for PowerTrace {
+    fn len(&self) -> Result<usize, StoreError> {
+        Ok(PowerTrace::len(self))
+    }
+
+    fn time_bounds(&self) -> Result<Option<(f64, f64)>, StoreError> {
+        Ok(PowerTrace::time_bounds(self))
+    }
+
+    fn energy(&self) -> Result<Joules, StoreError> {
+        Ok(PowerTrace::energy(self))
+    }
+
+    fn energy_between(&self, t0: f64, t1: f64) -> Result<Joules, StoreError> {
+        Ok(PowerTrace::energy_between(self, t0, t1))
+    }
+
+    fn average_power_between(&self, t0: f64, t1: f64) -> Result<Watts, StoreError> {
+        Ok(PowerTrace::average_power_between(self, t0, t1))
+    }
+
+    fn window(&self, t0: f64, t1: f64) -> Result<PowerTrace, StoreError> {
+        Ok(PowerTrace::window(self, t0, t1))
     }
 }
 
@@ -400,24 +492,8 @@ impl Deserialize for PowerTrace {
         let mut last_t = f64::NEG_INFINITY;
         for (i, entry) in arr.iter().enumerate() {
             let s = PowerSample::from_value(entry)?;
-            if !s.t.is_finite() || s.t < 0.0 {
-                return Err(DeError::new(format!(
-                    "sample {i}: time must be finite and non-negative (got {})",
-                    s.t
-                )));
-            }
-            if s.t < last_t {
-                return Err(DeError::new(format!(
-                    "sample {i}: timestamps must be non-decreasing (got {} after {last_t})",
-                    s.t
-                )));
-            }
-            if !s.watts.is_finite() || s.watts < 0.0 {
-                return Err(DeError::new(format!(
-                    "sample {i}: power must be finite and non-negative (got {})",
-                    s.watts
-                )));
-            }
+            check_sample(s.t, s.watts, last_t)
+                .map_err(|broken| DeError::new(format!("sample {i}: {broken}")))?;
             last_t = s.t;
             trace.push_unvalidated(s.t, s.watts);
         }

@@ -167,3 +167,61 @@ fn reopened_store_stays_bit_identical() {
     assert_eq!(restored, trace);
     assert_eq!(restored.prefix_energy(), trace.prefix_energy());
 }
+
+#[test]
+fn zero_duration_traces_and_windows_match_memory() {
+    use power_model::TraceQuery;
+    // One sample, and several samples sharing one timestamp: both span
+    // zero time, so the average is the plain sample mean in either form.
+    let cases: [&[(f64, f64)]; 3] = [
+        &[(3.0, 42.5)],
+        &[(7.0, 100.0), (7.0, 250.5), (7.0, 80.25)],
+        &[(0.0, 120.0), (1.5, 180.0), (4.0, 90.0)],
+    ];
+    for (case, samples) in cases.iter().enumerate() {
+        let scratch = ScratchDir::new(&format!("zero_duration_{case}"));
+        let mut trace = PowerTrace::new();
+        for &(t, w) in samples.iter() {
+            trace.push(t, Watts::new(w));
+        }
+        let config = StoreConfig { chunk_samples: 2, retain_seconds: None };
+        let backed = StoreBackedTrace::new(trace.to_store(&scratch.0, config).unwrap());
+        let want = trace.average_power().value();
+        let got = TraceQuery::average_power(&backed).unwrap().value();
+        assert_eq!(got.to_bits(), want.to_bits(), "case {case}: average_power");
+        assert_eq!(
+            TraceQuery::duration(&backed).unwrap().value().to_bits(),
+            trace.duration().value().to_bits(),
+            "case {case}: duration"
+        );
+    }
+    let mean = (100.0 + 250.5 + 80.25) / 3.0;
+    let mut shared = PowerTrace::new();
+    shared.extend_from_slices(&[7.0, 7.0, 7.0], &[100.0, 250.5, 80.25]);
+    assert_eq!(shared.average_power().value(), mean);
+
+    // Zero-width windows: no energy, the interpolated instantaneous power,
+    // and a one-sample window — at stored timestamps, chunk edges and
+    // mid-segment points alike.
+    let scratch = ScratchDir::new("zero_width");
+    let trace = synth(2_000, 5);
+    let config = StoreConfig { chunk_samples: 64, retain_seconds: None };
+    let backed = StoreBackedTrace::new(trace.to_store(&scratch.0, config).unwrap());
+    for t in [trace.times()[0], trace.times()[63], trace.times()[64], 100.37, 1_500.5] {
+        assert_eq!(backed.energy_between(t, t).unwrap().value(), 0.0, "energy at {t}");
+        assert_eq!(
+            backed.average_power_between(t, t).unwrap().value().to_bits(),
+            trace.average_power_between(t, t).value().to_bits(),
+            "average_power_between({t}, {t})"
+        );
+        assert_eq!(backed.window(t, t).unwrap(), trace.window(t, t), "window({t}, {t})");
+        // Windows reaching past either end clamp alike.
+        let (a, b) = (t - 1e6, t + 1e6);
+        assert_eq!(backed.window(t, b).unwrap(), trace.window(t, b), "window({t}, {b})");
+        assert_eq!(
+            backed.average_power_between(a, b).unwrap().value().to_bits(),
+            trace.average_power_between(a, b).value().to_bits(),
+            "average_power_between({a}, {b})"
+        );
+    }
+}

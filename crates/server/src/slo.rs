@@ -17,7 +17,7 @@ use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
-use tgi_telemetry::export::{prom_label_value, prom_name};
+use tgi_telemetry::export::{prom_label_value, prom_name, prom_summary};
 use tgi_telemetry::QuantileHistogram;
 
 /// Seconds of per-second history the burn-rate ring retains (covers the
@@ -271,15 +271,16 @@ impl SloTracker {
             .filter(|slo| slo.total.load(Ordering::Relaxed) > 0)
             .map(|slo| {
                 let burn_1m = slo.burn_rate(now_s, 60);
+                let latency = slo.latency.summary();
                 EndpointSloStatus {
                     endpoint: slo.endpoint.label(),
                     total: slo.total.load(Ordering::Relaxed),
                     good: slo.good.load(Ordering::Relaxed),
                     objective: slo.objective,
                     threshold_s: slo.threshold_s,
-                    p50_s: slo.latency.quantile(0.50).unwrap_or(0.0),
-                    p99_s: slo.latency.quantile(0.99).unwrap_or(0.0),
-                    p999_s: slo.latency.quantile(0.999).unwrap_or(0.0),
+                    p50_s: latency.p50,
+                    p99_s: latency.p99,
+                    p999_s: latency.p999,
                     burn_1m,
                     burn_10m: slo.burn_rate(now_s, 600),
                     breaching: burn_1m > 1.0,
@@ -304,74 +305,38 @@ impl SloTracker {
     /// labeled by endpoint.
     pub fn prometheus_append(&self, out: &mut String) {
         let now_s = epoch_seconds();
+        let label =
+            |slo: &EndpointSlo| format!("endpoint=\"{}\"", prom_label_value(slo.endpoint.label()));
         let latency = prom_name("tgi_server_request_latency_seconds");
         out.push_str(&format!(
             "# HELP {latency} Request latency by endpoint \
-             (log-linear sketch, 1% relative error).\n"
+             (log-linear sketch, 1% relative error).\n# TYPE {latency} summary\n"
         ));
-        out.push_str(&format!("# TYPE {latency} summary\n"));
-        for slo in &self.endpoints {
-            if slo.latency.count() == 0 {
-                continue;
-            }
-            let label = prom_label_value(slo.endpoint.label());
-            for (q, tag) in [(0.50, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
-                let v = slo.latency.quantile(q).unwrap_or(0.0);
-                out.push_str(&format!(
-                    "{latency}{{endpoint=\"{label}\",quantile=\"{tag}\"}} {v}\n"
-                ));
-            }
-            out.push_str(&format!("{latency}_sum{{endpoint=\"{label}\"}} {}\n", slo.latency.sum()));
-            out.push_str(&format!(
-                "{latency}_count{{endpoint=\"{label}\"}} {}\n",
-                slo.latency.count()
-            ));
+        for slo in self.endpoints.iter().filter(|slo| slo.latency.count() > 0) {
+            prom_summary(out, &latency, &label(slo), &slo.latency.summary());
         }
 
-        let good = prom_name("tgi_server_slo_good_total");
-        let total = prom_name("tgi_server_slo_requests_total");
+        let seen = || self.endpoints.iter().filter(|slo| slo.total.load(Ordering::Relaxed) > 0);
+        for (name, help, good) in [
+            ("tgi_server_slo_good_total", "Requests under the endpoint latency threshold.", true),
+            ("tgi_server_slo_requests_total", "Requests observed against the endpoint SLO.", false),
+        ] {
+            let name = prom_name(name);
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+            for slo in seen() {
+                let count = if good { &slo.good } else { &slo.total }.load(Ordering::Relaxed);
+                out.push_str(&format!("{name}{{{}}} {count}\n", label(slo)));
+            }
+        }
         let burn = prom_name("tgi_server_slo_burn_rate");
-        out.push_str(&format!(
-            "# HELP {good} Requests under the endpoint latency threshold.\n# TYPE {good} counter\n"
-        ));
-        for slo in &self.endpoints {
-            if slo.total.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let label = prom_label_value(slo.endpoint.label());
-            out.push_str(&format!(
-                "{good}{{endpoint=\"{label}\"}} {}\n",
-                slo.good.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(&format!(
-            "# HELP {total} Requests observed against the endpoint SLO.\n\
-             # TYPE {total} counter\n"
-        ));
-        for slo in &self.endpoints {
-            if slo.total.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let label = prom_label_value(slo.endpoint.label());
-            out.push_str(&format!(
-                "{total}{{endpoint=\"{label}\"}} {}\n",
-                slo.total.load(Ordering::Relaxed)
-            ));
-        }
         out.push_str(&format!(
             "# HELP {burn} Error-budget burn rate over the trailing window \
              (1.0 = burning exactly at budget).\n# TYPE {burn} gauge\n"
         ));
-        for slo in &self.endpoints {
-            if slo.total.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let label = prom_label_value(slo.endpoint.label());
+        for slo in seen() {
             for (window, tag) in [(60u64, "1m"), (600, "10m")] {
-                out.push_str(&format!(
-                    "{burn}{{endpoint=\"{label}\",window=\"{tag}\"}} {}\n",
-                    slo.burn_rate(now_s, window)
-                ));
+                let rate = slo.burn_rate(now_s, window);
+                out.push_str(&format!("{burn}{{{},window=\"{tag}\"}} {rate}\n", label(slo)));
             }
         }
     }

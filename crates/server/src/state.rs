@@ -16,10 +16,10 @@
 
 use crate::http::{Request, Response};
 use crate::slo::SloTracker;
-use power_model::anomaly;
 use power_model::fleet::TraceSet;
 use power_model::{
     AnomalyConfig, AnomalyCounts, AnomalyDetector, AnomalyEvent, PowerTrace, StoreBackedTrace,
+    TraceQuery,
 };
 use serde::{Serialize, Value};
 use std::collections::hash_map::DefaultHasher;
@@ -81,83 +81,44 @@ impl Default for ServerConfig {
     }
 }
 
-/// One node's trace, either purely in memory (the default) or backed by
-/// an on-disk store (`--data-dir` mode). The two variants answer every
-/// query the handlers need with identical semantics; the stored one is
-/// fallible because cold chunks live on disk.
-enum NodeTrace {
-    Memory(PowerTrace),
-    Stored(StoreBackedTrace),
-}
-
-impl NodeTrace {
-    fn len(&self) -> usize {
-        match self {
-            NodeTrace::Memory(t) => t.len(),
-            NodeTrace::Stored(s) => s.len() as usize,
-        }
-    }
-
-    fn time_bounds(&self) -> Option<(f64, f64)> {
-        match self {
-            NodeTrace::Memory(t) => t.time_bounds(),
-            NodeTrace::Stored(s) => s.time_bounds(),
-        }
-    }
-
-    fn duration_s(&self) -> f64 {
-        match self {
-            NodeTrace::Memory(t) => t.duration().value(),
-            NodeTrace::Stored(s) => s.duration().value(),
-        }
-    }
-
-    fn energy_j(&self) -> f64 {
-        match self {
-            NodeTrace::Memory(t) => t.energy().value(),
-            NodeTrace::Stored(s) => s.energy().value(),
-        }
-    }
-
-    fn energy_between(&self, a: f64, b: f64) -> Result<f64, StoreError> {
-        match self {
-            NodeTrace::Memory(t) => Ok(t.energy_between(a, b).value()),
-            NodeTrace::Stored(s) => Ok(s.energy_between(a, b)?.value()),
-        }
-    }
-
-    fn average_power_between(&self, a: f64, b: f64) -> Result<f64, StoreError> {
-        match self {
-            NodeTrace::Memory(t) => Ok(t.average_power_between(a, b).value()),
-            NodeTrace::Stored(s) => Ok(s.average_power_between(a, b)?.value()),
-        }
-    }
-
+/// One node's trace: a [`PowerTrace`] in memory (the default) or a
+/// [`StoreBackedTrace`] on disk (`--data-dir` mode). Handlers read it
+/// through [`TraceQuery`]; only ingest durability and the `/healthz`
+/// disk stats differ between the two.
+trait NodeTrace: TraceQuery + Send {
     /// Appends a pre-validated, timeline-continuing batch and (in stored
     /// mode) makes it durable before the caller acknowledges it.
+    fn append_batch(&mut self, times: &[f64], watts: &[f64]) -> Result<(), StoreError>;
+
+    /// `(sealed chunks, disk bytes)` of a stored trace; `None` in memory.
+    fn disk_usage(&self) -> Option<(u64, u64)> {
+        None
+    }
+}
+
+impl NodeTrace for PowerTrace {
     fn append_batch(&mut self, times: &[f64], watts: &[f64]) -> Result<(), StoreError> {
-        match self {
-            NodeTrace::Memory(t) => {
-                t.extend_from_slices(times, watts);
-                Ok(())
-            }
-            NodeTrace::Stored(s) => {
-                s.extend_from_slices(times, watts)?;
-                // A 200 promises the batch survives a crash: fsync the WAL
-                // tail (sealed chunks were already synced by the append).
-                s.store_mut().sync()
-            }
-        }
+        self.extend_from_slices(times, watts);
+        Ok(())
+    }
+}
+
+impl NodeTrace for StoreBackedTrace {
+    fn append_batch(&mut self, times: &[f64], watts: &[f64]) -> Result<(), StoreError> {
+        self.extend_from_slices(times, watts)?;
+        // A 200 promises the batch survives a crash: fsync the WAL tail
+        // (sealed chunks were already synced by the append).
+        self.store_mut().sync()
     }
 
-    /// Materializes the full trace (clones the memory variant, decodes
-    /// the stored one).
-    fn materialize(&self) -> Result<PowerTrace, StoreError> {
-        match self {
-            NodeTrace::Memory(t) => Ok(t.clone()),
-            NodeTrace::Stored(s) => s.to_trace(),
-        }
+    fn disk_usage(&self) -> Option<(u64, u64)> {
+        Some((self.store().sealed_chunks() as u64, self.store().disk_bytes()))
     }
+}
+
+/// The whole trace, materialized in memory.
+fn materialize(trace: &dyn TraceQuery) -> Result<PowerTrace, StoreError> {
+    trace.window(f64::NEG_INFINITY, f64::INFINITY)
 }
 
 /// Recent anomaly events kept live per node (older ones stay queryable
@@ -197,7 +158,7 @@ impl NodeWatch {
 
 /// One node's full server-side state: the trace plus its anomaly watch.
 struct NodeEntry {
-    trace: NodeTrace,
+    trace: Box<dyn NodeTrace>,
     watch: NodeWatch,
 }
 
@@ -281,6 +242,30 @@ struct EvaluateResponse {
     weights: Vec<f64>,
 }
 
+/// The optional `from`/`to` query bounds of a trace query; a 400 for a
+/// bound that is not a number `accept` allows.
+fn query_bounds(
+    request: &Request,
+    accept: fn(f64) -> bool,
+) -> Result<(Option<f64>, Option<f64>), Response> {
+    let bound = |key: &str| match request.query_value(key) {
+        None => Ok(None),
+        Some(raw) => match raw.parse::<f64>() {
+            Ok(v) if accept(v) => Ok(Some(v)),
+            _ => Err(Response::error(
+                400,
+                &format!("query parameter `{key}` must be a finite number, got `{raw}`"),
+            )),
+        },
+    };
+    Ok((bound("from")?, bound("to")?))
+}
+
+/// The 500 for a stored trace that failed a read.
+fn store_failure(node: &str, e: StoreError) -> Response {
+    Response::error(500, &format!("store query for `{node}` failed: {e}"))
+}
+
 fn json_response<T: Serialize>(status: u16, value: &T) -> Response {
     match serde_json::to_string(value) {
         Ok(body) => Response::json(status, body),
@@ -360,7 +345,7 @@ impl ServerState {
                         .insert(
                             name,
                             NodeEntry {
-                                trace: NodeTrace::Stored(backed),
+                                trace: Box::new(backed),
                                 watch: NodeWatch::new(config.anomaly),
                             },
                         );
@@ -440,9 +425,9 @@ impl ServerState {
             nodes += shard.len();
             for entry in shard.values() {
                 anomaly_counts.absorb(entry.watch.detector.counts());
-                if let NodeTrace::Stored(s) = &entry.trace {
-                    chunks += s.store().sealed_chunks() as u64;
-                    disk_bytes += s.store().disk_bytes();
+                if let Some((c, bytes)) = entry.trace.disk_usage() {
+                    chunks += c;
+                    disk_bytes += bytes;
                 }
             }
         }
@@ -528,11 +513,11 @@ impl ServerState {
         if !shard.contains_key(node) {
             // First batch for this node: open (or create) its store in
             // `--data-dir` mode, otherwise start an in-memory trace.
-            let fresh = match &self.store {
-                None => NodeTrace::Memory(PowerTrace::new()),
+            let fresh: Box<dyn NodeTrace> = match &self.store {
+                None => Box::new(PowerTrace::new()),
                 Some(root) => {
                     match StoreBackedTrace::open(root.dir.join(node), root.config.clone()) {
-                        Ok(backed) => NodeTrace::Stored(backed),
+                        Ok(backed) => Box::new(backed),
                         Err(e) => {
                             return Response::error(
                                 500,
@@ -548,9 +533,11 @@ impl ServerState {
             );
         }
         let entry = shard.get_mut(node).expect("just inserted");
-        if let (Some((_, last)), Some((first, _))) =
-            (entry.trace.time_bounds(), batch.time_bounds())
-        {
+        let bounds = match entry.trace.time_bounds() {
+            Ok(b) => b,
+            Err(e) => return store_failure(node, e),
+        };
+        if let (Some((_, last)), Some((first, _))) = (bounds, batch.time_bounds()) {
             if first < last {
                 return Response::error(
                     409,
@@ -575,11 +562,15 @@ impl ServerState {
                 tgi_telemetry::counter!("server_power_anomalies_total").add(closed as u64);
             }
         }
-        let response = IngestResponse {
-            node: node.to_string(),
-            appended: batch.len(),
-            samples: entry.trace.len(),
-            energy_j: entry.trace.energy_j(),
+        let trace = &entry.trace;
+        let response = match (trace.len(), trace.energy()) {
+            (Ok(samples), Ok(energy)) => IngestResponse {
+                node: node.to_string(),
+                appended: batch.len(),
+                samples,
+                energy_j: energy.value(),
+            },
+            (Err(e), _) | (_, Err(e)) => return store_failure(node, e),
         };
         if tgi_telemetry::enabled() {
             tgi_telemetry::counter!("server_samples_ingested_total").add(batch.len() as u64);
@@ -590,24 +581,8 @@ impl ServerState {
     /// `GET /traces/{node}/energy?from=&to=`: an O(log n) indexed window
     /// query against the node's prefix index.
     fn energy(&self, node: &str, request: &Request) -> Response {
-        let parse_bound = |key: &str, default: f64| -> Result<f64, Response> {
-            match request.query_value(key) {
-                None => Ok(default),
-                Some(raw) => match raw.parse::<f64>() {
-                    Ok(v) if !v.is_nan() => Ok(v),
-                    _ => Err(Response::error(
-                        400,
-                        &format!("query parameter `{key}` must be a finite number, got `{raw}`"),
-                    )),
-                },
-            }
-        };
-        let from = match parse_bound("from", f64::NEG_INFINITY) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let to = match parse_bound("to", f64::INFINITY) {
-            Ok(v) => v,
+        let (from, to) = match query_bounds(request, |v| !v.is_nan()) {
+            Ok((from, to)) => (from.unwrap_or(f64::NEG_INFINITY), to.unwrap_or(f64::INFINITY)),
             Err(r) => return r,
         };
         let shard = self.shard(node).lock().expect("shard poisoned");
@@ -615,23 +590,21 @@ impl ServerState {
             Some(entry) => &entry.trace,
             None => return Response::error(404, &format!("unknown node `{node}`")),
         };
-        let (first, last) = trace.time_bounds().unwrap_or((0.0, 0.0));
-        let (energy_j, average_w) =
-            match (trace.energy_between(from, to), trace.average_power_between(from, to)) {
-                (Ok(e), Ok(w)) => (e, w),
-                (Err(e), _) | (_, Err(e)) => {
-                    return Response::error(500, &format!("store query for `{node}` failed: {e}"))
-                }
-            };
-        let response = EnergyResponse {
-            node: node.to_string(),
-            from: from.max(first),
-            to: to.min(last),
-            energy_j,
-            average_w,
-            samples: trace.len(),
+        let answer = || -> Result<EnergyResponse, StoreError> {
+            let (first, last) = trace.time_bounds()?.unwrap_or((0.0, 0.0));
+            Ok(EnergyResponse {
+                node: node.to_string(),
+                from: from.max(first),
+                to: to.min(last),
+                energy_j: trace.energy_between(from, to)?.value(),
+                average_w: trace.average_power_between(from, to)?.value(),
+                samples: trace.len()?,
+            })
         };
-        json_response(200, &response)
+        match answer() {
+            Ok(response) => json_response(200, &response),
+            Err(e) => store_failure(node, e),
+        }
     }
 
     /// `GET /traces/{node}/anomalies?from=&to=`: a post-hoc detector scan
@@ -641,24 +614,8 @@ impl ServerState {
     /// the online watch saw them — including over traces recovered from
     /// disk by a later process.
     fn anomalies(&self, node: &str, request: &Request) -> Response {
-        let parse_bound = |key: &str| -> Result<Option<f64>, Response> {
-            match request.query_value(key) {
-                None => Ok(None),
-                Some(raw) => match raw.parse::<f64>() {
-                    Ok(v) if v.is_finite() => Ok(Some(v)),
-                    _ => Err(Response::error(
-                        400,
-                        &format!("query parameter `{key}` must be a finite number, got `{raw}`"),
-                    )),
-                },
-            }
-        };
-        let from = match parse_bound("from") {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let to = match parse_bound("to") {
-            Ok(v) => v,
+        let (from, to) = match query_bounds(request, f64::is_finite) {
+            Ok(bounds) => bounds,
             Err(r) => return r,
         };
         let shard = self.shard(node).lock().expect("shard poisoned");
@@ -666,54 +623,40 @@ impl ServerState {
             Some(e) => e,
             None => return Response::error(404, &format!("unknown node `{node}`")),
         };
-        let events = match &entry.trace {
-            NodeTrace::Memory(t) => {
-                let window =
-                    t.window(from.unwrap_or(f64::NEG_INFINITY), to.unwrap_or(f64::INFINITY));
-                anomaly::scan(&window, self.anomaly_config)
-            }
-            NodeTrace::Stored(s) => match anomaly::scan_stored(s, self.anomaly_config, from, to) {
-                Ok(events) => events,
-                Err(e) => {
-                    return Response::error(500, &format!("anomaly scan for `{node}` failed: {e}"))
-                }
-            },
+        let trace = &entry.trace;
+        let answer = || -> Result<AnomaliesResponse, StoreError> {
+            let events = trace.scan_anomalies(self.anomaly_config, from, to)?;
+            let (first, last) = trace.time_bounds()?.unwrap_or((0.0, 0.0));
+            Ok(AnomaliesResponse {
+                node: node.to_string(),
+                from: from.unwrap_or(first),
+                to: to.unwrap_or(last),
+                counts: AnomalyCounts::from_events(&events),
+                events,
+                live: entry.watch.detector.counts(),
+                recent: entry.watch.recent.iter().copied().collect(),
+            })
         };
-        let mut counts = AnomalyCounts::default();
-        for event in &events {
-            match event.kind {
-                power_model::AnomalyKind::Spike => counts.spikes += 1,
-                power_model::AnomalyKind::Drift => counts.drifts += 1,
-                power_model::AnomalyKind::Dropout => counts.dropouts += 1,
-            }
+        match answer() {
+            Ok(response) => json_response(200, &response),
+            Err(e) => store_failure(node, e),
         }
-        let (first, last) = entry.trace.time_bounds().unwrap_or((0.0, 0.0));
-        let response = AnomaliesResponse {
-            node: node.to_string(),
-            from: from.unwrap_or(first),
-            to: to.unwrap_or(last),
-            events,
-            counts,
-            live: entry.watch.detector.counts(),
-            recent: entry.watch.recent.iter().copied().collect(),
-        };
-        json_response(200, &response)
     }
 
     fn list_traces(&self) -> Response {
-        let mut nodes: Vec<NodeInfo> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard poisoned");
-            for (name, entry) in shard.iter() {
-                nodes.push(NodeInfo {
-                    node: name.clone(),
-                    samples: entry.trace.len(),
-                    duration_s: entry.trace.duration_s(),
-                    energy_j: entry.trace.energy_j(),
-                });
-            }
-        }
-        nodes.sort_by(|a, b| a.node.cmp(&b.node));
+        let nodes = match self.each_node(|t| Ok((t.len()?, t.duration()?, t.energy()?))) {
+            Ok(nodes) => nodes,
+            Err(r) => return r,
+        };
+        let nodes: Vec<NodeInfo> = nodes
+            .into_iter()
+            .map(|(node, (samples, duration, energy))| NodeInfo {
+                node,
+                samples,
+                duration_s: duration.value(),
+                energy_j: energy.value(),
+            })
+            .collect();
         let response = ListResponse {
             total_samples: nodes.iter().map(|n| n.samples).sum(),
             total_energy_j: nodes.iter().map(|n| n.energy_j).sum(),
@@ -727,24 +670,27 @@ impl ServerState {
     /// parallel). Clones the traces — this is the reporting endpoint, not
     /// the hot path.
     fn fleet_summary(&self) -> Response {
-        let mut entries: Vec<(String, PowerTrace)> = Vec::new();
+        match self.each_node(materialize) {
+            Ok(entries) => json_response(200, &TraceSet::from_entries(entries).summarize()),
+            Err(r) => r,
+        }
+    }
+
+    /// Reads every node's trace (one shard lock at a time), in node-name
+    /// order; a 500 names the first node whose store failed.
+    fn each_node<T>(
+        &self,
+        read: impl Fn(&dyn TraceQuery) -> Result<T, StoreError>,
+    ) -> Result<Vec<(String, T)>, Response> {
+        let mut nodes = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().expect("shard poisoned");
-            for (name, entry) in shard.iter() {
-                match entry.trace.materialize() {
-                    Ok(t) => entries.push((name.clone(), t)),
-                    Err(e) => {
-                        return Response::error(
-                            500,
-                            &format!("materializing trace for `{name}`: {e}"),
-                        )
-                    }
-                }
+            for (name, entry) in shard.lock().expect("shard poisoned").iter() {
+                let value = read(entry.trace.as_ref()).map_err(|e| store_failure(name, e))?;
+                nodes.push((name.clone(), value));
             }
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let summary = TraceSet::from_entries(entries).summarize();
-        json_response(200, &summary)
+        nodes.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(nodes)
     }
 
     /// `POST /evaluate`: scores a measurement suite against the cached
@@ -793,7 +739,7 @@ impl ServerState {
             .lock()
             .expect("shard poisoned")
             .get(node)
-            .and_then(|entry| entry.trace.materialize().ok())
+            .and_then(|entry| materialize(entry.trace.as_ref()).ok())
     }
 
     /// Test/oracle accessor: the lifetime online anomaly counts for one

@@ -7,14 +7,14 @@
 //! observability riders.
 
 use power_model::sampler::PowerSource;
-use power_model::{AnomalyConfig, BackgroundSampler, PowerTrace};
+use power_model::{AnomalyConfig, BackgroundSampler, PowerTrace, StoreBackedTrace};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tgi_core::Watts;
 use tgi_server::{Client, Server, ServerConfig};
-use tgi_trace_store::{StoreConfig, TraceStore};
+use tgi_trace_store::StoreConfig;
 
 struct ScratchDir(PathBuf);
 
@@ -93,12 +93,12 @@ fn anomalies_flow_from_sampler_through_store_to_the_wire() {
     // Leg 1 — live capture: a watched streaming sampler polls the spiking
     // source straight into the on-disk store the server will later serve.
     let source = Arc::new(SpikingSource { polls: AtomicUsize::new(0) });
-    let store = TraceStore::open(scratch.0.join("node-live"), store_config.clone())
+    let store = StoreBackedTrace::open(scratch.0.join("node-live"), store_config.clone())
         .expect("open live store");
-    let sampler = BackgroundSampler::start_streaming_watched(
+    let sampler = BackgroundSampler::start_into(
+        store,
         Arc::clone(&source) as Arc<dyn PowerSource>,
         Duration::from_micros(200),
-        store,
         Some(AnomalyConfig::default()),
     );
     // Run until the spike window (polls 300..303) is comfortably past.

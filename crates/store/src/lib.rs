@@ -38,4 +38,7 @@ pub mod crc;
 pub mod store;
 pub mod wal;
 
-pub use store::{CompactionStats, StoreConfig, StoreError, TraceStore, SEGMENT_FILE, WAL_FILE};
+pub use store::{
+    check_sample, clamp_window, CompactionStats, StoreConfig, StoreError, TraceStore, SEGMENT_FILE,
+    WAL_FILE,
+};

@@ -50,6 +50,36 @@ impl Default for StoreConfig {
     }
 }
 
+/// The invariants every power sample keeps, in a store or in memory:
+/// finite, non-negative time and watts, and a time not before `last_t`
+/// (the previous sample's). `Err` says which one `(t, w)` breaks.
+#[inline]
+pub fn check_sample(t: f64, w: f64, last_t: f64) -> Result<(), String> {
+    if !t.is_finite() || t < 0.0 {
+        Err(format!("time must be finite and non-negative (got {t})"))
+    } else if !w.is_finite() || w < 0.0 {
+        Err(format!("power must be finite and non-negative (got {w})"))
+    } else if t < last_t {
+        Err(format!("timestamps must be non-decreasing (got {t} after {last_t})"))
+    } else {
+        Ok(())
+    }
+}
+
+/// `[t0, t1]` clamped to a trace's `bounds` (its first and last sample
+/// times); `None` for an empty trace or an interval wholly outside it.
+/// The windowed queries here and on the in-memory trace all clamp through
+/// this, so their edge cases agree.
+///
+/// # Panics
+/// If either bound is NaN (infinities clamp to the span).
+pub fn clamp_window(bounds: Option<(f64, f64)>, t0: f64, t1: f64) -> Option<(f64, f64)> {
+    assert!(!t0.is_nan() && !t1.is_nan(), "window bounds must not be NaN");
+    let (first, last) = bounds?;
+    let (a, b) = (t0.max(first), t1.min(last));
+    (a <= b).then_some((a, b))
+}
+
 /// Why a store operation failed.
 #[derive(Debug)]
 pub enum StoreError {
@@ -302,25 +332,9 @@ impl TraceStore {
             return Ok(());
         }
         let mut last_t = self.last.map(|l| l.t).unwrap_or(f64::NEG_INFINITY);
-        for (i, (&t, &w)) in times.iter().zip(watts).enumerate() {
-            if !t.is_finite() || t < 0.0 {
-                return Err(StoreError::InvalidSample {
-                    index: i,
-                    detail: format!("time must be finite and non-negative (got {t})"),
-                });
-            }
-            if !w.is_finite() || w < 0.0 {
-                return Err(StoreError::InvalidSample {
-                    index: i,
-                    detail: format!("power must be finite and non-negative (got {w})"),
-                });
-            }
-            if t < last_t {
-                return Err(StoreError::InvalidSample {
-                    index: i,
-                    detail: format!("timestamps must be non-decreasing (got {t} after {last_t})"),
-                });
-            }
+        for (index, (&t, &w)) in times.iter().zip(watts).enumerate() {
+            check_sample(t, w, last_t)
+                .map_err(|detail| StoreError::InvalidSample { index, detail })?;
             last_t = t;
         }
         let start_index = self.sealed_count + self.active_t.len() as u64;
@@ -626,17 +640,10 @@ impl TraceStore {
     /// Panics if either bound is NaN (infinities clamp to the span),
     /// mirroring the in-memory trace.
     pub fn energy_between(&self, t0: f64, t1: f64) -> Result<f64, StoreError> {
-        assert!(!t0.is_nan() && !t1.is_nan(), "window bounds must not be NaN");
-        let (first, last) = match self.time_bounds() {
-            Some(b) => b,
-            None => return Ok(0.0),
-        };
-        let a = t0.max(first);
-        let b = t1.min(last);
-        if b <= a {
-            return Ok(0.0);
+        match clamp_window(self.time_bounds(), t0, t1) {
+            Some((a, b)) if a < b => Ok(self.cum_energy_at(b)? - self.cum_energy_at(a)?),
+            _ => Ok(0.0),
         }
-        Ok(self.cum_energy_at(b)? - self.cum_energy_at(a)?)
     }
 
     /// Time-weighted average power over `[t0, t1]` clamped to the stored
@@ -645,19 +652,12 @@ impl TraceStore {
     /// # Panics
     /// Panics if either bound is NaN.
     pub fn average_power_between(&self, t0: f64, t1: f64) -> Result<f64, StoreError> {
-        assert!(!t0.is_nan() && !t1.is_nan(), "window bounds must not be NaN");
-        let (first, last) = match self.time_bounds() {
-            Some(b) => b,
-            None => return Ok(0.0),
-        };
-        let a = t0.max(first);
-        let b = t1.min(last);
-        if b > a {
-            Ok((self.cum_energy_at(b)? - self.cum_energy_at(a)?) / (b - a))
-        } else if b == a {
-            Ok(self.power_at(a)?.unwrap_or(0.0))
-        } else {
-            Ok(0.0)
+        match clamp_window(self.time_bounds(), t0, t1) {
+            Some((a, b)) if a < b => {
+                Ok((self.cum_energy_at(b)? - self.cum_energy_at(a)?) / (b - a))
+            }
+            Some((a, _)) => Ok(self.power_at(a)?.unwrap_or(0.0)),
+            None => Ok(0.0),
         }
     }
 

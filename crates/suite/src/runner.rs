@@ -228,11 +228,8 @@ impl SuiteRunner {
             drop(write_guard);
             drop(read_guard);
             if tgi_telemetry::enabled() {
-                tgi_telemetry::histogram!(
-                    "tgi_suite_attempt_seconds",
-                    &[0.001, 0.01, 0.1, 1.0, 10.0, 100.0]
-                )
-                .observe(attempt_started.elapsed().as_secs_f64());
+                tgi_telemetry::histogram!("tgi_suite_attempt_seconds")
+                    .record(attempt_started.elapsed().as_secs_f64());
             }
             match result {
                 Ok(output) => break RunOutcome::Success(output),
@@ -459,14 +456,18 @@ impl RunReport {
     /// queries). Unmetered and failed items contribute nothing.
     pub fn trace_set(&self) -> power_model::TraceSet {
         let mut set = power_model::TraceSet::new();
-        for entry in &self.entries {
-            if let RunOutcome::Success(output) = &entry.outcome {
-                if let Some(trace) = &output.trace {
-                    set.push(format!("{}#{}", entry.benchmark, entry.repeat), trace.clone());
-                }
-            }
+        for (entry, trace) in self.metered_traces() {
+            set.push(format!("{}#{}", entry.benchmark, entry.repeat), trace.clone());
         }
         set
+    }
+
+    /// The power trace of every successful metered item, with its entry.
+    fn metered_traces(&self) -> impl Iterator<Item = (&BenchmarkReport, &power_model::PowerTrace)> {
+        self.entries.iter().filter_map(|entry| match &entry.outcome {
+            RunOutcome::Success(output) => output.trace.as_ref().map(|trace| (entry, trace)),
+            _ => None,
+        })
     }
 
     /// Summarizes per-item wall time through a log-linear quantile sketch
@@ -488,18 +489,9 @@ impl RunReport {
     /// sample order regardless of how the run was scheduled.
     pub fn anomaly_counts(&self, config: power_model::AnomalyConfig) -> power_model::AnomalyCounts {
         let mut counts = power_model::AnomalyCounts::default();
-        for entry in &self.entries {
-            if let RunOutcome::Success(output) = &entry.outcome {
-                if let Some(trace) = &output.trace {
-                    for event in power_model::anomaly::scan(trace, config) {
-                        match event.kind {
-                            power_model::AnomalyKind::Spike => counts.spikes += 1,
-                            power_model::AnomalyKind::Drift => counts.drifts += 1,
-                            power_model::AnomalyKind::Dropout => counts.dropouts += 1,
-                        }
-                    }
-                }
-            }
+        for (_, trace) in self.metered_traces() {
+            let events = power_model::anomaly::scan(trace, config);
+            counts.absorb(power_model::AnomalyCounts::from_events(&events));
         }
         counts
     }

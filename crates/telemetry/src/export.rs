@@ -8,6 +8,7 @@
 
 use crate::collector::{Event, EventKind};
 use crate::metrics::MetricsSnapshot;
+use crate::quantile::QuantileSummary;
 use crate::span::FieldValue;
 use std::fmt::Write as _;
 use std::io;
@@ -144,25 +145,17 @@ pub fn prom_name(name: &str) -> String {
 /// double-quote, and newline get backslash escapes; everything else
 /// passes through.
 pub fn prom_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
+    prom_escape(value, true)
 }
 
-/// Escapes `# HELP` text per the exposition format: backslash and
-/// newline only (quotes are legal in help text).
-fn prom_help_text(help: &str) -> String {
-    let mut out = String::with_capacity(help.len());
-    for ch in help.chars() {
+/// Backslash-escapes `\`, newline and (for label values, not `# HELP`
+/// text) `"`.
+fn prom_escape(text: &str, quotes: bool) -> String {
+    let mut out = String::with_capacity(text.len());
+    for ch in text.chars() {
         match ch {
             '\\' => out.push_str("\\\\"),
+            '"' if quotes => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
             c => out.push(c),
         }
@@ -175,7 +168,7 @@ fn prom_help_text(help: &str) -> String {
 fn prom_help_line(out: &mut String, sanitized: &str, raw: &str) {
     let help =
         crate::metrics::help_for(raw).unwrap_or_else(|| "No description registered.".to_string());
-    let _ = writeln!(out, "# HELP {sanitized} {}", prom_help_text(&help));
+    let _ = writeln!(out, "# HELP {sanitized} {}", prom_escape(&help, false));
 }
 
 fn prom_f64(v: f64) -> String {
@@ -208,20 +201,27 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {}", prom_f64(*value));
     }
-    for hist in &snapshot.histograms {
-        let name = prom_name(&hist.name);
-        prom_help_line(&mut out, &name, &hist.name);
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cumulative = 0u64;
-        for (bound, bucket) in hist.bounds.iter().zip(hist.buckets.iter()) {
-            cumulative += bucket;
-            let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", prom_f64(*bound));
-        }
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.count);
-        let _ = writeln!(out, "{name}_sum {}", prom_f64(hist.sum));
-        let _ = writeln!(out, "{name}_count {}", hist.count);
+    for (raw, summary) in &snapshot.histograms {
+        let name = prom_name(raw);
+        prom_help_line(&mut out, &name, raw);
+        let _ = writeln!(out, "# TYPE {name} summary");
+        prom_summary(&mut out, &name, "", summary);
     }
     out
+}
+
+/// Writes the samples of one Prometheus `summary`: p50/p99/p999 quantile
+/// lines, then `_sum` and `_count`. `labels` is a comma-separated list of
+/// already-escaped `key="value"` pairs (empty for none); the `# HELP` and
+/// `# TYPE` lines are the caller's.
+pub fn prom_summary(out: &mut String, name: &str, labels: &str, summary: &QuantileSummary) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    for (tag, v) in [("0.5", summary.p50), ("0.99", summary.p99), ("0.999", summary.p999)] {
+        let _ = writeln!(out, "{name}{{{labels}{sep}quantile=\"{tag}\"}} {}", prom_f64(v));
+    }
+    let labels = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
+    let _ = writeln!(out, "{name}_sum{labels} {}", prom_f64(summary.sum));
+    let _ = writeln!(out, "{name}_count{labels} {}", summary.count);
 }
 
 /// Writes [`chrome_trace`] output to `path`, creating parent directories.
@@ -251,7 +251,6 @@ fn write_with_parents(path: &Path, contents: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramSnapshot;
 
     /// Minimal exposition-format parser: returns `(helps, types, samples)`
     /// keyed by metric name, enforcing the line grammar as it goes.
@@ -268,7 +267,7 @@ mod tests {
                 helps.push((name.to_string(), help.to_string()));
             } else if let Some(rest) = line.strip_prefix("# TYPE ") {
                 let (name, kind) = rest.split_once(' ').expect("TYPE has name and kind");
-                assert!(matches!(kind, "counter" | "gauge" | "histogram"), "unknown TYPE {kind}");
+                assert!(matches!(kind, "counter" | "gauge" | "summary"), "unknown TYPE {kind}");
                 types.push((name.to_string(), kind.to_string()));
             } else if !line.is_empty() {
                 let (series, value) = line.rsplit_once(' ').expect("sample has value");
@@ -301,13 +300,17 @@ mod tests {
         let snapshot = MetricsSnapshot {
             counters: vec![("export.test/requests-per-sec".to_string(), 42)],
             gauges: vec![("9starts_with_digit".to_string(), 1.5)],
-            histograms: vec![HistogramSnapshot {
-                name: "export.test.latency".to_string(),
-                bounds: vec![0.1, 1.0],
-                buckets: vec![3, 2, 1],
-                sum: 2.25,
-                count: 6,
-            }],
+            histograms: vec![(
+                "export.test.latency".to_string(),
+                QuantileSummary {
+                    count: 6,
+                    sum: 2.25,
+                    p50: 0.25,
+                    p99: 1.5,
+                    p999: 1.5,
+                    ..Default::default()
+                },
+            )],
         };
         let text = prometheus(&snapshot);
         let (helps, types, samples) = parse_exposition(&text);
@@ -330,13 +333,26 @@ mod tests {
         assert!(samples.contains(&("export_test_latency_sum".to_string(), 2.25)));
         assert!(samples.contains(&("export_test_latency_count".to_string(), 6.0)));
 
-        // Histogram buckets are cumulative and end at count.
-        let buckets: Vec<f64> = samples
-            .iter()
-            .filter(|(n, _)| n == "export_test_latency_bucket")
-            .map(|(_, v)| *v)
-            .collect();
-        assert_eq!(buckets, vec![3.0, 5.0, 6.0]);
+        // Histograms export as summaries: p50/p99/p999 in order.
+        let quantiles: Vec<f64> =
+            samples.iter().filter(|(n, _)| n == "export_test_latency").map(|(_, v)| *v).collect();
+        assert_eq!(quantiles, vec![0.25, 1.5, 1.5]);
+        assert!(text.contains("export_test_latency{quantile=\"0.99\"} 1.5\n"), "{text}");
+    }
+
+    #[test]
+    fn summary_lines_carry_labels_before_the_quantile() {
+        let summary =
+            QuantileSummary { count: 2, sum: 0.5, p50: 0.1, p99: 0.4, ..Default::default() };
+        let mut out = String::new();
+        prom_summary(&mut out, "lat", "endpoint=\"energy\"", &summary);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[0], "lat{endpoint=\"energy\",quantile=\"0.5\"} 0.1");
+        assert_eq!(lines[1], "lat{endpoint=\"energy\",quantile=\"0.99\"} 0.4");
+        assert_eq!(
+            lines[3..],
+            ["lat_sum{endpoint=\"energy\"} 0.5", "lat_count{endpoint=\"energy\"} 2"]
+        );
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Named counters, gauges, and fixed-bucket histograms.
+//! Named counters, gauges, and quantile histograms.
 //!
 //! Metrics are registered once (by name) in a global registry and handed
-//! out as `Arc`s; recording is a single atomic RMW with no locks. The
+//! out as `Arc`s; recording is a few atomic RMWs with no locks. Histograms
+//! are [`QuantileHistogram`]s (p50/p99/p999 within 1% relative error),
+//! recorded through [`QuantileHistogram::record`]. The
 //! [`crate::counter!`]/[`crate::gauge!`]/[`crate::histogram!`] macros cache the `Arc` in a
 //! per-callsite `OnceLock` so steady-state recording never touches the
 //! registry mutex either. While no collector is installed ([`crate::enabled`]
 //! is `false`) all recording methods early-return, so disabled cost is one
 //! relaxed atomic load.
 
+use crate::quantile::{QuantileHistogram, QuantileSummary, DEFAULT_ALPHA};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -66,19 +69,9 @@ impl Gauge {
         if !crate::enabled() {
             return;
         }
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self.bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
+        let _ = self.bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+            Some((f64::from_bits(bits) + delta).to_bits())
+        });
     }
 
     /// Current value.
@@ -87,68 +80,12 @@ impl Gauge {
     }
 }
 
-/// A histogram with fixed, caller-supplied bucket upper bounds.
-///
-/// Observations use one atomic add on the matching bucket plus two for the
-/// running sum/count — lock-free, like the other metric kinds.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    /// Sum of observed values, accumulated in nanos-style fixed point
-    /// (micro-units) so it fits an atomic integer.
-    sum_micros: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    fn new(mut bounds: Vec<f64>) -> Self {
-        bounds.retain(|b| b.is_finite());
-        bounds.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        bounds.dedup();
-        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram { bounds, buckets, sum_micros: AtomicU64::new(0), count: AtomicU64::new(0) }
-    }
-
-    /// Records one observation (no-op while no collector is installed).
-    #[inline]
-    pub fn observe(&self, v: f64) {
-        if !crate::enabled() {
-            return;
-        }
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add((v.max(0.0) * 1e6) as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bucket upper bounds (the final `+Inf` bucket is implicit).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts; one longer than [`Self::bounds`] (the `+Inf` bucket).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> f64 {
-        self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
 /// One registered metric, by kind.
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
+    Histogram(Arc<QuantileHistogram>),
 }
 
 static REGISTRY: Mutex<Vec<(String, Metric)>> = Mutex::new(Vec::new());
@@ -206,31 +143,17 @@ pub fn gauge(name: &str) -> Arc<Gauge> {
     }
 }
 
-/// Returns the histogram named `name`, registering it (with `bounds` as the
-/// bucket upper bounds) on first use. Later calls ignore `bounds`.
+/// Returns the histogram named `name`, registering it on first use.
 ///
 /// # Panics
 /// If `name` is already registered as a different metric kind.
-pub fn histogram(name: &str, bounds: &[f64]) -> Arc<Histogram> {
-    match lookup_or_insert(name, || Metric::Histogram(Arc::new(Histogram::new(bounds.to_vec())))) {
+pub fn histogram(name: &str) -> Arc<QuantileHistogram> {
+    match lookup_or_insert(name, || {
+        Metric::Histogram(Arc::new(QuantileHistogram::new(DEFAULT_ALPHA)))
+    }) {
         Metric::Histogram(h) => h,
         _ => panic!("metric {name:?} already registered with a different kind"),
     }
-}
-
-/// A point-in-time copy of one histogram's state.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Histogram name.
-    pub name: String,
-    /// Bucket upper bounds (the `+Inf` bucket is implicit).
-    pub bounds: Vec<f64>,
-    /// Per-bucket (non-cumulative) counts; one longer than `bounds`.
-    pub buckets: Vec<u64>,
-    /// Sum of observed values.
-    pub sum: f64,
-    /// Number of observations.
-    pub count: u64,
 }
 
 /// A point-in-time copy of every registered metric's state.
@@ -240,8 +163,8 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` for every gauge, in registration order.
     pub gauges: Vec<(String, f64)>,
-    /// Every histogram's state, in registration order.
-    pub histograms: Vec<HistogramSnapshot>,
+    /// `(name, summary)` for every histogram, in registration order.
+    pub histograms: Vec<(String, QuantileSummary)>,
 }
 
 impl MetricsSnapshot {
@@ -264,13 +187,7 @@ pub fn snapshot() -> MetricsSnapshot {
         match metric {
             Metric::Counter(c) => snap.counters.push((name.clone(), c.get())),
             Metric::Gauge(g) => snap.gauges.push((name.clone(), g.get())),
-            Metric::Histogram(h) => snap.histograms.push(HistogramSnapshot {
-                name: name.clone(),
-                bounds: h.bounds().to_vec(),
-                buckets: h.bucket_counts(),
-                sum: h.sum(),
-                count: h.count(),
-            }),
+            Metric::Histogram(h) => snap.histograms.push((name.clone(), h.summary())),
         }
     }
     snap
@@ -284,13 +201,7 @@ pub fn reset() {
         match metric {
             Metric::Counter(c) => c.value.store(0, Ordering::Relaxed),
             Metric::Gauge(g) => g.bits.store(0, Ordering::Relaxed),
-            Metric::Histogram(h) => {
-                for bucket in &h.buckets {
-                    bucket.store(0, Ordering::Relaxed);
-                }
-                h.sum_micros.store(0, Ordering::Relaxed);
-                h.count.store(0, Ordering::Relaxed);
-            }
+            Metric::Histogram(h) => h.reset(),
         }
     }
 }
@@ -315,13 +226,13 @@ macro_rules! gauge {
     }};
 }
 
-/// Returns a per-callsite cached [`Histogram`];
-/// `histogram!("name", &[0.1, 1.0]).observe(0.3)`.
+/// Returns a per-callsite cached [`QuantileHistogram`];
+/// `histogram!("name").record(0.3)`.
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr, $bounds:expr) => {{
-        static CELL: std::sync::OnceLock<std::sync::Arc<$crate::Histogram>> =
+    ($name:expr) => {{
+        static CELL: std::sync::OnceLock<std::sync::Arc<$crate::QuantileHistogram>> =
             std::sync::OnceLock::new();
-        CELL.get_or_init(|| $crate::metrics::histogram($name, $bounds))
+        CELL.get_or_init(|| $crate::metrics::histogram($name))
     }};
 }

@@ -15,9 +15,12 @@
 //! configured `[min_value, max_value]` range are clamped into the edge
 //! buckets — the error bound is advertised for in-range values only.
 //!
-//! Unlike spans and metrics, this type is a plain data structure: it does
-//! **not** gate on [`crate::enabled`], so latency tracking (load
-//! generators, server SLOs) works even when the collector is compiled out.
+//! [`observe`](QuantileHistogram::observe) does **not** gate on
+//! [`crate::enabled`], so latency tracking (load generators, server SLOs)
+//! works even when the collector is compiled out.
+//! [`record`](QuantileHistogram::record) is the gated form the registry's
+//! [`crate::histogram!`] metrics use: like counters and gauges, it is a
+//! no-op while no collector is installed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -123,19 +126,29 @@ impl QuantileHistogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.min_bits.fetch_min(clamped.to_bits(), Ordering::Relaxed);
         self.max_bits.fetch_max(clamped.to_bits(), Ordering::Relaxed);
-        let mut current = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + clamped).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
+        let _ = self.sum_bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+            Some((f64::from_bits(bits) + clamped).to_bits())
+        });
+    }
+
+    /// [`observe`](Self::observe) while a collector is installed; a no-op
+    /// otherwise (the registry metric path).
+    #[inline]
+    pub fn record(&self, v: f64) {
+        if crate::enabled() {
+            self.observe(v);
         }
+    }
+
+    /// Forgets every observation (a fresh collection session).
+    pub(crate) fn reset(&self) {
+        for bucket in &self.buckets {
+            bucket.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum_bits.store(0, Ordering::Relaxed);
+        self.min_bits.store(f64::INFINITY.to_bits(), Ordering::Relaxed);
+        self.max_bits.store(0, Ordering::Relaxed);
     }
 
     fn bucket_index(&self, clamped: f64) -> usize {
@@ -226,19 +239,9 @@ impl QuantileHistogram {
         self.min_bits.fetch_min(other.min_bits.load(Ordering::Relaxed), Ordering::Relaxed);
         self.max_bits.fetch_max(other.max_bits.load(Ordering::Relaxed), Ordering::Relaxed);
         let delta = other.sum();
-        let mut current = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
+        let _ = self.sum_bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+            Some((f64::from_bits(bits) + delta).to_bits())
+        });
     }
 
     /// A plain-data summary: count, sum, extrema, and the standard
@@ -258,7 +261,7 @@ impl QuantileHistogram {
 
 /// Point-in-time summary of a [`QuantileHistogram`] (plain data — callers
 /// that serialize it define their own wire shape).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QuantileSummary {
     /// Number of observations.
     pub count: u64,

@@ -92,12 +92,15 @@ pub fn summary(events: &[Event], snapshot: &MetricsSnapshot) -> String {
     }
     if !snapshot.histograms.is_empty() {
         let _ = writeln!(out, "histograms:");
-        for hist in &snapshot.histograms {
-            let mean = if hist.count > 0 { hist.sum / hist.count as f64 } else { 0.0 };
+        for (name, s) in &snapshot.histograms {
             let _ = writeln!(
                 out,
-                "  {}: count={} sum={:.6} mean={:.6}",
-                hist.name, hist.count, hist.sum, mean
+                "  {name}: count={} sum={:.6} mean={:.6} p50={:.6} p99={:.6}",
+                s.count,
+                s.sum,
+                s.mean(),
+                s.p50,
+                s.p99
             );
         }
     }

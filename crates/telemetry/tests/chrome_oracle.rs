@@ -126,7 +126,7 @@ fn jsonl_and_prometheus_exports_parse() {
         let _span = tgi_telemetry::span("fmt.work").field("label", "a\"b\\c\nd");
         tgi_telemetry::counter!("fmt_ops_total").add(3);
         tgi_telemetry::gauge!("fmt_ratio").set(0.25);
-        tgi_telemetry::histogram!("fmt_seconds", &[0.1, 1.0, 10.0]).observe(0.5);
+        tgi_telemetry::histogram!("fmt_seconds").record(0.5);
     }
     let snapshot = tgi_telemetry::metrics::snapshot();
     let events = tgi_telemetry::uninstall();
@@ -147,14 +147,14 @@ fn jsonl_and_prometheus_exports_parse() {
         Some("a\"b\\c\nd")
     );
 
-    // Prometheus exposition: TYPE lines, counter value, histogram shape.
+    // Prometheus exposition: TYPE lines, counter value, histogram summary.
     let prom = tgi_telemetry::export::prometheus(&snapshot);
     assert!(prom.contains("# TYPE fmt_ops_total counter"));
     assert!(prom.contains("fmt_ops_total 3"));
     assert!(prom.contains("# TYPE fmt_ratio gauge"));
     assert!(prom.contains("fmt_ratio 0.25"));
-    assert!(prom.contains("# TYPE fmt_seconds histogram"));
-    assert!(prom.contains("fmt_seconds_bucket{le=\"1\"} 1"));
-    assert!(prom.contains("fmt_seconds_bucket{le=\"+Inf\"} 1"));
+    assert!(prom.contains("# TYPE fmt_seconds summary"));
+    assert!(prom.contains("fmt_seconds{quantile=\"0.5\"} 0.5"));
+    assert!(prom.contains("fmt_seconds{quantile=\"0.999\"} 0.5"));
     assert!(prom.contains("fmt_seconds_count 1"));
 }

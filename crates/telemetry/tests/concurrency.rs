@@ -107,8 +107,9 @@ fn nothing_recorded_while_uninstalled() {
         let _span = tgi_telemetry::span("ghost").field("x", 1u64);
         tgi_telemetry::counter!("ghost_total").add(5);
         tgi_telemetry::gauge!("ghost_gauge").set(1.0);
-        tgi_telemetry::histogram!("ghost_hist", &[1.0]).observe(0.5);
+        tgi_telemetry::histogram!("ghost_hist").record(0.5);
     }
+    assert_eq!(tgi_telemetry::metrics::histogram("ghost_hist").count(), 0);
     assert!(tgi_telemetry::install());
     let events = tgi_telemetry::uninstall();
     assert!(events.iter().all(|e| e.name != "ghost"));
