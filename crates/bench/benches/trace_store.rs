@@ -9,13 +9,15 @@
 //! throughput through the WAL-first append path, cold-query latency from
 //! a freshly opened store, and — checked sample-for-sample here — that
 //! every store answer is `to_bits`-identical to the in-memory oracle
-//! while the decompression counter proves each window query touched at
-//! most its two boundary chunks.
+//! while the decode counters prove each window query touched at most its
+//! two boundary sub-blocks: at most 2 decoded units and 2 × 4,096
+//! decoded samples, however large the chunks.
 
 use power_model::PowerTrace;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
+use tgi_trace_store::chunk::SUB_BLOCK_SAMPLES;
 use tgi_trace_store::{StoreConfig, TraceStore};
 
 #[derive(Serialize)]
@@ -45,6 +47,7 @@ struct ColdQuery {
     energy_between_us_per_query: f64,
     memory_oracle_ns_per_query: f64,
     max_chunks_decompressed_per_query: u64,
+    max_samples_decoded_per_query: u64,
     footer_only_total_energy_ns: f64,
 }
 
@@ -207,14 +210,14 @@ fn main() {
     };
 
     let mut windows_bitwise_equal = 0usize;
-    let mut max_decomp = 0u64;
+    let (mut max_decomp, mut max_decoded) = (0u64, 0u64);
     store.reset_decompressions();
     let start = Instant::now();
     for &(a, b) in &windows {
-        let before = store.decompressions();
+        let (units, samples) = (store.decompressions(), store.decoded_samples());
         let got = store.energy_between(a, b).expect("store query");
-        let used = store.decompressions() - before;
-        max_decomp = max_decomp.max(used);
+        max_decomp = max_decomp.max(store.decompressions() - units);
+        max_decoded = max_decoded.max(store.decoded_samples() - samples);
         if got.to_bits() == oracle.energy_between(a, b).value().to_bits() {
             windows_bitwise_equal += 1;
         }
@@ -223,7 +226,11 @@ fn main() {
     assert_eq!(windows_bitwise_equal, queries, "store windows diverged from the oracle bitwise");
     assert!(
         max_decomp <= 2,
-        "a window query decompressed {max_decomp} chunks (boundary-only bound is 2)"
+        "a window query decoded {max_decomp} units (boundary-only bound is 2)"
+    );
+    assert!(
+        max_decoded <= 2 * SUB_BLOCK_SAMPLES as u64,
+        "a window query decoded {max_decoded} samples (bound is two sub-blocks)"
     );
 
     // The same window set against the in-memory prefix index, for scale.
@@ -252,10 +259,12 @@ fn main() {
         energy_between_us_per_query: cold_us,
         memory_oracle_ns_per_query: memory_ns,
         max_chunks_decompressed_per_query: max_decomp,
+        max_samples_decoded_per_query: max_decoded,
         footer_only_total_energy_ns: footer_ns,
     };
     eprintln!(
-        "  cold energy_between: {cold_us:.1} us/query (≤{max_decomp} chunks), \
+        "  cold energy_between: {cold_us:.1} us/query (≤{max_decomp} units, \
+         ≤{max_decoded} samples), \
          memory oracle {memory_ns:.0} ns, footer-only total {footer_ns:.0} ns"
     );
 

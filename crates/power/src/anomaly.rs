@@ -455,7 +455,7 @@ pub fn scan(trace: &PowerTrace, config: AnomalyConfig) -> Vec<AnomalyEvent> {
 }
 
 /// Scans a window of a store-backed trace (whole trace when unbounded),
-/// decompressing only the covered chunks; see
+/// decoding only the covered sub-blocks; see
 /// [`TraceQuery::scan_anomalies`].
 pub fn scan_stored(
     trace: &StoreBackedTrace,

@@ -10,7 +10,8 @@
 //! * [`StoreBackedTrace`] implements [`TraceQuery`] over an open store —
 //!   `energy`, `energy_between`, `window`, the provided `average_power`
 //!   and `scan_anomalies` — plus `power_at` and peak/min, answering from
-//!   chunk footers and at most the window's two boundary chunks,
+//!   chunk footers and sub-block indexes, decoding at most the window's
+//!   two boundary sub-blocks (`window` decodes the sub-blocks it covers),
 //!   bit-identical to the in-memory prefix index over the same samples.
 //! * `BackgroundSampler::start_into` (in [`crate::sampler`]) records
 //!   straight into a `StoreBackedTrace`, so long captures never hold the
@@ -116,8 +117,8 @@ impl StoreBackedTrace {
     }
 
     /// Trapezoidal energy over `[t0, t1]` clamped to the stored span —
-    /// footer binary search, decompressing at most the two boundary
-    /// chunks.
+    /// footer and sub-block index binary search, decoding at most the two
+    /// boundary sub-blocks.
     ///
     /// # Panics
     /// Panics if either bound is NaN, mirroring

@@ -45,11 +45,27 @@ impl BitWriter {
     }
 
     /// Appends the low `n` bits of `value`, most significant first.
-    /// `n` must be 1..=64.
+    /// `n` must be 1..=64. Tops up the open byte, then writes whole bytes.
     pub fn push_bits(&mut self, value: u64, n: u8) {
         debug_assert!((1..=64).contains(&n), "push_bits width {n}");
-        for i in (0..n).rev() {
-            self.push_bit((value >> i) & 1 == 1);
+        let mut n = u32::from(n);
+        let value = if n == 64 { value } else { value & ((1u64 << n) - 1) };
+        if self.used != 0 {
+            let free = 8 - u32::from(self.used);
+            let take = free.min(n);
+            n -= take;
+            let bits = ((value >> n) & ((1u64 << take) - 1)) as u8;
+            let last = self.bytes.last_mut().expect("a partial byte is open");
+            *last |= bits << (free - take);
+            self.used = ((u32::from(self.used) + take) % 8) as u8;
+        }
+        while n >= 8 {
+            n -= 8;
+            self.bytes.push((value >> n) as u8);
+        }
+        if n > 0 {
+            self.bytes.push((value << (8 - n)) as u8);
+            self.used = n as u8;
         }
     }
 
@@ -73,8 +89,10 @@ pub struct BitReader<'a> {
 
 impl<'a> BitReader<'a> {
     /// A cursor over `len` valid bits of `bytes`.
+    /// A `len` beyond the bytes given is clamped to them, so a lying bit
+    /// length reads as a truncated stream rather than out of bounds.
     pub fn new(bytes: &'a [u8], len: usize) -> Self {
-        BitReader { bytes, pos: 0, len }
+        BitReader { bytes, pos: 0, len: len.min(bytes.len() * 8) }
     }
 
     /// Bits left to read.
@@ -94,23 +112,132 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads `n` bits (1..=64), most significant first; `None` if fewer
-    /// remain.
+    /// remain. The field is cut out of one big-endian load of the (at
+    /// most nine) bytes it spans.
     pub fn read_bits(&mut self, n: u8) -> Option<u64> {
         debug_assert!((1..=64).contains(&n), "read_bits width {n}");
         if self.remaining() < n as usize {
             return None;
         }
-        let mut out = 0u64;
-        for _ in 0..n {
-            out = (out << 1) | (self.read_bit()? as u64);
-        }
-        Some(out)
+        let at = self.pos / 8;
+        let word = match self.bytes.get(at..at + 16) {
+            Some(window) => u128::from_be_bytes(window.try_into().expect("16-byte window")),
+            None => {
+                let mut window = [0u8; 16];
+                let tail = &self.bytes[at..];
+                window[..tail.len()].copy_from_slice(tail);
+                u128::from_be_bytes(window)
+            }
+        } << (self.pos % 8);
+        self.pos += n as usize;
+        Some((word >> (128 - u32::from(n))) as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-at-a-time writer the word-at-a-time one must match.
+    #[derive(Default)]
+    struct RefWriter {
+        bytes: Vec<u8>,
+        bits: usize,
+    }
+
+    impl RefWriter {
+        fn push_bits(&mut self, value: u64, n: u8) {
+            for i in (0..n).rev() {
+                if self.bits.is_multiple_of(8) {
+                    self.bytes.push(0);
+                }
+                if (value >> i) & 1 == 1 {
+                    *self.bytes.last_mut().unwrap() |= 1 << (7 - self.bits % 8);
+                }
+                self.bits += 1;
+            }
+        }
+    }
+
+    /// The bit-at-a-time reader the word-at-a-time one must match.
+    fn ref_read_bits(bytes: &[u8], len: usize, pos: &mut usize, n: u8) -> Option<u64> {
+        if len - *pos < n as usize {
+            return None;
+        }
+        let mut out = 0u64;
+        for _ in 0..n {
+            out = (out << 1) | u64::from((bytes[*pos / 8] >> (7 - *pos % 8)) & 1);
+            *pos += 1;
+        }
+        Some(out)
+    }
+
+    /// Random `(value, width)` fields: every width 1..=64 at every
+    /// starting alignment, with values that use the whole width and
+    /// values carrying junk above it.
+    fn random_fields(seed: u64, count: usize) -> Vec<(u64, u8)> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state ^ (state >> 29)
+        };
+        (0..count).map(|_| (next(), (next() % 64 + 1) as u8)).collect()
+    }
+
+    #[test]
+    fn word_io_matches_bit_by_bit_reference() {
+        for seed in 0..64u64 {
+            // A lead-in of `seed % 8` bits puts the fields at every alignment.
+            let mut fields = vec![(0b1011_0110, (seed % 8) as u8)];
+            fields.retain(|&(_, n)| n > 0);
+            fields.extend(random_fields(seed, 300));
+            let mut w = BitWriter::new();
+            let mut reference = RefWriter::default();
+            for &(v, n) in &fields {
+                w.push_bits(v, n);
+                reference.push_bits(v, n);
+                assert_eq!(w.bit_len(), reference.bits);
+            }
+            let (bytes, len) = w.finish();
+            assert_eq!(bytes, reference.bytes, "seed {seed}: writer bytes differ");
+            assert_eq!(len, reference.bits);
+            let mut r = BitReader::new(&bytes, len);
+            let mut pos = 0usize;
+            for &(v, n) in &fields {
+                let want = if n == 64 { v } else { v & ((1 << n) - 1) };
+                assert_eq!(ref_read_bits(&bytes, len, &mut pos, n), Some(want));
+                assert_eq!(r.read_bits(n), Some(want), "seed {seed}: width {n}");
+            }
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn every_truncation_point_reads_none() {
+        let fields = random_fields(7, 40);
+        let mut w = BitWriter::new();
+        for &(v, n) in &fields {
+            w.push_bits(v, n);
+        }
+        let (bytes, len) = w.finish();
+        for cut in 0..len {
+            let mut r = BitReader::new(&bytes, cut);
+            let mut consumed = 0usize;
+            for &(v, n) in &fields {
+                if consumed + n as usize > cut {
+                    assert_eq!(r.read_bits(n), None, "cut {cut}: width {n} past the end");
+                    break;
+                }
+                let want = if n == 64 { v } else { v & ((1 << n) - 1) };
+                assert_eq!(r.read_bits(n), Some(want), "cut {cut}");
+                consumed += n as usize;
+            }
+        }
+        // A bit length past the bytes is clamped, not read out of bounds.
+        let mut r = BitReader::new(&bytes[..2], len);
+        assert_eq!(r.read_bits(17), None);
+        assert_eq!(r.read_bits(16).map(|_| ()), Some(()));
+    }
 
     #[test]
     fn single_bits_round_trip() {

@@ -1,9 +1,10 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
 //!
-//! Every on-disk record — WAL records, chunk payloads, chunk footers —
-//! carries a CRC so torn or bit-flipped tails are *detected* and truncated
-//! on open instead of surfacing as corrupt samples. The build environment
-//! is offline, so the checksum is implemented here rather than pulled in.
+//! Every on-disk record — WAL records, sub-block streams, chunk footers
+//! and sub-block indexes — carries a CRC so torn or bit-flipped tails
+//! are *detected* and truncated on open instead of surfacing as corrupt
+//! samples. The build environment is offline, so the checksum is
+//! implemented here rather than pulled in.
 
 /// The 256-entry lookup table for the reflected IEEE polynomial, built at
 /// compile time.

@@ -6,17 +6,23 @@
 //! ([`crate::chunk`]) every `chunk_samples` samples. The store maintains
 //! the *same running trapezoid accumulation chain* as the in-memory
 //! `PowerTrace` prefix index — each chunk footer snapshots that chain at
-//! the chunk's first and last sample — so energy queries answered from
-//! footers and boundary chunks are bit-identical (`to_bits`-equal) to the
-//! in-memory structure over the same samples.
+//! the chunk's first and last sample, each sub-block index entry at the
+//! sub-block's first — so energy queries answered from footers, index
+//! entries and boundary sub-blocks are bit-identical (`to_bits`-equal) to
+//! the in-memory structure over the same samples.
 //!
-//! Queries binary-search the resident footers. A query time that lands
-//! *between* chunks (or exactly on a chunk edge) is answered from footers
-//! alone; one that lands inside a chunk decompresses exactly that chunk.
-//! `energy_between` therefore decompresses at most its two boundary
-//! chunks, regardless of store size — O(log n) search plus O(chunk) work.
+//! Queries binary-search the resident footers, then the resident
+//! sub-block index of one chunk. A query time that lands *between* chunks
+//! or sub-blocks (or exactly on an edge sample) is answered from footers
+//! and index entries alone; one that lands inside a sub-block decodes
+//! exactly that sub-block. `energy_between` therefore decodes at most its
+//! two boundary sub-blocks — at most `2 × SUB_BLOCK_SAMPLES` samples —
+//! regardless of store or chunk size: O(log n) search plus
+//! O(`SUB_BLOCK_SAMPLES`) work. Every decode goes through one function
+//! that checks the sub-block's CRC, the decoded samples' validity, and
+//! the rebuilt energy chain against the index and footer.
 
-use crate::chunk::{self, ChunkMeta, BLOCK_HEADER_LEN, FOOTER_LEN};
+use crate::chunk::{self, ChunkMeta, SubBlock, BLOCK_HEADER_LEN, SUB_BLOCK_SAMPLES};
 use crate::codec::{self, Encoder};
 use crate::crc::crc32;
 use crate::wal;
@@ -34,9 +40,9 @@ pub const WAL_FILE: &str = "wal.tgw";
 /// Store tuning knobs.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Samples per sealed chunk. Larger chunks compress better and keep
-    /// fewer footers resident; smaller chunks decompress faster on
-    /// boundary queries.
+    /// Samples per sealed chunk. Larger chunks keep fewer footers
+    /// resident; a boundary query decodes one sub-block of at most
+    /// [`SUB_BLOCK_SAMPLES`] samples whatever the chunk size.
     pub chunk_samples: usize,
     /// Retention horizon for [`TraceStore::compact`]: sealed chunks whose
     /// entire span is older than `last_time - retain_seconds` are dropped.
@@ -145,8 +151,16 @@ pub struct CompactionStats {
     pub bytes_after: u64,
 }
 
-/// Decoded chunk columns: `(times, watts, cum)`.
-type ChunkColumns = (Vec<f64>, Vec<f64>, Vec<f64>);
+/// Decoded sub-block columns: `(times, watts, cum)`.
+type Columns = (Vec<f64>, Vec<f64>, Vec<f64>);
+
+/// One step of the running trapezoid accumulation chain from sample
+/// `(t0, w0)` to `(t1, w1)` — the exact arithmetic of the in-memory
+/// prefix index, so chains built here stay `to_bits`-identical to it.
+#[inline]
+fn chain_step(cum: f64, (t0, w0): (f64, f64), (t1, w1): (f64, f64)) -> f64 {
+    cum + 0.5 * (w0 + w1) * (t1 - t0)
+}
 
 /// The last appended sample and the accumulation chain value at it.
 #[derive(Debug, Clone, Copy)]
@@ -192,10 +206,12 @@ pub struct TraceStore {
     /// Running extrema over the stored samples (footer-derived on open).
     peak_w: f64,
     min_w: f64,
-    /// Chunk decompressions performed by queries since open (or the last
-    /// [`TraceStore::reset_decompressions`]) — the observable the bench
-    /// uses to prove boundary-only decompression.
+    /// Units (sub-blocks, or whole v1 chunks) decoded by queries since
+    /// open (or the last [`TraceStore::reset_decompressions`]) — the
+    /// observable the bench uses to prove boundary-only decompression.
     decompressions: AtomicU64,
+    /// Samples those decodes produced.
+    decoded_samples: AtomicU64,
 }
 
 impl TraceStore {
@@ -214,30 +230,7 @@ impl TraceStore {
             .create(true)
             .truncate(false)
             .open(dir.join(SEGMENT_FILE))?;
-        let (mut chunks, mut valid_len) = chunk::scan_segment(&mut segment)?;
-        // The footer chain itself must describe one non-decreasing trace;
-        // a block that breaks that is treated as the start of an invalid
-        // tail, same as a torn block.
-        let mut keep = 0usize;
-        let mut prev_last = f64::NEG_INFINITY;
-        for meta in &chunks {
-            let ok = meta.first_t.is_finite()
-                && meta.first_t >= 0.0
-                && meta.first_t <= meta.last_t
-                && meta.first_t >= prev_last;
-            if !ok {
-                break;
-            }
-            prev_last = meta.last_t;
-            keep += 1;
-        }
-        if keep < chunks.len() {
-            chunks.truncate(keep);
-            valid_len = chunks
-                .last()
-                .map(|m| m.payload_offset + m.payload_len as u64 + FOOTER_LEN as u64)
-                .unwrap_or(0);
-        }
+        let (chunks, valid_len) = chunk::scan_segment(&mut segment)?;
         if segment.seek(SeekFrom::End(0))? > valid_len {
             segment.set_len(valid_len)?;
             segment.sync_data()?;
@@ -277,6 +270,7 @@ impl TraceStore {
             peak_w,
             min_w,
             decompressions: AtomicU64::new(0),
+            decoded_samples: AtomicU64::new(0),
         };
         // Replay the surviving active samples through the normal ingest
         // path (already validated by `wal::replay`); if the configured
@@ -370,10 +364,7 @@ impl TraceStore {
     /// index performs, so the chain stays `to_bits`-identical to it.
     fn ingest(&mut self, t: f64, w: f64) -> Result<(), StoreError> {
         let cum = match self.last {
-            Some(l) => {
-                let dt = t - l.t;
-                l.cum + 0.5 * (l.w + w) * dt
-            }
+            Some(l) => chain_step(l.cum, (l.t, l.w), (t, w)),
             None => 0.0,
         };
         self.active_t.push(t);
@@ -389,13 +380,13 @@ impl TraceStore {
     /// the active columns. The caller fsyncs and resets the WAL.
     fn seal_active(&mut self) -> Result<(), StoreError> {
         debug_assert!(!self.active_t.is_empty(), "sealing an empty active chunk");
-        let (meta, payload) = encode_chunk(&self.active_t, &self.active_w, &self.active_cum);
+        let (mut meta, payload) = encode_chunk(&self.active_t, &self.active_w, &self.active_cum);
         let file = self.segment.get_mut().expect("segment lock");
         let new_len = chunk::append_block(file, self.segment_len, &meta, &payload)?;
-        self.chunks
-            .push(ChunkMeta { payload_offset: self.segment_len + BLOCK_HEADER_LEN as u64, ..meta });
-        self.segment_len = new_len;
+        meta.payload_offset = self.segment_len + BLOCK_HEADER_LEN as u64;
         self.sealed_count += meta.count;
+        self.chunks.push(meta);
+        self.segment_len = new_len;
         self.active_t.clear();
         self.active_w.clear();
         self.active_cum.clear();
@@ -446,15 +437,22 @@ impl TraceStore {
         self.segment_len + self.wal_len
     }
 
-    /// Chunk decompressions performed by queries since open or the last
-    /// [`TraceStore::reset_decompressions`].
+    /// Decoded units — sub-blocks, or whole chunks of a v1 segment —
+    /// since open or the last [`TraceStore::reset_decompressions`].
     pub fn decompressions(&self) -> u64 {
         self.decompressions.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the decompression counter (bench instrumentation).
+    /// Samples decoded over the same span as
+    /// [`TraceStore::decompressions`].
+    pub fn decoded_samples(&self) -> u64 {
+        self.decoded_samples.load(Ordering::Relaxed)
+    }
+
+    /// Zeroes both decode counters (bench instrumentation).
     pub fn reset_decompressions(&self) {
         self.decompressions.store(0, Ordering::Relaxed);
+        self.decoded_samples.store(0, Ordering::Relaxed);
     }
 
     /// First and last sample timestamps, when non-empty.
@@ -505,58 +503,80 @@ impl TraceStore {
         }
     }
 
-    /// Reads, checksums, decodes, and re-chains one sealed chunk,
-    /// returning `(times, watts, cum)` columns. The cum column is rebuilt
-    /// from the footer's `cum_first` snapshot with the same arithmetic the
-    /// chain used at append time, so it is bit-identical to the original.
-    fn read_chunk(&self, idx: usize) -> Result<ChunkColumns, StoreError> {
-        let meta = &self.chunks[idx];
-        let payload = {
+    /// Chunk `c`'s sub-block index, checked against its footer first so
+    /// no entry is trusted until the whole index is consistent.
+    fn index(&self, c: usize) -> Result<&[SubBlock], StoreError> {
+        let meta = &self.chunks[c];
+        meta.check_index()
+            .map_err(|e| StoreError::Corrupt { detail: format!("chunk {c}: {e}") })?;
+        Ok(&meta.index)
+    }
+
+    /// Reads, checksums, decodes, and re-chains sub-block `k` of chunk
+    /// `c`, returning `(times, watts, cum)` columns — the store's one
+    /// decode path. The cum column is rebuilt from the index entry's
+    /// `cum_first` with the arithmetic the chain used at append time, and
+    /// must reach the next entry's snapshot (or the footer's `cum_last`
+    /// and last sample, for the final sub-block) bit-for-bit.
+    fn read_sub_block(&self, c: usize, k: usize) -> Result<Columns, StoreError> {
+        let meta = &self.chunks[c];
+        let index = self.index(c)?;
+        let sb = &index[k];
+        let corrupt =
+            |what: &str| StoreError::Corrupt { detail: format!("chunk {c} sub-block {k}: {what}") };
+        let bytes = {
             let mut file = self.segment.lock().expect("segment lock");
-            chunk::read_payload(&mut *file, meta)?
+            chunk::read_bytes(&mut *file, meta.payload_offset + sb.offset, sb.byte_len())?
         };
         self.decompressions.fetch_add(1, Ordering::Relaxed);
-        if crc32(&payload) != meta.payload_crc {
-            return Err(StoreError::Corrupt {
-                detail: format!("chunk {idx}: payload checksum mismatch"),
-            });
+        self.decoded_samples.fetch_add(sb.count, Ordering::Relaxed);
+        if crc32(&bytes) != sb.crc {
+            return Err(corrupt("checksum mismatch"));
         }
-        let (times, watts) = codec::decode(&payload, meta.bit_len as usize, meta.count as usize)
-            .map_err(|e| StoreError::Corrupt { detail: format!("chunk {idx}: {e}") })?;
-        let edges_match = times.first().map(|t| t.to_bits()) == Some(meta.first_t.to_bits())
-            && times.last().map(|t| t.to_bits()) == Some(meta.last_t.to_bits())
-            && watts.first().map(|w| w.to_bits()) == Some(meta.first_w.to_bits())
-            && watts.last().map(|w| w.to_bits()) == Some(meta.last_w.to_bits());
-        if !edges_match {
-            return Err(StoreError::Corrupt {
-                detail: format!("chunk {idx}: decoded edge samples disagree with footer"),
-            });
+        let (times, watts) = codec::decode(&bytes, sb.bit_len as usize, sb.count as usize)
+            .map_err(|e| corrupt(&e.to_string()))?;
+        if times[0].to_bits() != sb.first_t.to_bits() || watts[0].to_bits() != sb.first_w.to_bits()
+        {
+            return Err(corrupt("first sample disagrees with the index"));
         }
+        // The chain runs in a register: re-reading it from `cum` would put
+        // a store-to-load round trip on its one serial dependency.
         let mut cum = Vec::with_capacity(times.len());
-        cum.push(meta.cum_first);
-        for i in 1..times.len() {
-            let dt = times[i] - times[i - 1];
-            let prev = cum[i - 1];
-            cum.push(prev + 0.5 * (watts[i - 1] + watts[i]) * dt);
+        let mut cum_last = sb.cum_first;
+        cum.push(cum_last);
+        for (t, w) in times.windows(2).zip(watts.windows(2)) {
+            cum_last = chain_step(cum_last, (t[0], w[0]), (t[1], w[1]));
+            cum.push(cum_last);
         }
-        if cum.last().map(|c| c.to_bits()) != Some(meta.cum_last.to_bits()) {
-            return Err(StoreError::Corrupt {
-                detail: format!("chunk {idx}: rebuilt energy chain disagrees with footer"),
-            });
+        let last = (times[times.len() - 1], watts[watts.len() - 1]);
+        let chained = match index.get(k + 1) {
+            Some(next) => {
+                last.0 <= next.first_t
+                    && chain_step(cum_last, last, (next.first_t, next.first_w)).to_bits()
+                        == next.cum_first.to_bits()
+            }
+            None => {
+                last.0.to_bits() == meta.last_t.to_bits()
+                    && last.1.to_bits() == meta.last_w.to_bits()
+                    && cum_last.to_bits() == meta.cum_last.to_bits()
+            }
+        };
+        if !chained {
+            return Err(corrupt("rebuilt energy chain disagrees with the index and footer"));
         }
         Ok((times, watts, cum))
     }
 
     /// Locates the greatest sample with `time <= t` and its successor.
-    /// Requires a non-empty store and `first <= t <= last`. Decompresses a
-    /// chunk only when `t` falls strictly inside one; queries landing in
-    /// the active chunk, between chunks, or on chunk-edge samples are
+    /// Requires a non-empty store and `first <= t <= last`. Decodes a
+    /// sub-block only when `t` falls strictly inside one; queries landing
+    /// in the active chunk, between chunks, or on chunk-edge samples are
     /// answered without touching payloads.
     ///
     /// `energy_only` callers read just `cum_i` when `t` lands exactly on a
-    /// stored timestamp, which licenses one more footer shortcut: at
-    /// `t == first_t` the chain value is `cum_first` even when the
-    /// timestamp repeats into the chunk (duplicates add zero-width
+    /// stored timestamp, which licenses one more shortcut: at a chunk's or
+    /// sub-block's `first_t` the chain value is its `cum_first` snapshot
+    /// even when the timestamp repeats into it (duplicates add zero-width
     /// trapezoids, leaving the chain bit-unchanged). `power_at` must not
     /// take that shortcut — it needs the *last* duplicate's watts.
     fn locate(&self, t: f64, energy_only: bool) -> Result<Neighborhood, StoreError> {
@@ -604,17 +624,31 @@ impl TraceStore {
                 next,
             });
         }
-        // Strictly inside the chunk: decompress it (the only payload this
-        // query touches).
-        let (times, watts, cum) = self.read_chunk(c)?;
+        // Strictly inside the chunk: the last sub-block starting at or
+        // before t holds the neighborhood (the index's first entry starts
+        // at the chunk's first sample, which is <= t).
+        let index = self.index(c)?;
+        let k = index.partition_point(|s| s.first_t <= t) - 1;
+        let sb = &index[k];
+        if energy_only && t <= sb.first_t {
+            return Ok(Neighborhood {
+                t_i: sb.first_t,
+                w_i: sb.first_w,
+                cum_i: sb.cum_first,
+                next: None,
+            });
+        }
+        // Decode that one sub-block — the only payload this lookup
+        // touches. A neighborhood at its last sample continues into the
+        // next sub-block's first; t < last_t rules that out for the
+        // chunk's final sub-block.
+        let (times, watts, cum) = self.read_sub_block(c, k)?;
         let j = times.partition_point(|&x| x <= t) - 1;
-        // t < last_t guarantees a successor within this same chunk.
-        Ok(Neighborhood {
-            t_i: times[j],
-            w_i: watts[j],
-            cum_i: cum[j],
-            next: Some((times[j + 1], watts[j + 1])),
-        })
+        let next = match times.get(j + 1) {
+            Some(&nt) => Some((nt, watts[j + 1])),
+            None => index.get(k + 1).map(|s| (s.first_t, s.first_w)),
+        };
+        Ok(Neighborhood { t_i: times[j], w_i: watts[j], cum_i: cum[j], next })
     }
 
     /// Cumulative trapezoidal energy from the (lifetime) trace start to
@@ -626,14 +660,13 @@ impl TraceStore {
             return Ok(n.cum_i);
         }
         let (nt, nw) = n.next.expect("t < last implies a successor sample");
-        let dt = t - n.t_i;
-        let seg = nt - n.t_i;
-        let w_t = n.w_i + (nw - n.w_i) * (dt / seg);
-        Ok(n.cum_i + 0.5 * (n.w_i + w_t) * dt)
+        let w_t = n.w_i + (nw - n.w_i) * ((t - n.t_i) / (nt - n.t_i));
+        Ok(chain_step(n.cum_i, (n.t_i, n.w_i), (t, w_t)))
     }
 
     /// Trapezoidal energy over `[t0, t1]` clamped to the stored span — a
-    /// footer binary search decompressing at most the two boundary chunks.
+    /// footer and index binary search decoding at most the two boundary
+    /// sub-blocks.
     /// Returns 0 for an empty store or an empty clamped interval.
     ///
     /// # Panics
@@ -662,7 +695,7 @@ impl TraceStore {
     }
 
     /// Linearly interpolated instantaneous power at `t`; `None` outside
-    /// the stored span. Decompresses at most one chunk.
+    /// the stored span. Decodes at most one sub-block.
     pub fn power_at(&self, t: f64) -> Result<Option<f64>, StoreError> {
         let (first, last) = match self.time_bounds() {
             Some(b) => b,
@@ -682,27 +715,32 @@ impl TraceStore {
     }
 
     /// All samples with `a <= time <= b`, as parallel columns in sample
-    /// order (the materialization behind windowed sub-traces; decompresses
-    /// every chunk overlapping the range, proportional to the output).
+    /// order (the materialization behind windowed sub-traces; decodes
+    /// only the sub-blocks overlapping the range, proportional to the
+    /// output).
     pub fn samples_in(&self, a: f64, b: f64) -> Result<(Vec<f64>, Vec<f64>), StoreError> {
         let mut times = Vec::new();
         let mut watts = Vec::new();
         if b < a {
             return Ok((times, watts));
         }
-        for idx in 0..self.chunks.len() {
-            let meta = &self.chunks[idx];
-            if meta.last_t < a {
-                continue;
-            }
-            if meta.first_t > b {
+        // Chunks are in time order, so those ending before `a` are a
+        // prefix; within a chunk, sub-block k ends at or before the next
+        // one's first sample.
+        for c in self.chunks.partition_point(|m| m.last_t < a)..self.chunks.len() {
+            if self.chunks[c].first_t > b {
                 break;
             }
-            let (ct, cw, _) = self.read_chunk(idx)?;
-            let lo = ct.partition_point(|&x| x < a);
-            let hi = ct.partition_point(|&x| x <= b);
-            times.extend_from_slice(&ct[lo..hi]);
-            watts.extend_from_slice(&cw[lo..hi]);
+            let index = self.index(c)?;
+            let lo = index.partition_point(|s| s.first_t < a).saturating_sub(1);
+            let hi = index.partition_point(|s| s.first_t <= b);
+            for k in lo..hi {
+                let (st, sw, _) = self.read_sub_block(c, k)?;
+                let from = st.partition_point(|&x| x < a);
+                let to = st.partition_point(|&x| x <= b);
+                times.extend_from_slice(&st[from..to]);
+                watts.extend_from_slice(&sw[from..to]);
+            }
         }
         let lo = self.active_t.partition_point(|&x| x < a);
         let hi = self.active_t.partition_point(|&x| x <= b);
@@ -711,19 +749,10 @@ impl TraceStore {
         Ok((times, watts))
     }
 
-    /// Materializes the whole store as parallel columns (decompresses
+    /// Materializes the whole store as parallel columns (decodes
     /// everything; the bulk-export path).
     pub fn to_columns(&self) -> Result<(Vec<f64>, Vec<f64>), StoreError> {
-        let mut times = Vec::with_capacity(self.len() as usize);
-        let mut watts = Vec::with_capacity(self.len() as usize);
-        for idx in 0..self.chunks.len() {
-            let (ct, cw, _) = self.read_chunk(idx)?;
-            times.extend(ct);
-            watts.extend(cw);
-        }
-        times.extend_from_slice(&self.active_t);
-        watts.extend_from_slice(&self.active_w);
-        Ok((times, watts))
+        self.samples_in(f64::NEG_INFINITY, f64::INFINITY)
     }
 
     /// Compacts the store: seals the active chunk (so the WAL empties),
@@ -752,65 +781,34 @@ impl TraceStore {
             None => 0,
         };
         let samples_dropped: u64 = self.chunks[..first_kept].iter().map(|m| m.count).sum();
-        // Gather retained payload bytes (a straight copy for chunks that
-        // survive alone; merged groups are decoded and re-encoded).
-        let mut entries: Vec<(ChunkMeta, Vec<u8>)> = Vec::new();
-        let mut group: Vec<usize> = Vec::new();
-        let mut group_count = 0u64;
-        let flush = |store: &TraceStore,
-                     group: &mut Vec<usize>,
-                     entries: &mut Vec<(ChunkMeta, Vec<u8>)>|
-         -> Result<(), StoreError> {
-            match group.len() {
-                0 => {}
-                1 => {
-                    let meta = store.chunks[group[0]];
-                    let payload = {
-                        let mut file = store.segment.lock().expect("segment lock");
-                        chunk::read_payload(&mut *file, &meta)?
-                    };
-                    if crc32(&payload) != meta.payload_crc {
-                        return Err(StoreError::Corrupt {
-                            detail: format!("chunk {}: payload checksum mismatch", group[0]),
-                        });
-                    }
-                    entries.push((meta, payload));
-                }
-                _ => {
-                    let mut times = Vec::new();
-                    let mut watts = Vec::new();
-                    let mut cum = Vec::new();
-                    for &idx in group.iter() {
-                        let (ct, cw, cc) = store.read_chunk(idx)?;
-                        times.extend(ct);
-                        watts.extend(cw);
-                        cum.extend(cc);
-                    }
-                    entries.push(encode_chunk(&times, &watts, &cum));
-                }
-            }
-            group.clear();
-            Ok(())
-        };
-        for idx in first_kept..self.chunks.len() {
-            let count = self.chunks[idx].count;
-            if !group.is_empty() && group_count + count > self.config.chunk_samples as u64 {
-                flush(self, &mut group, &mut entries)?;
-                group_count = 0;
-            }
-            group.push(idx);
-            group_count += count;
-        }
-        flush(self, &mut group, &mut entries)?;
-        // Rewrite the segment atomically.
+        // Rewrite the segment atomically, decoding each run of adjacent
+        // chunks that fits in `chunk_samples` and re-encoding it as one v2
+        // chunk (so a v1 segment comes out sub-blocked).
         let tmp_path = self.dir.join("segment.tgs.tmp");
         let mut tmp = File::create(&tmp_path)?;
-        let mut new_chunks = Vec::with_capacity(entries.len());
+        let mut new_chunks = Vec::new();
         let mut offset = 0u64;
-        for (meta, payload) in &entries {
-            let new_len = chunk::append_block(&mut tmp, offset, meta, payload)?;
-            new_chunks
-                .push(ChunkMeta { payload_offset: offset + BLOCK_HEADER_LEN as u64, ..*meta });
+        let mut c = first_kept;
+        while c < self.chunks.len() {
+            let (mut times, mut watts, mut cum) = (Vec::new(), Vec::new(), Vec::new());
+            let mut group_count = 0u64;
+            while c < self.chunks.len()
+                && (group_count == 0
+                    || group_count + self.chunks[c].count <= self.config.chunk_samples as u64)
+            {
+                for k in 0..self.index(c)?.len() {
+                    let (ct, cw, cc) = self.read_sub_block(c, k)?;
+                    times.extend(ct);
+                    watts.extend(cw);
+                    cum.extend(cc);
+                }
+                group_count += self.chunks[c].count;
+                c += 1;
+            }
+            let (mut meta, payload) = encode_chunk(&times, &watts, &cum);
+            let new_len = chunk::append_block(&mut tmp, offset, &meta, &payload)?;
+            meta.payload_offset = offset + BLOCK_HEADER_LEN as u64;
+            new_chunks.push(meta);
             offset = new_len;
         }
         tmp.sync_all()?;
@@ -835,19 +833,38 @@ impl TraceStore {
     }
 }
 
-/// Compresses one chunk's columns, producing the footer metadata (with
+/// Compresses one chunk's columns into `SUB_BLOCK_SAMPLES`-sample
+/// sub-blocks, producing the footer and index metadata (with
 /// `payload_offset` unset) and the payload bytes.
 fn encode_chunk(times: &[f64], watts: &[f64], cum: &[f64]) -> (ChunkMeta, Vec<u8>) {
     debug_assert!(!times.is_empty());
-    let mut enc = Encoder::new();
-    for (&t, &w) in times.iter().zip(watts) {
-        enc.push(t, w);
+    let mut payload = Vec::new();
+    let mut index = Vec::with_capacity(times.len().div_ceil(SUB_BLOCK_SAMPLES));
+    for (start, (ts, ws)) in times
+        .chunks(SUB_BLOCK_SAMPLES)
+        .zip(watts.chunks(SUB_BLOCK_SAMPLES))
+        .enumerate()
+        .map(|(k, cols)| (k * SUB_BLOCK_SAMPLES, cols))
+    {
+        let mut enc = Encoder::new();
+        for (&t, &w) in ts.iter().zip(ws) {
+            enc.push(t, w);
+        }
+        let (bytes, bit_len) = enc.finish();
+        index.push(SubBlock {
+            offset: payload.len() as u64,
+            bit_len: bit_len as u64,
+            count: ts.len() as u64,
+            first_t: ts[0],
+            first_w: ws[0],
+            cum_first: cum[start],
+            crc: crc32(&bytes),
+        });
+        payload.extend_from_slice(&bytes);
     }
-    let (payload, bit_len) = enc.finish();
     let meta = ChunkMeta {
         payload_offset: 0,
         payload_len: payload.len() as u32,
-        bit_len: bit_len as u64,
         count: times.len() as u64,
         first_t: times[0],
         last_t: *times.last().expect("non-empty chunk"),
@@ -857,7 +874,7 @@ fn encode_chunk(times: &[f64], watts: &[f64], cum: &[f64]) -> (ChunkMeta, Vec<u8
         cum_last: *cum.last().expect("non-empty chunk"),
         peak_w: watts.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         min_w: watts.iter().copied().fold(f64::INFINITY, f64::min),
-        payload_crc: crc32(&payload),
+        index,
     };
     (meta, payload)
 }
@@ -1055,6 +1072,66 @@ mod tests {
         // (both endpoints are edge samples).
         let (first, last) = store.time_bounds().unwrap();
         store.energy_between(first, last).unwrap();
+        assert_eq!(store.decompressions(), 0);
+    }
+
+    /// The in-memory answers at `t`: `(chain value, power)` from the
+    /// greatest sample at or before `t`, interpolated toward its successor.
+    fn reference_at(times: &[f64], watts: &[f64], cum: &[f64], t: f64) -> (f64, f64) {
+        let i = times.partition_point(|&x| x <= t) - 1;
+        if t <= times[i] {
+            return (cum[i], watts[i]);
+        }
+        let frac = (t - times[i]) / (times[i + 1] - times[i]);
+        let w_t = watts[i] + (watts[i + 1] - watts[i]) * frac;
+        (cum[i] + 0.5 * (watts[i] + w_t) * (t - times[i]), w_t)
+    }
+
+    #[test]
+    fn sub_block_lookups_match_reference_and_stay_bounded() {
+        let scratch = ScratchDir::new("sub_blocks");
+        // Two sealed chunks of three sub-blocks (4096 + 4096 + 1808) and an
+        // active tail, with timestamps repeating across two of the
+        // sub-block edges.
+        let (mut times, watts) = synth(22_000);
+        for i in [4096, 10_000 + 4096] {
+            times[i] = times[i - 1];
+        }
+        let cum = reference_cum(&times, &watts);
+        let mut store = TraceStore::open(&scratch.0, small_config(10_000)).unwrap();
+        store.append_batch(&times, &watts).unwrap();
+        assert_eq!(store.sealed_chunks(), 2);
+        assert_eq!(store.chunks[0].index.len(), 3);
+        let mut probes = Vec::new();
+        for edge in [0, 4095, 4096, 8191, 8192, 9999, 10_000, 14_095, 14_096, 19_999, 20_000] {
+            let t = times[edge];
+            probes.extend([t, t + 0.25, (t - 0.25).max(0.0)]);
+        }
+        probes.extend((0..200).map(|i| i as f64 * 53.37 % times[21_999]));
+        for &t in &probes {
+            let (want_cum, want_w) = reference_at(&times, &watts, &cum, t);
+            store.reset_decompressions();
+            let got = store.cum_energy_at(t).unwrap();
+            assert_eq!(got.to_bits(), want_cum.to_bits(), "cum_energy_at({t})");
+            assert!(store.decompressions() <= 1 && store.decoded_samples() <= 4096, "at {t}");
+            let got = store.power_at(t).unwrap().unwrap();
+            assert_eq!(got.to_bits(), want_w.to_bits(), "power_at({t})");
+        }
+        // A window across chunks decodes its two boundary sub-blocks only.
+        store.reset_decompressions();
+        store.energy_between(100.3, 7_500.7).unwrap();
+        assert_eq!(store.decompressions(), 2);
+        assert!(store.decoded_samples() <= 2 * 4096);
+        // A window inside one sub-block materializes from that one unit,
+        // and an edge-aligned energy window needs no decode at all.
+        store.reset_decompressions();
+        let (wt, ww) = store.samples_in(2_100.2, 2_900.9).unwrap();
+        assert_eq!(store.decompressions(), 1);
+        let (lo, hi) =
+            (times.partition_point(|&x| x < 2_100.2), times.partition_point(|&x| x <= 2_900.9));
+        assert_eq!((wt.as_slice(), ww.as_slice()), (&times[lo..hi], &watts[lo..hi]));
+        store.reset_decompressions();
+        store.energy_between(times[4096], times[14_096]).unwrap();
         assert_eq!(store.decompressions(), 0);
     }
 

@@ -3,32 +3,18 @@
 //! batch splits, and a torn-write corpus — truncations and corrupted
 //! tails at arbitrary byte offsets — proves recovery only ever surfaces
 //! a bit-exact prefix of what was written, never an invalid or mangled
-//! sample.
+//! sample. A bit-flip corpus over every part of a sealed block (header,
+//! payload, footer, sub-block index) and hand-built checksum-valid but
+//! inconsistent indexes prove damage is either truncated on open or
+//! reported as corrupt, never answered wrongly and never a panic.
 
+mod common;
+
+use common::{blocks, corrupt_answers, Oracle, ScratchDir};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
-use tgi_trace_store::{codec, StoreConfig, TraceStore, SEGMENT_FILE, WAL_FILE};
-
-static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
-
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> Self {
-        let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("tgi_store_prop_{tag}_{}_{seq}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use std::path::Path;
+use tgi_trace_store::chunk::{self, SubBlock};
+use tgi_trace_store::{codec, StoreConfig, StoreError, TraceStore, SEGMENT_FILE, WAL_FILE};
 
 /// Builds valid sample columns out of raw generator material: deltas are
 /// clamped non-negative (zero deltas exercise duplicate timestamps), and
@@ -232,5 +218,115 @@ proptest! {
         prop_assert_eq!(store.len(), recovered as u64 + 1);
         let (_, last) = store.time_bounds().expect("bounds");
         prop_assert_eq!(last.to_bits(), resume_t.to_bits());
+    }
+}
+
+/// Chunks of two sub-blocks (4,096 + 404 samples).
+const FLIP_CHUNK: usize = 4_500;
+
+/// Sample indexes around the sub-block and chunk edges of a
+/// `FLIP_CHUNK` store.
+const FLIP_EDGES: [usize; 6] = [0, 4_095, 4_096, 4_500, 8_595, 8_596];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Bit-flip corpus: flip one bit anywhere in one sealed block — its
+    /// header, payload, footer or sub-block index. The store still opens;
+    /// it either truncates at the damaged block (the footer and index
+    /// CRCs catch those bytes) or reports `Corrupt` from every read that
+    /// decodes the damaged sub-block, and every answer it does give
+    /// equals the oracle over what it kept.
+    #[test]
+    fn flipped_segment_bit_fails_closed(
+        raw in proptest::collection::vec((0.0..5.0f64, 0.0..800.0f64, proptest::bool::ANY), 9_000..9_600),
+        block_unit in 0.0..1.0f64,
+        region in 0usize..4,
+        at_unit in 0.0..1.0f64,
+        bit in 0u32..8,
+    ) {
+        let (times, watts) = columns(&raw);
+        let scratch = ScratchDir::new("flip");
+        let config = StoreConfig { chunk_samples: FLIP_CHUNK, retain_seconds: None };
+        {
+            let mut store = TraceStore::open(&scratch.0, config.clone()).expect("opens");
+            store.append_batch(&times, &watts).expect("appends");
+            store.sync().expect("syncs");
+        }
+        let path = scratch.0.join(SEGMENT_FILE);
+        let mut bytes = std::fs::read(&path).expect("read segment");
+        let layout = blocks(&bytes);
+        let block = &layout[(block_unit * layout.len() as f64) as usize];
+        let range = match region {
+            0 => block.start..block.payload.start,
+            1 => block.payload.clone(),
+            2 => block.footer.clone(),
+            _ => block.index.clone(),
+        };
+        let at = range.start + (at_unit * range.len() as f64) as usize;
+        bytes[at] ^= 1 << bit;
+        std::fs::write(&path, bytes).expect("rewrite segment");
+
+        let store = TraceStore::open(&scratch.0, config).expect("a damaged segment still opens");
+        let kept = store.len() as usize;
+        prop_assert!(kept <= times.len());
+        let oracle = Oracle::new(&times[..kept], &watts[..kept]);
+        let corrupt = corrupt_answers(&store, &oracle, &oracle.probes(FLIP_EDGES));
+        prop_assert!(kept < times.len() || corrupt > 0, "flip at byte {} went unnoticed", at);
+    }
+}
+
+/// A hand-made change to a chunk's sub-block index.
+type IndexEdit = fn(&mut [SubBlock]);
+
+/// Rewrites the first sealed block of the store in `dir` with `edit`
+/// applied to its index, re-checksummed so only the index's own
+/// consistency checks stand between it and the read path.
+fn rewrite_first_index(dir: &Path, edit: IndexEdit) {
+    let path = dir.join(SEGMENT_FILE);
+    let bytes = std::fs::read(&path).expect("read segment");
+    let (chunks, _) = chunk::scan_segment(&mut std::io::Cursor::new(&bytes)).expect("scans");
+    let first = &blocks(&bytes)[0];
+    let mut meta = chunks[0].clone();
+    edit(&mut meta.index);
+    let mut out = chunk::encode_block(&meta, &bytes[first.payload.clone()]);
+    out.extend_from_slice(&bytes[first.index.end..]);
+    std::fs::write(&path, out).expect("rewrite segment");
+}
+
+#[test]
+fn checksum_valid_hostile_index_reads_corrupt() {
+    let cases: [(&str, IndexEdit); 10] = [
+        ("offset past the payload", |ix| ix[1].offset += 1 << 20),
+        ("offset overlapping the previous stream", |ix| ix[1].offset -= 1),
+        ("bit length past the payload", |ix| ix[1].bit_len = u64::from(u32::MAX)),
+        ("bit length too short for the count", |ix| ix[0].bit_len = 100),
+        ("counts not summing to the chunk's", |ix| ix[1].count += 1),
+        ("count beyond what the stream can hold", |ix| ix[1].count = u64::from(u32::MAX)),
+        ("first_t out of order", |ix| ix[1].first_t = ix[0].first_t - 1.0),
+        ("first_t not a number", |ix| ix[1].first_t = f64::NAN),
+        ("first_t past the chunk", |ix| ix[2].first_t = 1e9),
+        ("head entry disagreeing with the footer", |ix| ix[0].cum_first += 1.0),
+    ];
+    let (times, watts) = columns(&vec![(1.0, 250.0, true); 10_500]);
+    for (name, edit) in cases {
+        let scratch = ScratchDir::new("hostile_index");
+        let config = StoreConfig { chunk_samples: 10_000, retain_seconds: None };
+        {
+            let mut store = TraceStore::open(&scratch.0, config.clone()).expect("opens");
+            store.append_batch(&times, &watts).expect("appends");
+            store.sync().expect("syncs");
+        }
+        rewrite_first_index(&scratch.0, edit);
+        let store = TraceStore::open(&scratch.0, config).expect("opens");
+        assert_eq!(store.len(), times.len() as u64, "{name}: open must keep the chunk");
+        for (a, b) in [(2_000.5, 3_000.5), (100.5, 9_000.5), (5_000.5, 10_400.5)] {
+            match store.energy_between(a, b) {
+                Err(StoreError::Corrupt { .. }) => {}
+                other => panic!("{name}: energy_between({a}, {b}) gave {other:?}"),
+            }
+        }
+        let oracle = Oracle::new(&times, &watts);
+        assert!(corrupt_answers(&store, &oracle, &oracle.probes([0, 4_096, 8_192])) > 0, "{name}");
     }
 }
