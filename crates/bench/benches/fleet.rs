@@ -1,8 +1,7 @@
 //! Synthetic Green500 fleet bench: Top500-scale fleet generation, the full
 //! (system × weighting × mean) fleet sweep, and the sharded single-flight
-//! memoizer vs the old single-mutex design, written to `BENCH_fleet.json`
-//! at the repository root (override the path with `TGI_BENCH_OUT`, the
-//! fleet size with `TGI_FLEET_BENCH_SYSTEMS`).
+//! memoizer vs the old single-mutex design, written to the
+//! `BENCH_fleet.json` ledger (50 systems under `TGI_BENCH_SMOKE`).
 //!
 //! Three sections, each with hard correctness gates before any number is
 //! trusted:
@@ -11,74 +10,31 @@
 //!    shim; the two fleets must be identical.
 //! 2. **sweep** — `FleetSweep::run` over the full paper axes grid; the
 //!    parallel table must be bitwise equal to `run_sequential`, and the
-//!    single-flight duplicate-simulation count must be exactly 0.
+//!    single-flight duplicate-simulation count must be exactly 0 (a
+//!    ledger bound).
 //! 3. **memo** — N threads (1/4/16) race through the same cold key
 //!    sequence. The old design (one mutex, simulate outside the lock) lets
 //!    every racing thread re-simulate a missed key; the sharded
 //!    single-flight cache simulates each key exactly once and parks the
 //!    rest. The speedup is duplicate-work avoidance, so it holds on any
-//!    core count. ≥ 1× at 16 threads is always asserted; ≥ 4× at the full
-//!    500-system size.
+//!    core count. The 16-thread speedup is bounded at ≥ 4× at the full
+//!    500-system size and ≥ 1× at smoke size.
 
 use cluster_sim::{
     ClusterSpec, ExecutionEngine, FleetConfig, MemoizedEngine, SimulatedRun, Workload,
 };
-use serde::Serialize;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
+use tgi_bench::Ledger;
 use tgi_harness::{system_g_reference, FleetSweep};
 
-#[derive(Serialize)]
-struct Machine {
-    available_parallelism: usize,
-}
-
-#[derive(Serialize)]
-struct Generation {
-    systems: usize,
-    sequential_ms: f64,
-    parallel_ms: f64,
-    identical: bool,
-}
-
-#[derive(Serialize)]
-struct Sweep {
-    systems: usize,
-    suites: usize,
-    weightings: usize,
-    means: usize,
-    cells: usize,
-    cold_parallel_ms: f64,
-    warm_parallel_ms: f64,
-    warm_sequential_ms: f64,
-    bitwise_equal: bool,
-    duplicate_simulations: usize,
-    inflight_waits: usize,
-}
-
-#[derive(Serialize)]
-struct MemoPoint {
-    threads: usize,
-    distinct_keys: usize,
-    single_mutex_ms: f64,
-    single_mutex_simulations: usize,
-    single_mutex_duplicates: usize,
-    sharded_ms: f64,
-    sharded_simulations: usize,
-    sharded_duplicates: usize,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct Baseline {
-    machine: Machine,
-    generation: Generation,
-    sweep: Sweep,
-    memo: Vec<MemoPoint>,
-}
+/// Fleet size: (full, smoke).
+const SYSTEMS: (usize, usize) = (500, 50);
+/// Floor on the sharded memo's speedup over the single mutex at 16
+/// threads: (full, smoke).
+const MEMO_SPEEDUP_BAR: (f64, f64) = (4.0, 1.0);
 
 /// The pre-PR memoizer, reconstructed as the baseline: one mutex around
 /// the whole map, simulation *outside* the lock, first insert wins. Two
@@ -109,14 +65,6 @@ impl SingleMutexMemo {
     }
 }
 
-fn output_path() -> PathBuf {
-    if let Ok(p) = std::env::var("TGI_BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    // crates/bench/ → repository root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_fleet.json")
-}
-
 /// Drives `threads` std threads through the same cold key sequence and
 /// returns (elapsed ms, simulations performed).
 fn race_keys<F>(
@@ -145,10 +93,10 @@ where
 }
 
 fn main() {
-    let systems: usize =
-        std::env::var("TGI_FLEET_BENCH_SYSTEMS").ok().and_then(|v| v.parse().ok()).unwrap_or(500);
-    let full_size = systems >= 500;
-    let n_threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
+    let mut ledger = Ledger::new("fleet");
+    let systems = ledger.pick(SYSTEMS);
+    let memo_speedup_bar = ledger.pick(MEMO_SPEEDUP_BAR);
+    let n_threads = ledger.machine.available_parallelism;
     eprintln!("fleet: {systems} systems, {n_threads} thread(s) available");
 
     // --- 1. Generation: sequential vs rayon shim, must be identical.
@@ -159,9 +107,9 @@ fn main() {
     let start = Instant::now();
     let fleet_par = config.generate_par();
     let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
-    let identical = fleet_seq == fleet_par;
-    assert!(identical, "parallel fleet generation must match sequential");
-    let generation = Generation { systems, sequential_ms, parallel_ms, identical };
+    assert!(fleet_seq == fleet_par, "parallel fleet generation must match sequential");
+    ledger.lower("generation", "sequential_ms", "ms", sequential_ms);
+    ledger.speedup_n_over_1("generation", || sequential_ms / parallel_ms);
     eprintln!("  generation: seq {sequential_ms:.2} ms, par {parallel_ms:.2} ms");
 
     // --- 2. Fleet sweep over the full paper axes.
@@ -182,8 +130,6 @@ fn main() {
         && cold.values().iter().zip(sequential.values()).all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(bitwise_equal, "parallel FleetTable must equal the sequential reference bitwise");
     assert_eq!(cold, warm, "memoized rerun must reproduce the table exactly");
-    let duplicate_simulations = sweep.duplicate_simulations();
-    assert_eq!(duplicate_simulations, 0, "single-flight memo must never simulate a key twice");
     let ranking = cold.green500_ranking(0, 0, 0).expect("finite scores");
     eprintln!(
         "  sweep: {} cells cold {cold_parallel_ms:.1} ms, warm {warm_parallel_ms:.2} ms; \
@@ -191,19 +137,15 @@ fn main() {
         cold.len(),
         ranking.greenest().expect("non-empty fleet").name
     );
-    let sweep_section = Sweep {
-        systems,
-        suites: 1,
-        weightings: cold.weightings().len(),
-        means: cold.means().len(),
-        cells: cold.len(),
-        cold_parallel_ms,
-        warm_parallel_ms,
-        warm_sequential_ms,
-        bitwise_equal,
-        duplicate_simulations,
-        inflight_waits: sweep.inflight_waits(),
-    };
+    ledger.lower("sweep", "cold_parallel_ms", "ms", cold_parallel_ms);
+    ledger.lower("sweep", "warm_parallel_ms", "ms", warm_parallel_ms);
+    ledger.lower("sweep", "warm_sequential_ms", "ms", warm_sequential_ms);
+    // The single-flight memo never simulates a key twice.
+    ledger
+        .lower("sweep", "duplicate_simulations", "count", sweep.duplicate_simulations() as f64)
+        .bound(0.0)
+        .deterministic();
+    ledger.lower("sweep", "inflight_waits", "count", sweep.inflight_waits() as f64);
 
     // --- 3. Sharded single-flight vs single-mutex memo under key races.
     // Every thread walks the same cold (suite, cores) sequence — the shape
@@ -223,8 +165,7 @@ fn main() {
             ]
         })
         .collect();
-    let mut memo = Vec::new();
-    for &threads in &[1usize, 4, 16] {
+    for threads in [1usize, 4, 16] {
         let baseline = SingleMutexMemo::new(ExecutionEngine::new(ClusterSpec::fire()));
         let (single_mutex_ms, single_mutex_simulations) = race_keys(
             threads,
@@ -246,8 +187,6 @@ fn main() {
             &shard_sims,
         );
         let sharded_simulations = sharded.simulations();
-        let sharded_duplicates = sharded.duplicate_simulations();
-        assert_eq!(sharded_duplicates, 0, "single-flight duplicates at {threads} threads");
         assert_eq!(sharded_simulations, keys.len(), "one simulation per distinct key");
 
         let speedup = single_mutex_ms / sharded_ms;
@@ -256,41 +195,24 @@ fn main() {
              ({single_mutex_simulations} sims), sharded {sharded_ms:.1} ms \
              ({sharded_simulations} sims) — {speedup:.1}x"
         );
-        memo.push(MemoPoint {
-            threads,
-            distinct_keys: keys.len(),
-            single_mutex_ms,
-            single_mutex_simulations,
-            single_mutex_duplicates: single_mutex_simulations
-                - keys.len().min(single_mutex_simulations),
-            sharded_ms,
-            sharded_simulations,
-            sharded_duplicates,
-            speedup,
-        });
-    }
-    let at_16 = memo.iter().find(|p| p.threads == 16).expect("16-thread point");
-    assert!(
-        at_16.speedup >= 1.0,
-        "sharded memo slower than single-mutex at 16 threads: {:.2}x",
-        at_16.speedup
-    );
-    if full_size {
-        assert!(
-            at_16.speedup >= 4.0,
-            "sharded memo below the 4x bar at 16 threads: {:.2}x",
-            at_16.speedup
+        let layer = format!("memo.{threads}t");
+        ledger.lower(&layer, "single_mutex_ms", "ms", single_mutex_ms);
+        ledger.lower(
+            &layer,
+            "single_mutex_duplicates",
+            "count",
+            single_mutex_simulations.saturating_sub(keys.len()) as f64,
         );
+        ledger.lower(&layer, "sharded_ms", "ms", sharded_ms);
+        ledger
+            .lower(&layer, "sharded_duplicates", "count", sharded.duplicate_simulations() as f64)
+            .bound(0.0)
+            .deterministic();
+        let speedup = ledger.higher(&layer, "speedup", "x", speedup);
+        if threads == 16 {
+            speedup.bound(memo_speedup_bar);
+        }
     }
 
-    let baseline = Baseline {
-        machine: Machine { available_parallelism: n_threads },
-        generation,
-        sweep: sweep_section,
-        memo,
-    };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = output_path();
-    std::fs::write(&path, json + "\n").expect("baseline file writable");
-    eprintln!("fleet: wrote {}", path.display());
+    ledger.finish();
 }

@@ -1,12 +1,11 @@
 //! DVFS energy/performance frontier: frequency × thread count over GEMM
-//! and STREAM, written to `BENCH_frontier.json` at the repository root
-//! (override with `TGI_BENCH_OUT`).
+//! and STREAM, written to the `BENCH_frontier.json` ledger.
 //!
-//! The sweep combines **measurement** and **model**, and the JSON labels
-//! which is which:
+//! The sweep combines **measurement** and **model**, and the record names
+//! say which is which:
 //!
-//! * *measured* — time-to-solution and throughput of the real GEMM and
-//!   STREAM kernels on this machine, at each thread count, on the
+//! * *measured* — `measured_seconds` and `measured_throughput` of the real
+//!   GEMM and STREAM kernels on this machine, at each thread count, on the
 //!   dispatched SIMD path (`machine.isa`);
 //! * *modeled* — watts from the Sandy Bridge node power model and the
 //!   frequency stretch from the governor's Amdahl split
@@ -14,22 +13,22 @@
 //!   meter the wall nor change the host clock. GEMM is treated as
 //!   compute-bound (`cf = 0.95`), STREAM as memory-bound (`cf = 0.10`).
 //!
-//! Every (frequency, threads) point carries energy-to-solution and
-//! time-to-solution; each workload × thread count gets a race-to-idle
-//! verdict against a deadline of 2× its nominal-frequency runtime, and the
-//! roofline summary places the measured throughput against the model
-//! machine's compute and bandwidth ceilings.
+//! Every (frequency, threads) point carries modeled `seconds@`, `watts@`,
+//! `energy_j@` and `deadline_energy_j@` records; each workload × thread
+//! count gets a `race_to_idle_penalty` — the sprint's deadline energy over
+//! the best P-state's, against a deadline of 2× its nominal-frequency
+//! runtime (1 means race-to-idle is optimal) — and the roofline records
+//! place the measured throughput against the model machine's compute and
+//! bandwidth ceilings.
 //!
-//! Problem sizes shrink via `TGI_FRONTIER_GEMM_N` / `TGI_FRONTIER_STREAM_ELEMS`
-//! for the CI smoke leg.
+//! Problem sizes shrink under `TGI_BENCH_SMOKE` for the CI smoke leg.
 
 use cluster_sim::ClusterSpec;
-use hpc_kernels::stream::StreamConfig;
-use hpc_kernels::{gemm, stream, timing};
+use hpc_kernels::gemm;
+use hpc_kernels::stream::{self, StreamConfig};
 use power_model::utilization::UtilizationSample;
-use power_model::{FrontierPoint, GovernorModel, NodePowerModel, RaceToIdleVerdict};
-use serde::Serialize;
-use std::path::PathBuf;
+use power_model::{GovernorModel, NodePowerModel};
+use tgi_bench::Ledger;
 
 /// Compute-bound fraction assumed for blocked DGEMM (packed panels keep
 /// the FPU fed; runtime scales almost inversely with clock).
@@ -39,74 +38,10 @@ const GEMM_COMPUTE_FRACTION: f64 = 0.95;
 const STREAM_COMPUTE_FRACTION: f64 = 0.10;
 /// Deadline for the race-to-idle question: 2× the nominal-frequency time.
 const DEADLINE_SLACK: f64 = 2.0;
-
-fn env_size(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(v) => v.trim().parse().unwrap_or_else(|_| panic!("{name} must be an integer: {v:?}")),
-        Err(_) => default,
-    }
-}
-
-#[derive(Serialize)]
-struct Machine {
-    available_parallelism: usize,
-    isa: &'static str,
-}
-
-#[derive(Serialize)]
-struct ModelInfo {
-    node: &'static str,
-    governor_nominal_ghz: f64,
-    frequency_ratios: Vec<f64>,
-    gemm_compute_fraction: f64,
-    stream_compute_fraction: f64,
-    deadline_slack: f64,
-}
-
-#[derive(Serialize)]
-struct ThreadSweep {
-    threads: usize,
-    measured_seconds: f64,
-    measured_throughput: f64,
-    throughput_unit: &'static str,
-    points: Vec<FrontierPoint>,
-    race_to_idle: RaceToIdleVerdict,
-}
-
-#[derive(Serialize)]
-struct Workload {
-    name: &'static str,
-    problem_size: usize,
-    sweeps: Vec<ThreadSweep>,
-}
-
-#[derive(Serialize)]
-struct Roofline {
-    model_peak_gflops_per_core: f64,
-    model_mem_bandwidth_gbps: f64,
-    ridge_flops_per_byte: f64,
-    gemm_flops_per_byte: f64,
-    measured_gemm_gflops_1t: f64,
-    gemm_fraction_of_core_peak_1t: f64,
-    measured_triad_gbps_best: f64,
-    triad_fraction_of_model_bw: f64,
-}
-
-#[derive(Serialize)]
-struct Verdicts {
-    gemm_race_to_idle_optimal: bool,
-    stream_race_to_idle_optimal: bool,
-    summary: String,
-}
-
-#[derive(Serialize)]
-struct FrontierReport {
-    machine: Machine,
-    model: ModelInfo,
-    workloads: Vec<Workload>,
-    roofline: Roofline,
-    verdicts: Verdicts,
-}
+/// GEMM order: (full, smoke).
+const GEMM_N: (usize, usize) = (512, 128);
+/// STREAM array elements: (full, smoke).
+const STREAM_ELEMS: (usize, usize) = (1 << 21, 65_536);
 
 /// Measured (seconds, throughput) for one workload at one thread count.
 fn measure(threads: usize, gemm_n: usize, stream_elems: usize) -> ((f64, f64), (f64, f64)) {
@@ -122,54 +57,62 @@ fn measure(threads: usize, gemm_n: usize, stream_elems: usize) -> ((f64, f64), (
 
 /// One measured observation: what actually ran, for how long, how fast.
 struct Measured {
+    workload: &'static str,
     threads: usize,
     seconds: f64,
     throughput: f64,
     unit: &'static str,
 }
 
+/// Records the measurement, the modeled frontier over the governor's
+/// P-states, and the race-to-idle verdict for one workload × thread count.
+/// Returns whether race-to-idle is optimal.
 fn sweep(
+    ledger: &mut Ledger,
     governor: &GovernorModel,
     node: &NodePowerModel,
     u: UtilizationSample,
     compute_fraction: f64,
     m: Measured,
-) -> ThreadSweep {
+) -> bool {
     let deadline = m.seconds * DEADLINE_SLACK;
     let points = governor.frontier(node, u, compute_fraction, m.seconds, deadline);
-    let race_to_idle = governor
+    let verdict = governor
         .race_to_idle(node, u, compute_fraction, m.seconds, deadline)
         .expect("nominal frequency always meets a 2x deadline");
     assert!(points.len() >= 3, "frontier needs >= 3 frequency points");
     assert!(points.iter().all(|p| p.energy_j.is_finite() && p.energy_j > 0.0));
-    ThreadSweep {
-        threads: m.threads,
-        measured_seconds: m.seconds,
-        measured_throughput: m.throughput,
-        throughput_unit: m.unit,
-        points,
-        race_to_idle,
+    let layer = format!("{}.{}t", m.workload, m.threads);
+    ledger.lower(&layer, "measured_seconds", "s", m.seconds);
+    ledger.higher(&layer, "measured_throughput", m.unit, m.throughput);
+    for p in &points {
+        let at = format!("@{}GHz", p.freq_ghz);
+        ledger.lower(&layer, format!("seconds{at}"), "s", p.seconds);
+        ledger.lower(&layer, format!("watts{at}"), "W", p.watts).deterministic();
+        ledger.lower(&layer, format!("energy_j{at}"), "J", p.energy_j);
+        // A P-state that misses the deadline has no deadline energy.
+        if let Some(e) = p.deadline_energy_j {
+            ledger.lower(&layer, format!("deadline_energy_j{at}"), "J", e);
+        }
     }
-}
-
-fn output_path() -> PathBuf {
-    if let Ok(p) = std::env::var("TGI_BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_frontier.json")
+    let penalty = verdict.sprint_deadline_energy_j / verdict.best_deadline_energy_j;
+    ledger.lower(&layer, "race_to_idle_penalty", "x", penalty);
+    verdict.race_to_idle_optimal
 }
 
 fn main() {
-    let gemm_n = env_size("TGI_FRONTIER_GEMM_N", 512);
-    let stream_elems = env_size("TGI_FRONTIER_STREAM_ELEMS", 1 << 21);
-    let n_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut ledger = Ledger::new("frontier");
+    let gemm_n = ledger.pick(GEMM_N);
+    let stream_elems = ledger.pick(STREAM_ELEMS);
+    let n_threads = ledger.machine.available_parallelism;
     // At least two thread counts even on a single-core machine (the
     // 2-thread point is then an oversubscription measurement — honest,
-    // because `threads` records what actually ran).
+    // because the layer names record what actually ran).
     let thread_counts = if n_threads > 1 { vec![1, n_threads] } else { vec![1, 2] };
-    let isa = timing::active_isa_name();
+    assert!(thread_counts.len() >= 2, "need >= 2 thread counts per workload");
     eprintln!(
-        "frontier: isa={isa}, gemm n={gemm_n}, stream elems={stream_elems}, threads {thread_counts:?}"
+        "frontier: isa={}, gemm n={gemm_n}, stream elems={stream_elems}, threads {thread_counts:?}",
+        ledger.machine.isa
     );
 
     let governor = GovernorModel::sandy_bridge();
@@ -178,77 +121,45 @@ fn main() {
     // STREAM saturates the memory system while cores stall.
     let stream_u = UtilizationSample::new(0.4, 1.0, 0.0, 0.0);
 
-    let mut gemm_sweeps = Vec::new();
-    let mut stream_sweeps = Vec::new();
+    let (mut gemm_rti, mut stream_rti) = (true, true);
+    let (mut gemm_1t, mut triad_best) = (0.0, 0.0f64);
     for &t in &thread_counts {
         let ((gs, gf), (ss, sbw)) = measure(t, gemm_n, stream_elems);
         eprintln!("  threads={t}: gemm {gs:.4}s ({gf:.2} GFLOPS), triad {ss:.5}s ({sbw:.2} GB/s)");
-        let g = Measured { threads: t, seconds: gs, throughput: gf, unit: "gflops" };
-        gemm_sweeps.push(sweep(&governor, &node, gemm_u, GEMM_COMPUTE_FRACTION, g));
-        let s = Measured { threads: t, seconds: ss, throughput: sbw, unit: "gbps" };
-        stream_sweeps.push(sweep(&governor, &node, stream_u, STREAM_COMPUTE_FRACTION, s));
+        if t == 1 {
+            gemm_1t = gf;
+        }
+        triad_best = triad_best.max(sbw);
+        let g =
+            Measured { workload: "gemm", threads: t, seconds: gs, throughput: gf, unit: "GFLOP/s" };
+        gemm_rti &= sweep(&mut ledger, &governor, &node, gemm_u, GEMM_COMPUTE_FRACTION, g);
+        let s = Measured {
+            workload: "stream_triad",
+            threads: t,
+            seconds: ss,
+            throughput: sbw,
+            unit: "GB/s",
+        };
+        stream_rti &= sweep(&mut ledger, &governor, &node, stream_u, STREAM_COMPUTE_FRACTION, s);
     }
 
     // Roofline context from the model machine (Sandy Bridge-EP node).
     let spec = ClusterSpec::sandy();
     let per_core_peak = spec.node.clock_ghz * spec.node.flops_per_cycle;
     let bw = spec.node.mem_bandwidth_gbps;
-    let ridge = spec.node.peak_gflops() / bw;
+    ledger.higher("roofline", "gemm_fraction_of_core_peak_1t", "share", gemm_1t / per_core_peak);
+    ledger.higher("roofline", "triad_fraction_of_model_bw", "share", triad_best / bw);
     // Blocked DGEMM at size n: 2n^3 FLOPs over 3·8·n^2 bytes of matrix data.
-    let gemm_intensity = 2.0 * gemm_n as f64 / 24.0;
-    let gemm_1t = &gemm_sweeps[0];
-    let triad_best = stream_sweeps.iter().map(|s| s.measured_throughput).fold(0.0f64, f64::max);
-    let roofline = Roofline {
-        model_peak_gflops_per_core: per_core_peak,
-        model_mem_bandwidth_gbps: bw,
-        ridge_flops_per_byte: ridge,
-        gemm_flops_per_byte: gemm_intensity,
-        measured_gemm_gflops_1t: gemm_1t.measured_throughput,
-        gemm_fraction_of_core_peak_1t: gemm_1t.measured_throughput / per_core_peak,
-        measured_triad_gbps_best: triad_best,
-        triad_fraction_of_model_bw: triad_best / bw,
-    };
+    eprintln!(
+        "  roofline: ridge {:.2} flop/B, gemm n={gemm_n} at {:.1} flop/B",
+        spec.node.peak_gflops() / bw,
+        2.0 * gemm_n as f64 / 24.0
+    );
+    eprintln!(
+        "  verdict: race-to-idle is {} for compute-bound GEMM and {} for memory-bound STREAM",
+        if gemm_rti { "optimal" } else { "not optimal" },
+        if stream_rti { "optimal" } else { "not optimal" },
+    );
 
-    let gemm_rti = gemm_sweeps.iter().all(|s| s.race_to_idle.race_to_idle_optimal);
-    let stream_rti = stream_sweeps.iter().all(|s| s.race_to_idle.race_to_idle_optimal);
-    let verdicts = Verdicts {
-        gemm_race_to_idle_optimal: gemm_rti,
-        stream_race_to_idle_optimal: stream_rti,
-        summary: format!(
-            "Race-to-idle is {} for compute-bound GEMM (cubic CPU power dominates the \
-             above-idle draw, so a lower P-state saves more than the stretch costs) and {} \
-             for memory-bound STREAM (runtime barely stretches, so the lowest P-state wins \
-             outright); under this node model the sprint-then-idle strategy is only optimal \
-             when frequency-insensitive active power dominates.",
-            if gemm_rti { "optimal" } else { "not optimal" },
-            if stream_rti { "optimal" } else { "not optimal" },
-        ),
-    };
-    eprintln!("  verdict: {}", verdicts.summary);
-
-    let report = FrontierReport {
-        machine: Machine { available_parallelism: n_threads, isa },
-        model: ModelInfo {
-            node: "sandy_bridge_node",
-            governor_nominal_ghz: governor.nominal_ghz,
-            frequency_ratios: governor.ratios.clone(),
-            gemm_compute_fraction: GEMM_COMPUTE_FRACTION,
-            stream_compute_fraction: STREAM_COMPUTE_FRACTION,
-            deadline_slack: DEADLINE_SLACK,
-        },
-        workloads: vec![
-            Workload { name: "gemm", problem_size: gemm_n, sweeps: gemm_sweeps },
-            Workload { name: "stream_triad", problem_size: stream_elems, sweeps: stream_sweeps },
-        ],
-        roofline,
-        verdicts,
-    };
-    for w in &report.workloads {
-        assert!(w.sweeps.len() >= 2, "need >= 2 thread counts per workload");
-    }
-
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let path = output_path();
-    std::fs::write(&path, json + "\n").expect("report file writable");
-    eprintln!("frontier: wrote {}", path.display());
+    ledger.finish();
 }

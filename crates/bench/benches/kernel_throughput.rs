@@ -1,66 +1,30 @@
 //! Kernel throughput baseline: measures the native kernels at 1 thread and
-//! at the machine's full thread count, and writes `BENCH_kernels.json` at
-//! the repository root (override the path with `TGI_BENCH_OUT`).
+//! at the machine's full thread count, and writes the `BENCH_kernels.json`
+//! ledger.
 //!
-//! The committed JSON is the perf baseline for the parallel backend: GFLOPS
-//! for DGEMM and HPL, STREAM Triad MB/s, and GUPS, plus the N-thread/1-thread
-//! speedup per kernel. Numbers are honest for the machine that produced
-//! them: `machine.available_parallelism` records how many cores that was,
-//! `machine.isa` names the SIMD path the kernels dispatched to
-//! (`TGI_KERNEL_ISA` overrides it), and on a single-core machine only the
-//! 1-thread run is recorded with `speedup_n_over_1: null` — a 1-over-1
-//! "speedup" is not a measurement.
+//! The committed ledger is the perf baseline for the parallel backend:
+//! GFLOPS for DGEMM and HPL, STREAM Triad MB/s, and GUPS at 1 thread, plus
+//! each kernel's N-thread over 1-thread speedup. Numbers are honest for the
+//! machine that produced them: `machine.available_parallelism` records how
+//! many cores that was, `machine.isa` names the SIMD path the kernels
+//! dispatched to (`TGI_KERNEL_ISA` overrides it), and on a single-core
+//! machine the N-thread run is skipped and every speedup is unmeasured
+//! (`value: null`) — a 1-over-1 "speedup" is not a measurement.
 
 use hpc_kernels::stream::StreamConfig;
-use hpc_kernels::{gemm, hpl, random_access, stream, timing};
-use serde::Serialize;
-use std::path::PathBuf;
+use hpc_kernels::{gemm, hpl, random_access, stream};
+use tgi_bench::Ledger;
 
 /// Problem sizes: big enough to exercise the blocking/parallel paths,
-/// small enough that the bench smoke-runs in CI.
+/// small enough that the bench smoke-runs in CI at full size.
 const GEMM_N: usize = 512;
 const HPL_N: usize = 512;
 const STREAM_ELEMS: usize = 1 << 21;
 const GUPS_LOG2: u32 = 16;
 
-#[derive(Serialize)]
-struct Machine {
-    available_parallelism: usize,
-    isa: &'static str,
-}
-
-#[derive(Serialize)]
-struct KernelRun {
-    threads: usize,
-    gemm_n: usize,
-    gemm_gflops: f64,
-    hpl_n: usize,
-    hpl_gflops: f64,
-    stream_elems: usize,
-    stream_triad_mbps: f64,
-    gups_log2_table: u32,
-    gups: f64,
-}
-
-#[derive(Serialize)]
-struct Speedup {
-    threads: usize,
-    gemm: f64,
-    hpl: f64,
-    stream_triad: f64,
-    gups: f64,
-}
-
-#[derive(Serialize)]
-struct Baseline {
-    machine: Machine,
-    runs: Vec<KernelRun>,
-    /// `null` when the machine has a single core: there is no N-thread
-    /// run to compare against.
-    speedup_n_over_1: Option<Speedup>,
-}
-
-fn measure(threads: usize) -> KernelRun {
+/// Throughput of each kernel at one thread count, in ledger order:
+/// (layer, unit, value).
+fn measure(threads: usize) -> [(&'static str, &'static str, f64); 4] {
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
     pool.install(|| {
         let g = gemm::benchmark(GEMM_N, 7);
@@ -70,67 +34,30 @@ fn measure(threads: usize) -> KernelRun {
         assert!(s.validated, "STREAM results check failed");
         let r = random_access::run(random_access::GupsConfig::new(GUPS_LOG2));
         assert!(r.passed, "GUPS verification failed");
-        KernelRun {
-            threads,
-            gemm_n: GEMM_N,
-            gemm_gflops: g.gflops,
-            hpl_n: HPL_N,
-            hpl_gflops: h.gflops,
-            stream_elems: STREAM_ELEMS,
-            stream_triad_mbps: s.triad_mbps(),
-            gups_log2_table: GUPS_LOG2,
-            gups: r.gups,
-        }
+        [
+            ("gemm", "GFLOP/s", g.gflops),
+            ("hpl", "GFLOP/s", h.gflops),
+            ("stream_triad", "MB/s", s.triad_mbps()),
+            ("gups", "GUP/s", r.gups),
+        ]
     })
 }
 
-fn output_path() -> PathBuf {
-    if let Ok(p) = std::env::var("TGI_BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    // crates/bench/ → repository root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_kernels.json")
-}
-
 fn main() {
-    let n_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let isa = timing::active_isa_name();
-    eprintln!("kernel_throughput: isa={isa}, measuring at 1 and {n_threads} thread(s)");
+    let mut ledger = Ledger::new("kernel_throughput");
+    let n_threads = ledger.machine.available_parallelism;
+    eprintln!(
+        "kernel_throughput: isa={}, gemm/hpl n={GEMM_N}/{HPL_N}, stream {STREAM_ELEMS}, \
+         gups 2^{GUPS_LOG2}; 1 and {n_threads} thread(s)",
+        ledger.machine.isa
+    );
 
     let one = measure(1);
-    let mut runs = vec![one];
-    let speedup = if n_threads > 1 {
-        let many = measure(n_threads);
-        let one = &runs[0];
-        let s = Speedup {
-            threads: many.threads,
-            gemm: many.gemm_gflops / one.gemm_gflops,
-            hpl: many.hpl_gflops / one.hpl_gflops,
-            stream_triad: many.stream_triad_mbps / one.stream_triad_mbps,
-            gups: many.gups / one.gups,
-        };
-        runs.push(many);
-        Some(s)
-    } else {
-        None
-    };
-    for run in &runs {
-        eprintln!(
-            "  threads={}: gemm {:.3} GFLOPS, hpl {:.3} GFLOPS, triad {:.1} MB/s, {:.5} GUPS",
-            run.threads, run.gemm_gflops, run.hpl_gflops, run.stream_triad_mbps, run.gups
-        );
-    }
-    if speedup.is_none() {
-        eprintln!("  single core: skipping the N-thread run (speedup_n_over_1 = null)");
+    let many = (n_threads > 1).then(|| measure(n_threads));
+    for (i, &(layer, unit, value)) in one.iter().enumerate() {
+        ledger.higher(layer, "throughput_1t", unit, value);
+        ledger.speedup_n_over_1(layer, || many.as_ref().expect("N-thread run")[i].2 / value);
     }
 
-    let baseline = Baseline {
-        machine: Machine { available_parallelism: n_threads, isa },
-        runs,
-        speedup_n_over_1: speedup,
-    };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = output_path();
-    std::fs::write(&path, json + "\n").expect("baseline file writable");
-    eprintln!("kernel_throughput: wrote {}", path.display());
+    ledger.finish();
 }

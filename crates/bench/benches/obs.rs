@@ -1,9 +1,7 @@
-//! Observability-plane performance guards, written to `BENCH_obs.json` at
-//! the repository root (override the path with `TGI_BENCH_OUT`, the trace
-//! size with `TGI_OBS_SAMPLES`, the span-loop iterations with
-//! `TGI_OBS_ITERS`).
+//! Observability-plane performance guards, written to the `BENCH_obs.json`
+//! ledger (a 500k-sample detector trace under `TGI_BENCH_SMOKE`).
 //!
-//! Three contracts, asserted here rather than just reported:
+//! Three contracts, each a ledger bound rather than just a report:
 //!
 //! * **Detector throughput** — the streaming anomaly detector scans a
 //!   10M-sample trace at ≥ 1M samples/s. Anything slower would make the
@@ -12,57 +10,22 @@
 //! * **Quantile accuracy** — the log-linear `QuantileHistogram` answers
 //!   p50/p90/p99/p999 within its configured relative-error bound α of an
 //!   exact sorted oracle over the same observations.
-//! * **Recorder overhead** — with the flight recorder compiled in but
-//!   nothing recording, a span costs ≤ 2× the no-op loop baseline (the
-//!   "always-on" claim is only honest if idle cost stays negligible), and
-//!   an *active* ring-buffer recorder stays within 2× of the full
-//!   collector path it shadows.
+//! * **Recorder overhead** — an *active* ring-buffer recorder stays within
+//!   2× of the full collector path it shadows. (The idle cost of a span
+//!   with nothing recording is `telemetry_overhead`'s disabled-span guard.)
 
 use power_model::anomaly::{self, AnomalyConfig};
-use serde::Serialize;
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::Instant;
+use tgi_bench::{median_of, noop_unit, time_per_iter, Ledger};
 use tgi_telemetry::QuantileHistogram;
 
-#[derive(Serialize)]
-struct Machine {
-    available_parallelism: usize,
-}
-
-#[derive(Serialize)]
-struct DetectorThroughput {
-    samples: usize,
-    elapsed_s: f64,
-    samples_per_s: f64,
-    events: usize,
-}
-
-#[derive(Serialize)]
-struct QuantileAccuracy {
-    samples: usize,
-    alpha: f64,
-    worst_rel_error: f64,
-    quantiles_checked: usize,
-}
-
-#[derive(Serialize)]
-struct RecorderOverhead {
-    baseline_ns: f64,
-    idle_span_ns: f64,
-    idle_overhead_x: f64,
-    recorder_span_ns: f64,
-    collector_span_ns: f64,
-    recorder_vs_collector_x: f64,
-}
-
-#[derive(Serialize)]
-struct ObsReport {
-    machine: Machine,
-    detector: DetectorThroughput,
-    quantile: QuantileAccuracy,
-    recorder: RecorderOverhead,
-}
+/// Detector trace length: (full, smoke).
+const SAMPLES: (usize, usize) = (10_000_000, 500_000);
+/// Span-loop iterations per timing run with the recorder or collector on.
+const ACTIVE_ITERS: usize = 100_000;
+/// The quantile sketch's relative-error bound.
+const ALPHA: f64 = 0.01;
 
 /// Deterministic splitmix-style generator (no rand dependency on the hot
 /// setup path).
@@ -87,41 +50,9 @@ impl Rng {
     }
 }
 
-#[inline(never)]
-fn noop_unit(i: u64) -> u64 {
-    black_box(i)
-}
-
-fn time_per_iter(iters: usize, mut f: impl FnMut(u64)) -> f64 {
-    let start = Instant::now();
-    for i in 0..iters as u64 {
-        f(i);
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// Median of several timing runs, to shrug off scheduler noise.
-fn median_of(runs: usize, mut measure: impl FnMut() -> f64) -> f64 {
-    let mut samples: Vec<f64> = (0..runs).map(|_| measure()).collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn output_path() -> PathBuf {
-    if let Ok(p) = std::env::var("TGI_BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    // crates/bench/ → repository root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_obs.json")
-}
-
-fn env_count(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0).unwrap_or(default)
-}
-
 /// Scans `n` samples of a noisy 200 W baseline with a handful of injected
 /// spikes, timing the full streaming pass.
-fn detector_throughput(n: usize) -> DetectorThroughput {
+fn detector_throughput(ledger: &mut Ledger, n: usize) {
     let mut rng = Rng(7);
     let mut times = Vec::with_capacity(n);
     let mut watts = Vec::with_capacity(n);
@@ -141,7 +72,8 @@ fn detector_throughput(n: usize) -> DetectorThroughput {
         samples_per_s / 1e6,
         events.len()
     );
-    DetectorThroughput { samples: n, elapsed_s, samples_per_s, events: events.len() }
+    ledger.higher("detector", "samples_per_s", "1/s", samples_per_s).bound(1e6);
+    ledger.lower("detector", "events", "count", events.len() as f64).deterministic();
 }
 
 /// The oracle rank the sketch targets (same convention as the estimator's
@@ -153,8 +85,7 @@ fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
 
 /// Observes a heavy-tailed latency-shaped distribution into the sketch and
 /// compares four quantiles against an exact sort of the same data.
-fn quantile_accuracy(n: usize) -> QuantileAccuracy {
-    const ALPHA: f64 = 0.01;
+fn quantile_accuracy(ledger: &mut Ledger, n: usize) {
     let hist = QuantileHistogram::new(ALPHA);
     let mut rng = Rng(11);
     let mut values = Vec::with_capacity(n);
@@ -172,48 +103,29 @@ fn quantile_accuracy(n: usize) -> QuantileAccuracy {
         let est = hist.quantile(q).expect("non-empty sketch");
         let rel = (est - exact).abs() / exact;
         worst = worst.max(rel);
-        assert!(
-            rel <= ALPHA * (1.0 + 1e-9) + 1e-12,
-            "q{q}: sketch {est} vs exact {exact} — relative error {rel} beyond α={ALPHA}"
-        );
     }
     eprintln!(
         "  quantile: worst relative error {worst:.5} over {} quantiles (α={ALPHA})",
         qs.len()
     );
-    QuantileAccuracy {
-        samples: n,
-        alpha: ALPHA,
-        worst_rel_error: worst,
-        quantiles_checked: qs.len(),
-    }
+    ledger
+        .lower("quantile", "worst_rel_error", "share", worst)
+        .bound(ALPHA * (1.0 + 1e-9) + 1e-12)
+        .deterministic();
 }
 
-/// Times the span path under three regimes: nothing recording (the
-/// always-on idle cost), flight recorder active, and full collector.
-fn recorder_overhead(iters: usize) -> RecorderOverhead {
+/// Times the span path with the flight recorder active and with the full
+/// collector installed.
+fn recorder_overhead(ledger: &mut Ledger) {
     let runs = 7;
     assert!(!tgi_telemetry::installed(), "bench must start with no collector");
     assert!(!tgi_telemetry::recorder::active(), "bench must start with no recorder");
 
-    let baseline_ns = median_of(runs, || {
-        time_per_iter(iters, |i| {
-            black_box(noop_unit(i));
-        })
-    });
-    let idle_span_ns = median_of(runs, || {
-        time_per_iter(iters, |i| {
-            let _span = tgi_telemetry::span("bench.obs.idle");
-            black_box(noop_unit(i));
-        })
-    });
-
     // Recorder-active spans: the per-thread ring absorbs writes without
     // draining (old events are overwritten, which is the point).
-    let active_iters = iters.min(100_000);
     assert!(tgi_telemetry::recorder::enable(4096), "recorder should enable");
     let recorder_span_ns = median_of(runs, || {
-        time_per_iter(active_iters, |i| {
+        time_per_iter(ACTIVE_ITERS, |i| {
             let _span = tgi_telemetry::span("bench.obs.recorder");
             black_box(noop_unit(i));
         })
@@ -224,7 +136,7 @@ fn recorder_overhead(iters: usize) -> RecorderOverhead {
     // never fills.
     assert!(tgi_telemetry::install(), "collector should install");
     let collector_span_ns = median_of(runs, || {
-        let per = time_per_iter(active_iters, |i| {
+        let per = time_per_iter(ACTIVE_ITERS, |i| {
             let _span = tgi_telemetry::span("bench.obs.collector");
             black_box(noop_unit(i));
         });
@@ -233,60 +145,27 @@ fn recorder_overhead(iters: usize) -> RecorderOverhead {
     });
     tgi_telemetry::uninstall();
 
-    let idle_overhead_x = idle_span_ns / baseline_ns.max(0.5);
+    // The lock-free ring write stays within 2x of the collector path it
+    // shadows — the flight recorder must never be the slow sink (0.5 ns
+    // floor against clock resolution).
     let recorder_vs_collector_x = recorder_span_ns / collector_span_ns.max(0.5);
-    eprintln!("  recorder: baseline {baseline_ns:.2} ns, idle span {idle_span_ns:.2} ns ({idle_overhead_x:.2}x)");
     eprintln!(
         "  recorder: active span {recorder_span_ns:.2} ns vs collector {collector_span_ns:.2} ns ({recorder_vs_collector_x:.2}x)"
     );
-
-    // Guard 1: with the recorder compiled in but idle, spans still cost
-    // within 2x of the no-op loop (0.5 ns floor against clock resolution).
-    assert!(
-        idle_span_ns <= 2.0 * baseline_ns.max(0.5),
-        "idle span overhead {idle_span_ns:.2} ns exceeds 2x baseline {baseline_ns:.2} ns"
-    );
-    // Guard 2: the lock-free ring write stays within 2x of the collector
-    // path it shadows — the flight recorder must never be the slow sink.
-    assert!(
-        recorder_span_ns <= 2.0 * collector_span_ns.max(0.5),
-        "recorder span {recorder_span_ns:.2} ns exceeds 2x collector span {collector_span_ns:.2} ns"
-    );
-
-    RecorderOverhead {
-        baseline_ns,
-        idle_span_ns,
-        idle_overhead_x,
-        recorder_span_ns,
-        collector_span_ns,
-        recorder_vs_collector_x,
-    }
+    ledger.lower("recorder", "recorder_span_ns", "ns", recorder_span_ns);
+    ledger.lower("recorder", "collector_span_ns", "ns", collector_span_ns);
+    ledger.lower("recorder", "recorder_vs_collector_x", "x", recorder_vs_collector_x).bound(2.0);
 }
 
 fn main() {
-    let samples = env_count("TGI_OBS_SAMPLES", 10_000_000);
-    let iters = env_count("TGI_OBS_ITERS", 2_000_000);
-    let n_threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
-    eprintln!("obs: {samples} detector samples, {iters} span iters, {n_threads} thread(s)");
-
-    let detector = detector_throughput(samples);
-    assert!(
-        detector.samples_per_s >= 1e6,
-        "detector {:.2} Msamples/s below the 1 Msamples/s floor",
-        detector.samples_per_s / 1e6
+    let mut ledger = Ledger::new("obs");
+    let samples = ledger.pick(SAMPLES);
+    eprintln!(
+        "obs: {samples} detector samples, {ACTIVE_ITERS} span iters, {} thread(s)",
+        ledger.machine.available_parallelism
     );
-
-    let quantile = quantile_accuracy(samples.min(200_000));
-    let recorder = recorder_overhead(iters);
-
-    let report = ObsReport {
-        machine: Machine { available_parallelism: n_threads },
-        detector,
-        quantile,
-        recorder,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let path = output_path();
-    std::fs::write(&path, json + "\n").expect("report file writable");
-    eprintln!("obs: wrote {}", path.display());
+    detector_throughput(&mut ledger, samples);
+    quantile_accuracy(&mut ledger, samples.min(200_000));
+    recorder_overhead(&mut ledger);
+    ledger.finish();
 }

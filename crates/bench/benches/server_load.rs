@@ -1,67 +1,36 @@
-//! End-to-end load benchmark for `tgi-server`, written to
-//! `BENCH_server.json` at the repository root (override the path with
-//! `TGI_BENCH_OUT`, the scale with `TGI_SERVER_BENCH_CLIENTS` /
-//! `TGI_SERVER_BENCH_REQUESTS`).
+//! End-to-end load benchmark for `tgi-server`, written to the
+//! `BENCH_server.json` ledger (100 clients × 10 requests under
+//! `TGI_BENCH_SMOKE`).
 //!
 //! Starts an in-process server on an ephemeral loopback port, then drives
 //! the same [`tgi_server::load`] generator the `tgi-load` binary uses:
 //! N concurrent keep-alive clients, each cycling a write-heavy
-//! ingest/query/evaluate mix. Guarantees asserted here, not just reported:
+//! ingest/query/evaluate mix. Guarantees checked here, not just reported:
 //!
 //! * every request eventually succeeds (`429`s are retried, nothing is
 //!   dropped, no non-2xx other than backpressure);
 //! * no transport-level errors on loopback;
-//! * the server's own served/rejected counters agree with the clients'
-//!   view of the run.
+//! * the server's own served counter agrees with the clients' view of the
+//!   run.
 
-use serde::Serialize;
-use std::path::PathBuf;
+use std::sync::atomic::Ordering;
+use tgi_bench::Ledger;
 use tgi_server::{LoadConfig, Server, ServerConfig};
 
-#[derive(Serialize)]
-struct Machine {
-    available_parallelism: usize,
-}
-
-#[derive(Serialize)]
-struct ServerSide {
-    workers: usize,
-    shards: usize,
-    queue_capacity: usize,
-    connections_accepted: u64,
-    connections_rejected: u64,
-    requests_served: u64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    machine: Machine,
-    server: ServerSide,
-    load: tgi_server::LoadReport,
-}
-
-fn output_path() -> PathBuf {
-    if let Ok(p) = std::env::var("TGI_BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    // crates/bench/ → repository root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_server.json")
-}
-
-fn env_count(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0).unwrap_or(default)
-}
+/// Concurrent clients: (full, smoke).
+const CLIENTS: (usize, usize) = (1000, 100);
+/// Requests per client: (full, smoke).
+const REQUESTS: (usize, usize) = (20, 10);
 
 fn main() {
-    let clients = env_count("TGI_SERVER_BENCH_CLIENTS", 1000);
-    let requests_per_client = env_count("TGI_SERVER_BENCH_REQUESTS", 20);
+    let mut ledger = Ledger::new("server_load");
+    let clients = ledger.pick(CLIENTS);
+    let requests_per_client = ledger.pick(REQUESTS);
     let server_config = ServerConfig::default();
-    let workers = server_config.workers;
-    let shards = server_config.shards;
-    let queue_capacity = server_config.queue_capacity;
     eprintln!(
         "server_load: {clients} clients x {requests_per_client} requests, \
-         {workers} workers, {shards} shards, queue {queue_capacity}"
+         {} workers, {} shards, queue {}",
+        server_config.workers, server_config.shards, server_config.queue_capacity
     );
 
     let mut server = Server::start(server_config, tgi_harness::experiments::system_g_reference())
@@ -79,37 +48,27 @@ fn main() {
     // was clean.
     let expected = (clients * requests_per_client) as u64;
     assert_eq!(report.ok, expected, "every request must eventually succeed");
-    assert_eq!(report.failed, 0, "no non-backpressure failures allowed");
-    assert_eq!(report.transport_errors, 0, "loopback transport must be clean");
     let stats = server.stats();
-    let served = stats.served.load(std::sync::atomic::Ordering::Relaxed);
+    let served = stats.served.load(Ordering::Relaxed);
     assert!(served >= expected, "server served {served} but clients completed {expected}");
-
-    let bench = BenchReport {
-        machine: Machine {
-            available_parallelism: std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1),
-        },
-        server: ServerSide {
-            workers,
-            shards,
-            queue_capacity,
-            connections_accepted: stats.accepted.load(std::sync::atomic::Ordering::Relaxed),
-            connections_rejected: stats.rejected.load(std::sync::atomic::Ordering::Relaxed),
-            requests_served: served,
-        },
-        load: report,
-    };
-    let path = output_path();
-    let json = serde_json::to_string_pretty(&bench).expect("serialize report");
-    std::fs::write(&path, json + "\n").expect("write bench report");
-    eprintln!(
-        "server_load: {:.0} rps, p50 {:.0}us, p99 {:.0}us, p999 {:.0}us -> {}",
-        bench.load.rps,
-        bench.load.p50_us,
-        bench.load.p99_us,
-        bench.load.p999_us,
-        path.display()
+    // Non-backpressure failures and loopback transport errors: none allowed.
+    ledger.lower("load", "failed", "count", report.failed as f64).bound(0.0).deterministic();
+    ledger
+        .lower("load", "transport_errors", "count", report.transport_errors as f64)
+        .bound(0.0)
+        .deterministic();
+    ledger.lower("load", "rejected_429", "count", report.rejected as f64);
+    ledger.higher("load", "rps", "1/s", report.rps);
+    ledger.lower("load", "wall_s", "s", report.wall_s);
+    ledger.lower("load", "p50_us", "us", report.p50_us);
+    ledger.lower("load", "p99_us", "us", report.p99_us);
+    ledger.lower("load", "p999_us", "us", report.p999_us);
+    ledger.lower("load", "max_us", "us", report.max_us);
+    ledger.lower(
+        "server",
+        "connections_rejected",
+        "count",
+        stats.rejected.load(Ordering::Relaxed) as f64,
     );
+    ledger.finish();
 }

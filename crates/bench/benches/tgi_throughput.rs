@@ -1,9 +1,8 @@
 //! TGI evaluation throughput baseline: the reusable [`TgiEvaluator`] batch
-//! path vs a clone-per-evaluation `Tgi::builder` loop, written to
-//! `BENCH_tgi.json` at the repository root (override the path with
-//! `TGI_BENCH_OUT`, the evaluation count with `TGI_EVAL_BENCH_N`).
+//! path vs a clone-per-evaluation `Tgi::builder` loop, written to the
+//! `BENCH_tgi.json` ledger (2,000 evaluations under `TGI_BENCH_SMOKE`).
 //!
-//! The committed JSON documents the PR's win: the evaluator resolves the
+//! The committed ledger documents the PR's win: the evaluator resolves the
 //! reference once, reuses scratch buffers, and allocates nothing per call,
 //! while the builder baseline pays a reference clone, a measurement-vector
 //! clone, weight/REE vectors, and a contribution vector on every single
@@ -13,59 +12,17 @@
 //! (simulating) and warm (memoized), Fire vs Fire-GPU at every paper core
 //! count against SystemG.
 
-use serde::Serialize;
-use std::path::PathBuf;
 use std::time::Instant;
+use tgi_bench::{Lcg, Ledger};
 use tgi_core::evaluator::{EvalScratch, TgiEvaluator};
 use tgi_core::{MeanKind, Measurement, Perf, ReferenceSystem, Seconds, Tgi, Watts, Weighting};
 use tgi_harness::sweep::FIRE_CORE_COUNTS;
 use tgi_harness::{system_g_reference, FleetSweep};
 
-#[derive(Serialize)]
-struct Machine {
-    available_parallelism: usize,
-}
-
-#[derive(Serialize)]
-struct BatchEval {
-    evaluations: usize,
-    suite_len: usize,
-    evaluator_evals_per_sec: f64,
-    builder_evals_per_sec: f64,
-    evaluator_ns_per_eval: f64,
-    builder_ns_per_eval: f64,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct Grid {
-    clusters: usize,
-    core_points: usize,
-    cells: usize,
-    cold_ms: f64,
-    warm_ms: f64,
-    memo_hits: usize,
-    memo_misses: usize,
-    cold_over_warm: f64,
-}
-
-#[derive(Serialize)]
-struct Baseline {
-    machine: Machine,
-    batch_eval: BatchEval,
-    grid: Grid,
-}
-
-/// Deterministic pseudo-random stream (SplitMix-style LCG).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_unit(&mut self) -> f64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
+/// Evaluations timed on each path: (full, smoke).
+const EVALUATIONS: (usize, usize) = (10_000, 2_000);
+/// Floor on the evaluator's speedup over the builder: (full, smoke).
+const SPEEDUP_BAR: (f64, f64) = (10.0, 1.0);
 const SUITE_LEN: usize = 12;
 const N_SUITES: usize = 128;
 
@@ -105,18 +62,11 @@ fn synth_workload() -> (ReferenceSystem, Vec<Vec<Measurement>>) {
     (reference, suites)
 }
 
-fn output_path() -> PathBuf {
-    if let Ok(p) = std::env::var("TGI_BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    // crates/bench/ → repository root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_tgi.json")
-}
-
 fn main() {
-    let n: usize =
-        std::env::var("TGI_EVAL_BENCH_N").ok().and_then(|v| v.parse().ok()).unwrap_or(10_000);
-    let n_threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
+    let mut ledger = Ledger::new("tgi_throughput");
+    let n = ledger.pick(EVALUATIONS);
+    let speedup_bar = ledger.pick(SPEEDUP_BAR);
+    let n_threads = ledger.machine.available_parallelism;
     eprintln!("tgi_throughput: {n} evaluations, {n_threads} thread(s) available");
 
     let (reference, suites) = synth_workload();
@@ -195,26 +145,16 @@ fn main() {
     assert!((fast_sink - slow_sink).abs() <= 1e-12 * slow_sink.abs(), "timed sums must agree");
 
     let speedup = builder_secs / eval_secs;
-    let batch_eval = BatchEval {
-        evaluations: evals,
-        suite_len: SUITE_LEN,
-        evaluator_evals_per_sec: evals as f64 / eval_secs,
-        builder_evals_per_sec: evals as f64 / builder_secs,
-        evaluator_ns_per_eval: eval_secs * 1e9 / evals as f64,
-        builder_ns_per_eval: builder_secs * 1e9 / evals as f64,
-        speedup,
-    };
     eprintln!(
         "  batch eval: {:.2e}/s vs builder {:.2e}/s ({speedup:.1}x)",
-        batch_eval.evaluator_evals_per_sec, batch_eval.builder_evals_per_sec
+        evals as f64 / eval_secs,
+        evals as f64 / builder_secs
     );
-
-    // The evaluator must never lose to the builder; at the acceptance size
-    // the bar is 10x.
-    assert!(speedup >= 1.0, "evaluator slower than clone-per-eval builder");
-    if evals >= 10_000 {
-        assert!(speedup >= 10.0, "evaluator below the 10x bar: {speedup:.2}x");
-    }
+    ledger.lower("batch_eval", "evaluator_ns_per_eval", "ns", eval_secs * 1e9 / evals as f64);
+    ledger.lower("batch_eval", "builder_ns_per_eval", "ns", builder_secs * 1e9 / evals as f64);
+    // The evaluator must never lose to the builder; at full size the bar
+    // is 10x.
+    ledger.higher("batch_eval", "speedup", "x", speedup).bound(speedup_bar);
 
     // Grid sweep: one row per (cluster, cores) point. The cold run
     // simulates every row; the warm rerun answers every one of the same
@@ -236,25 +176,14 @@ fn main() {
     assert_eq!(cold, warm, "memoized rerun must reproduce the grid exactly");
     let (memo_hits, memo_misses) = sweep.memo_stats();
     assert_eq!(memo_misses, 2 * FIRE_CORE_COUNTS.len(), "cold run simulates each point once");
-    let grid = Grid {
-        clusters: 2,
-        core_points: FIRE_CORE_COUNTS.len(),
-        cells: cold.len(),
-        cold_ms,
-        warm_ms,
-        memo_hits,
-        memo_misses,
-        cold_over_warm: cold_ms / warm_ms,
-    };
     eprintln!(
         "  grid: {} cells cold {cold_ms:.2} ms, warm {warm_ms:.2} ms ({:.1}x)",
-        grid.cells, grid.cold_over_warm
+        cold.len(),
+        cold_ms / warm_ms
     );
-
-    let baseline =
-        Baseline { machine: Machine { available_parallelism: n_threads }, batch_eval, grid };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = output_path();
-    std::fs::write(&path, json + "\n").expect("baseline file writable");
-    eprintln!("tgi_throughput: wrote {}", path.display());
+    ledger.lower("grid", "cold_ms", "ms", cold_ms);
+    ledger.lower("grid", "warm_ms", "ms", warm_ms);
+    ledger.higher("grid", "memo_hits", "count", memo_hits as f64).deterministic();
+    ledger.lower("grid", "memo_misses", "count", memo_misses as f64).deterministic();
+    ledger.finish();
 }

@@ -1,82 +1,24 @@
 //! Trace-analytics baseline: indexed SoA trace queries vs naive rescans,
-//! written to `BENCH_trace.json` at the repository root (override the path
-//! with `TGI_BENCH_OUT`, the trace length with `TGI_TRACE_BENCH_SAMPLES`).
+//! written to the `BENCH_trace.json` ledger (50k samples under
+//! `TGI_BENCH_SMOKE`).
 //!
-//! The committed JSON documents the streaming-analytics engine's win: batch
+//! The committed ledger documents the streaming-analytics engine's win: batch
 //! and per-push ingest rates, O(log n) `energy_between` vs a full-scan
 //! integration, the O(n) two-pointer `moving_average` vs the O(n·w)
 //! definition, selection-based percentiles vs a full sort per query, and
-//! parallel fleet summarization at 1 vs N threads. Every naive reference is
+//! parallel fleet summarization at 1 vs N threads (unmeasured on one core). Every naive reference is
 //! implemented here, independent of the library's prefix index, and the
 //! bench asserts the two paths agree before it trusts a timing.
 
 use power_model::{analysis, PowerTrace, TraceSet};
-use serde::Serialize;
-use std::path::PathBuf;
 use std::time::Instant;
+use tgi_bench::{Lcg, Ledger};
 use tgi_core::Watts;
 
-#[derive(Serialize)]
-struct Machine {
-    available_parallelism: usize,
-}
-
-#[derive(Serialize)]
-struct Ingest {
-    push_samples_per_sec: f64,
-    batch_samples_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct EnergyBetween {
-    indexed_ns_per_query: f64,
-    naive_ns_per_query: f64,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct MovingAverage {
-    window_s: f64,
-    indexed_ms: f64,
-    naive_ms: f64,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct Percentile {
-    selection_us_per_query: f64,
-    full_sort_us_per_query: f64,
-    cached_ns_per_query: f64,
-    speedup_selection_over_sort: f64,
-}
-
-#[derive(Serialize)]
-struct Fleet {
-    nodes: usize,
-    summarize_ms_1_thread: f64,
-    summarize_ms_n_threads: f64,
-}
-
-#[derive(Serialize)]
-struct Baseline {
-    machine: Machine,
-    samples: usize,
-    ingest: Ingest,
-    energy_between: EnergyBetween,
-    moving_average: MovingAverage,
-    percentile: Percentile,
-    fleet: Fleet,
-}
-
-/// Deterministic pseudo-random stream (SplitMix-style LCG).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_unit(&mut self) -> f64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+/// Trace length: (full, smoke).
+const SAMPLES: (usize, usize) = (1_000_000, 50_000);
+/// Floor on the indexed paths' speedups over the naive ones: (full, smoke).
+const SPEEDUP_BAR: (f64, f64) = (10.0, 1.0);
 
 /// A wall-meter-like trace: ~1 Hz cadence with jitter, wandering power.
 fn synth_columns(n: usize) -> (Vec<f64>, Vec<f64>) {
@@ -160,20 +102,11 @@ fn naive_percentile(watts: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
 }
 
-fn output_path() -> PathBuf {
-    if let Ok(p) = std::env::var("TGI_BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    // crates/bench/ → repository root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_trace.json")
-}
-
 fn main() {
-    let n: usize = std::env::var("TGI_TRACE_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000);
-    let n_threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
+    let mut ledger = Ledger::new("trace_analytics");
+    let n = ledger.pick(SAMPLES);
+    let speedup_bar = ledger.pick(SPEEDUP_BAR);
+    let n_threads = ledger.machine.available_parallelism;
     eprintln!("trace_analytics: {n} samples, {n_threads} thread(s) available");
 
     let (times, watts) = synth_columns(n);
@@ -190,6 +123,8 @@ fn main() {
     batched.extend_from_slices(&times, &watts);
     let batch_secs = start.elapsed().as_secs_f64();
     assert_eq!(batched.energy().value(), pushed.energy().value(), "ingest paths must agree");
+    ledger.higher("ingest", "push_samples_per_s", "1/s", n as f64 / push_secs);
+    ledger.higher("ingest", "batch_samples_per_s", "1/s", n as f64 / batch_secs);
     let trace = batched;
 
     // Windowed energy: agree on a probe set, then time each path at a
@@ -227,11 +162,11 @@ fn main() {
     }
     let indexed_ns = start.elapsed().as_nanos() as f64 / indexed_queries as f64;
     assert!(sink.is_finite());
-    let energy_between = EnergyBetween {
-        indexed_ns_per_query: indexed_ns,
-        naive_ns_per_query: naive_ns,
-        speedup: naive_ns / indexed_ns,
-    };
+    ledger.lower("energy_between", "indexed_ns", "ns", indexed_ns);
+    ledger.lower("energy_between", "naive_ns", "ns", naive_ns);
+    // The indexed paths must never lose to the naive ones; at full size
+    // the bar is 10x.
+    ledger.higher("energy_between", "speedup", "x", naive_ns / indexed_ns).bound(speedup_bar);
 
     // Moving average: one full pass each, same window. The window is sized
     // relative to the span (~0.2% ≈ 2000 samples at 1e6) so the naive
@@ -247,12 +182,9 @@ fn main() {
         let (a, b) = (smooth.sample(i).watts, reference[i]);
         assert!((a - b).abs() <= 1e-7 * b.abs().max(1.0), "moving_average disagrees at {i}");
     }
-    let moving_average = MovingAverage {
-        window_s,
-        indexed_ms: ma_indexed_ms,
-        naive_ms: ma_naive_ms,
-        speedup: ma_naive_ms / ma_indexed_ms,
-    };
+    ledger.lower("moving_average", "indexed_ms", "ms", ma_indexed_ms);
+    ledger.lower("moving_average", "naive_ms", "ms", ma_naive_ms);
+    ledger.higher("moving_average", "speedup", "x", ma_naive_ms / ma_indexed_ms).bound(speedup_bar);
 
     // Percentiles: selection per query vs full sort per query vs the cache.
     let ps = [5.0, 25.0, 50.0, 75.0, 95.0, 99.0];
@@ -269,13 +201,10 @@ fn main() {
     }
     let sort_us = start.elapsed().as_secs_f64() * 1e6 / ps.len() as f64;
     assert!((sel_sink - sort_sink).abs() <= 1e-7 * sort_sink.abs().max(1.0));
-    let cache = PercentileCacheTimed::build(&trace);
-    let percentile = Percentile {
-        selection_us_per_query: selection_us,
-        full_sort_us_per_query: sort_us,
-        cached_ns_per_query: cache.ns_per_query,
-        speedup_selection_over_sort: sort_us / selection_us,
-    };
+    ledger.lower("percentile", "selection_us", "us", selection_us);
+    ledger.lower("percentile", "full_sort_us", "us", sort_us);
+    ledger.lower("percentile", "cached_ns", "ns", cached_percentile_ns(&trace));
+    ledger.higher("percentile", "speedup_selection_over_sort", "x", sort_us / selection_us);
 
     // Fleet: split the trace over 8 nodes, summarize at 1 and N threads.
     let nodes = 8;
@@ -296,76 +225,24 @@ fn main() {
     let fleet_ms_n = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(s1.total_samples, sn.total_samples);
     assert!((s1.total_energy_j - sn.total_energy_j).abs() <= 1e-9 * sn.total_energy_j.abs());
-    let fleet =
-        Fleet { nodes, summarize_ms_1_thread: fleet_ms_1, summarize_ms_n_threads: fleet_ms_n };
-
-    eprintln!(
-        "  ingest: push {:.2e}/s, batch {:.2e}/s",
-        n as f64 / push_secs,
-        n as f64 / batch_secs
-    );
-    eprintln!(
-        "  energy_between: indexed {:.0} ns vs naive {:.0} ns ({:.0}x)",
-        energy_between.indexed_ns_per_query,
-        energy_between.naive_ns_per_query,
-        energy_between.speedup
-    );
-    eprintln!(
-        "  moving_average ({:.1} s window): {:.1} ms vs {:.1} ms ({:.0}x)",
-        window_s, moving_average.indexed_ms, moving_average.naive_ms, moving_average.speedup
-    );
-    eprintln!(
-        "  percentile: selection {:.0} us vs sort {:.0} us; cached {:.0} ns",
-        percentile.selection_us_per_query,
-        percentile.full_sort_us_per_query,
-        percentile.cached_ns_per_query
-    );
     eprintln!("  fleet summarize: {fleet_ms_1:.1} ms at 1 thread, {fleet_ms_n:.1} ms at N");
+    ledger.lower("fleet", "summarize_ms_1t", "ms", fleet_ms_1);
+    ledger.speedup_n_over_1("fleet", || fleet_ms_1 / fleet_ms_n);
 
-    // The indexed paths must never lose to the naive ones; at full size the
-    // acceptance bar is 10x.
-    assert!(energy_between.speedup >= 1.0, "energy_between slower than naive");
-    assert!(moving_average.speedup >= 1.0, "moving_average slower than naive");
-    if n >= 1_000_000 {
-        assert!(energy_between.speedup >= 10.0, "energy_between below the 10x bar");
-        assert!(moving_average.speedup >= 10.0, "moving_average below the 10x bar");
-    }
-
-    let baseline = Baseline {
-        machine: Machine { available_parallelism: n_threads },
-        samples: n,
-        ingest: Ingest {
-            push_samples_per_sec: n as f64 / push_secs,
-            batch_samples_per_sec: n as f64 / batch_secs,
-        },
-        energy_between,
-        moving_average,
-        percentile,
-        fleet,
-    };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = output_path();
-    std::fs::write(&path, json + "\n").expect("baseline file writable");
-    eprintln!("trace_analytics: wrote {}", path.display());
+    ledger.finish();
 }
 
 /// Times the [`analysis::PercentileCache`]: one build, then repeated O(1)
-/// queries.
-struct PercentileCacheTimed {
-    ns_per_query: f64,
-}
-
-impl PercentileCacheTimed {
-    fn build(trace: &PowerTrace) -> Self {
-        let cache = analysis::PercentileCache::new(trace);
-        let queries = 100_000;
-        let mut rng = Lcg(0xCAC4E);
-        let start = Instant::now();
-        let mut sink = 0.0;
-        for _ in 0..queries {
-            sink += cache.percentile(rng.next_unit() * 100.0).unwrap().value();
-        }
-        assert!(sink.is_finite());
-        PercentileCacheTimed { ns_per_query: start.elapsed().as_nanos() as f64 / queries as f64 }
+/// queries. Returns nanoseconds per query.
+fn cached_percentile_ns(trace: &PowerTrace) -> f64 {
+    let cache = analysis::PercentileCache::new(trace);
+    let queries = 100_000;
+    let mut rng = Lcg(0xCAC4E);
+    let start = Instant::now();
+    let mut sink = 0.0;
+    for _ in 0..queries {
+        sink += cache.percentile(rng.next_unit() * 100.0).unwrap().value();
     }
+    assert!(sink.is_finite());
+    start.elapsed().as_nanos() as f64 / queries as f64
 }

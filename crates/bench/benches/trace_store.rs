@@ -1,9 +1,8 @@
 //! Trace-store baseline: compressed on-disk ingest and O(log n) cold
-//! queries vs the in-memory prefix index, written to `BENCH_store.json`
-//! at the repository root (override the path with `TGI_BENCH_OUT`, the
-//! sample count with `TGI_STORE_BENCH_SAMPLES`).
+//! queries vs the in-memory prefix index, written to the `BENCH_store.json`
+//! ledger (1M samples under `TGI_BENCH_SMOKE`).
 //!
-//! The committed JSON documents the storage engine's claims at 100M
+//! The committed ledger documents the storage engine's claims at 100M
 //! samples: under 2 bytes per sample on meter-cadenced input (delta-of-
 //! delta timestamps + XOR-compressed watts, vs 16 bytes raw), ingest
 //! throughput through the WAL-first append path, cold-query latency from
@@ -14,70 +13,14 @@
 //! decoded samples, however large the chunks.
 
 use power_model::PowerTrace;
-use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
+use tgi_bench::{Lcg, Ledger};
 use tgi_trace_store::chunk::SUB_BLOCK_SAMPLES;
 use tgi_trace_store::{StoreConfig, TraceStore};
 
-#[derive(Serialize)]
-struct Machine {
-    available_parallelism: usize,
-}
-
-#[derive(Serialize)]
-struct Ingest {
-    wall_s: f64,
-    samples_per_sec: f64,
-    batch_samples: usize,
-}
-
-#[derive(Serialize)]
-struct Storage {
-    disk_bytes: u64,
-    bytes_per_sample: f64,
-    sealed_chunks: usize,
-    chunk_samples: usize,
-    compression_ratio_vs_raw16: f64,
-}
-
-#[derive(Serialize)]
-struct ColdQuery {
-    queries: usize,
-    energy_between_us_per_query: f64,
-    memory_oracle_ns_per_query: f64,
-    max_chunks_decompressed_per_query: u64,
-    max_samples_decoded_per_query: u64,
-    footer_only_total_energy_ns: f64,
-}
-
-#[derive(Serialize)]
-struct Parity {
-    energy_total_bitwise_equal: bool,
-    windows_checked: usize,
-    windows_bitwise_equal: usize,
-}
-
-#[derive(Serialize)]
-struct Baseline {
-    machine: Machine,
-    samples: usize,
-    ingest: Ingest,
-    storage: Storage,
-    cold_query: ColdQuery,
-    parity: Parity,
-}
-
-/// Deterministic pseudo-random stream (LCG, same idiom as the other
-/// benches).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_unit(&mut self) -> f64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+/// Samples ingested: (full, smoke).
+const SAMPLES: (usize, usize) = (100_000_000, 1_000_000);
 
 /// Fills one batch of meter-like columns: an exact 1 Hz cadence (what a
 /// Watts Up?-class logger actually emits) and 0.1 W-quantized power that
@@ -106,14 +49,6 @@ fn fill_batch(
     }
 }
 
-fn output_path() -> PathBuf {
-    if let Ok(p) = std::env::var("TGI_BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    // crates/bench/ → repository root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_store.json")
-}
-
 struct ScratchDir(PathBuf);
 
 impl Drop for ScratchDir {
@@ -123,11 +58,9 @@ impl Drop for ScratchDir {
 }
 
 fn main() {
-    let n: usize = std::env::var("TGI_STORE_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000_000);
-    let n_threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
+    let mut ledger = Ledger::new("trace_store");
+    let n = ledger.pick(SAMPLES);
+    let n_threads = ledger.machine.available_parallelism;
     let chunk_samples = StoreConfig::default().chunk_samples;
     let batch_samples = 1_000_000.min(n.max(1));
     eprintln!("trace_store: {n} samples, chunk {chunk_samples}, {n_threads} thread(s)");
@@ -159,26 +92,25 @@ fn main() {
     let start = Instant::now();
     store.sync().expect("store syncs");
     ingest_wall += start.elapsed().as_secs_f64();
-    let ingest =
-        Ingest { wall_s: ingest_wall, samples_per_sec: n as f64 / ingest_wall, batch_samples };
-    eprintln!("  ingest: {:.2e} samples/s ({ingest_wall:.1} s wall)", ingest.samples_per_sec);
+    let samples_per_s = n as f64 / ingest_wall;
+    ledger.higher("ingest", "samples_per_s", "1/s", samples_per_s);
+    eprintln!("  ingest: {samples_per_s:.2e} samples/s ({ingest_wall:.1} s wall)");
 
     let disk_bytes = store.disk_bytes();
     let bytes_per_sample = disk_bytes as f64 / n as f64;
-    let storage = Storage {
-        disk_bytes,
-        bytes_per_sample,
-        sealed_chunks: store.sealed_chunks(),
-        chunk_samples,
-        compression_ratio_vs_raw16: 16.0 / bytes_per_sample,
-    };
+    // The headline claim: cadenced meter traces compress below 2 bytes per
+    // 16-byte sample (the bound is the largest f64 below 2.0, so the
+    // ledger's `<=` is the claim's `<`).
+    ledger
+        .lower("storage", "bytes_per_sample", "B", bytes_per_sample)
+        .bound(f64::from_bits(2.0f64.to_bits() - 1))
+        .deterministic();
     eprintln!(
-        "  storage: {disk_bytes} bytes, {bytes_per_sample:.3} B/sample ({:.1}x vs raw)",
-        storage.compression_ratio_vs_raw16
+        "  storage: {disk_bytes} bytes, {bytes_per_sample:.3} B/sample ({:.1}x vs raw), \
+         {} sealed chunks",
+        16.0 / bytes_per_sample,
+        store.sealed_chunks()
     );
-    // The headline claim: cadenced meter traces compress below 2 bytes
-    // per 16-byte sample.
-    assert!(bytes_per_sample < 2.0, "compression missed the 2 B/sample bar: {bytes_per_sample:.3}");
 
     // Reopen so every query below starts cold: recovery reads only the
     // chunk footers, sample payloads decompress on demand.
@@ -189,9 +121,11 @@ fn main() {
     assert_eq!(store.len(), n as u64);
 
     // Parity: whole-trace aggregates, then random windows, all bitwise.
-    let energy_total_bitwise_equal =
-        store.energy_total().to_bits() == oracle.energy().value().to_bits();
-    assert!(energy_total_bitwise_equal, "total energy diverged from the oracle");
+    assert_eq!(
+        store.energy_total().to_bits(),
+        oracle.energy().value().to_bits(),
+        "total energy diverged from the oracle"
+    );
     assert_eq!(store.peak_watts().to_bits(), oracle.peak_power().value().to_bits());
     assert_eq!(store.min_watts().to_bits(), oracle.min_power().value().to_bits());
 
@@ -223,15 +157,20 @@ fn main() {
         }
     }
     let cold_us = start.elapsed().as_secs_f64() * 1e6 / queries as f64;
-    assert_eq!(windows_bitwise_equal, queries, "store windows diverged from the oracle bitwise");
-    assert!(
-        max_decomp <= 2,
-        "a window query decoded {max_decomp} units (boundary-only bound is 2)"
-    );
-    assert!(
-        max_decoded <= 2 * SUB_BLOCK_SAMPLES as u64,
-        "a window query decoded {max_decoded} samples (bound is two sub-blocks)"
-    );
+    ledger
+        .higher("parity", "windows_bitwise_equal", "count", windows_bitwise_equal as f64)
+        .bound(queries as f64)
+        .deterministic();
+    ledger.lower("cold_query", "energy_between_us", "us", cold_us);
+    // Each window decodes at most its two boundary sub-blocks.
+    ledger
+        .lower("cold_query", "max_units_decoded", "count", max_decomp as f64)
+        .bound(2.0)
+        .deterministic();
+    ledger
+        .lower("cold_query", "max_samples_decoded", "count", max_decoded as f64)
+        .bound(2.0 * SUB_BLOCK_SAMPLES as f64)
+        .deterministic();
 
     // The same window set against the in-memory prefix index, for scale.
     let start = Instant::now();
@@ -241,6 +180,7 @@ fn main() {
     }
     let memory_ns = start.elapsed().as_nanos() as f64 / queries as f64;
     assert!(sink.is_finite());
+    ledger.lower("cold_query", "memory_oracle_ns", "ns", memory_ns);
 
     // Footer-only fast path: whole-span totals never touch a payload.
     store.reset_decompressions();
@@ -253,35 +193,13 @@ fn main() {
     let footer_ns = start.elapsed().as_nanos() as f64 / total_queries as f64;
     assert!(total_sink.is_finite());
     assert_eq!(store.decompressions(), 0, "energy_total decompressed a chunk");
-
-    let cold_query = ColdQuery {
-        queries,
-        energy_between_us_per_query: cold_us,
-        memory_oracle_ns_per_query: memory_ns,
-        max_chunks_decompressed_per_query: max_decomp,
-        max_samples_decoded_per_query: max_decoded,
-        footer_only_total_energy_ns: footer_ns,
-    };
+    ledger.lower("cold_query", "footer_only_total_energy_ns", "ns", footer_ns);
     eprintln!(
         "  cold energy_between: {cold_us:.1} us/query (≤{max_decomp} units, \
-         ≤{max_decoded} samples), \
+         ≤{max_decoded} samples), {windows_bitwise_equal}/{queries} bitwise equal, \
          memory oracle {memory_ns:.0} ns, footer-only total {footer_ns:.0} ns"
     );
 
-    let parity =
-        Parity { energy_total_bitwise_equal, windows_checked: queries, windows_bitwise_equal };
-
-    let baseline = Baseline {
-        machine: Machine { available_parallelism: n_threads },
-        samples: n,
-        ingest,
-        storage,
-        cold_query,
-        parity,
-    };
-    let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
-    let path = output_path();
-    std::fs::write(&path, json + "\n").expect("baseline file writable");
-    eprintln!("trace_store: wrote {}", path.display());
     drop(scratch);
+    ledger.finish();
 }

@@ -1,39 +1,83 @@
 //! # tgi-bench — benchmark harnesses for every paper artifact
 //!
-//! Each Criterion bench regenerates one artifact of the paper's evaluation
-//! (printing its rows/series once, then timing the regeneration), or runs an
-//! ablation of a design choice called out in DESIGN.md:
+//! Sixteen bench targets, all run with `cargo bench -p tgi-bench --bench
+//! <name>`. Seven are Criterion benches that regenerate a paper artifact
+//! or ablate a design choice called out in DESIGN.md, printing their
+//! rows/series once and then timing the regeneration:
 //!
-//! * `benches/figures.rs` — Figures 2–6 (one bench group per figure).
-//! * `benches/tables.rs` — Tables I and II.
-//! * `benches/kernels.rs` — the native kernels (HPL, STREAM, IOzone-style,
-//!   DGEMM, FFT, PTRANS, GUPS) at several sizes.
-//! * `benches/kernel_throughput.rs` — the parallel-backend perf baseline:
-//!   runs DGEMM/HPL/STREAM/GUPS at 1 thread and at the machine's full
-//!   thread count and writes `BENCH_kernels.json` at the repo root (path
-//!   overridable with `TGI_BENCH_OUT`), including N-over-1 speedups.
-//! * `benches/lu_ablation.rs` — blocked vs unblocked LU, block-size sweep.
-//! * `benches/metric.rs` — tgi-core microbenchmarks (TGI computation,
-//!   Pearson correlation, means).
-//! * `benches/meter_ablation.rs` — meter sampling-rate sensitivity and
-//!   PUE-on/off ablation.
-//! * `benches/fleet.rs` — the synthetic Green500: fleet generation, the
-//!   full 500-system fleet sweep (parallel bitwise-equal to sequential,
-//!   zero duplicate simulations hard-asserted), and the sharded
-//!   single-flight memoizer vs the old single-mutex design at 1/4/16
-//!   threads; writes `BENCH_fleet.json` (`TGI_FLEET_BENCH_SYSTEMS`
-//!   shrinks it for CI smoke).
+//! * `figures` — Figures 2–6 (one bench group per figure).
+//! * `tables` — Tables I and II.
+//! * `kernels` — the native kernels (HPL, STREAM, IOzone-style, DGEMM, FFT,
+//!   PTRANS, GUPS) at several sizes.
+//! * `lu_ablation` — blocked vs unblocked LU, block-size sweep.
+//! * `metric` — tgi-core microbenchmarks (TGI, Pearson correlation, means).
+//! * `meter_ablation` — meter sampling-rate sensitivity and PUE on/off.
+//! * `minimpi` — the thread-backed message-passing runtime's collectives
+//!   and distributed HPL.
 //!
-//! Run with `cargo bench --workspace` (or `-p tgi-bench --bench figures`).
+//! Nine write a [`Ledger`] — one record schema, bounds checked in one
+//! place — to `BENCH_<stem>.json` at the repository root (the targets and
+//! stems are listed in [`LEDGERS`]):
+//!
+//! * `fleet` → `BENCH_fleet.json` — synthetic Green500 generation, the
+//!   500-system fleet sweep, and the single-flight memo race.
+//! * `frontier` → `BENCH_frontier.json` — the DVFS energy/time frontier
+//!   over measured GEMM and STREAM.
+//! * `kernel_throughput` → `BENCH_kernels.json` — DGEMM/HPL/STREAM/GUPS at
+//!   1 thread plus N-over-1 speedups.
+//! * `obs` → `BENCH_obs.json` — anomaly-detector throughput, quantile
+//!   sketch accuracy, flight-recorder vs collector span cost.
+//! * `server_load` → `BENCH_server.json` — `tgi-server` under the
+//!   `tgi-load` client mix.
+//! * `telemetry_overhead` → `BENCH_telemetry.json` — disabled- and
+//!   enabled-path instrumentation cost.
+//! * `tgi_throughput` → `BENCH_tgi.json` — batch `TgiEvaluator` vs a
+//!   builder loop, and a memoized grid sweep.
+//! * `trace_analytics` → `BENCH_trace.json` — indexed trace queries vs
+//!   naive rescans.
+//! * `trace_store` → `BENCH_store.json` — compressed on-disk ingest, cold
+//!   window queries and parity with the in-memory trace.
+//!
+//! `TGI_BENCH_SMOKE=1` runs the nine at their CI smoke sizes and writes
+//! their ledgers under the temp directory instead (see [`ledger`]).
 
-/// Shared Criterion settings so `cargo bench --workspace` stays fast: the
-/// artifact regenerations are deterministic, so few samples suffice.
-pub fn quick() -> criterion_config::Quick {
-    criterion_config::Quick
+pub mod ledger;
+
+pub use ledger::{Ledger, Scale, LEDGERS};
+
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Deterministic pseudo-random stream (64-bit LCG, top 53 bits).
+pub struct Lcg(pub u64);
+
+impl Lcg {
+    /// The next value, uniform in `[0, 1)`.
+    pub fn next_unit(&mut self) -> f64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
-/// Tiny marker module so the crate has a stable public item to document.
-pub mod criterion_config {
-    /// Marker for the quick-benchmarks configuration.
-    pub struct Quick;
+/// The reference unit of work for per-call overhead loops: something the
+/// optimizer cannot delete but that does no real work.
+#[inline(never)]
+pub fn noop_unit(i: u64) -> u64 {
+    black_box(i)
+}
+
+/// Mean nanoseconds per call of `f` over `iters` calls.
+pub fn time_per_iter(iters: usize, mut f: impl FnMut(u64)) -> f64 {
+    let start = Instant::now();
+    for i in 0..iters as u64 {
+        f(i);
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Median of `runs` timing runs, to shrug off scheduler noise.
+pub fn median_of(runs: usize, mut measure: impl FnMut() -> f64) -> f64 {
+    let mut samples: Vec<f64> = (0..runs).map(|_| measure()).collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
