@@ -8,11 +8,13 @@
 //!   round trip is `to_bits`-identical sample-for-sample (the codec is
 //!   lossless at the bit-pattern level).
 //! * [`StoreBackedTrace`] implements [`TraceQuery`] over an open store —
-//!   `energy`, `energy_between`, `window`, the provided `average_power`
-//!   and `scan_anomalies` — plus `power_at` and peak/min, answering from
+//!   `energy`, `energy_between`, `energy_and_average_between`, `window`,
+//!   the provided `average_power` and `scan_anomalies` — answering from
 //!   chunk footers and sub-block indexes, decoding at most the window's
 //!   two boundary sub-blocks (`window` decodes the sub-blocks it covers),
 //!   bit-identical to the in-memory prefix index over the same samples.
+//!   Point and extreme reads (`power_at`, peak, min) live on the
+//!   underlying [`TraceStore`].
 //! * `BackgroundSampler::start_into` (in [`crate::sampler`]) records
 //!   straight into a `StoreBackedTrace`, so long captures never hold the
 //!   full trace in memory.
@@ -106,16 +108,6 @@ impl StoreBackedTrace {
         Joules::new(self.store.energy_total())
     }
 
-    /// Peak sampled power — O(1).
-    pub fn peak_power(&self) -> Watts {
-        Watts::new(self.store.peak_watts())
-    }
-
-    /// Minimum sampled power (0 when empty) — O(1).
-    pub fn min_power(&self) -> Watts {
-        Watts::new(self.store.min_watts())
-    }
-
     /// Trapezoidal energy over `[t0, t1]` clamped to the stored span —
     /// footer and sub-block index binary search, decoding at most the two
     /// boundary sub-blocks.
@@ -134,12 +126,6 @@ impl StoreBackedTrace {
     /// Panics if either bound is NaN.
     pub fn average_power_between(&self, t0: f64, t1: f64) -> Result<Watts, StoreError> {
         Ok(Watts::new(self.store.average_power_between(t0, t1)?))
-    }
-
-    /// Linearly interpolated instantaneous power at `t`; `None` outside
-    /// the span.
-    pub fn power_at(&self, t: f64) -> Result<Option<Watts>, StoreError> {
-        Ok(self.store.power_at(t)?.map(Watts::new))
     }
 
     /// The sub-trace covering `[t0, t1]` (clamped), with interpolated
@@ -187,6 +173,11 @@ impl TraceQuery for StoreBackedTrace {
         StoreBackedTrace::average_power_between(self, t0, t1)
     }
 
+    fn energy_and_average_between(&self, t0: f64, t1: f64) -> Result<(Joules, Watts), StoreError> {
+        let (energy, average) = self.store.energy_and_average_between(t0, t1)?;
+        Ok((Joules::new(energy), Watts::new(average)))
+    }
+
     fn window(&self, t0: f64, t1: f64) -> Result<PowerTrace, StoreError> {
         StoreBackedTrace::window(self, t0, t1)
     }
@@ -225,10 +216,12 @@ mod tests {
         assert!(backed.is_empty());
         assert_eq!(backed.energy().value(), 0.0);
         assert_eq!(TraceQuery::average_power(&backed).unwrap().value(), 0.0);
-        assert_eq!(backed.peak_power().value(), 0.0);
-        assert_eq!(backed.min_power().value(), 0.0);
+        assert_eq!(backed.store().peak_watts(), 0.0);
+        assert_eq!(backed.store().min_watts(), 0.0);
         assert_eq!(backed.energy_between(0.0, 10.0).unwrap().value(), 0.0);
-        assert!(backed.power_at(0.0).unwrap().is_none());
+        let (energy, average) = TraceQuery::energy_and_average_between(&backed, 0.0, 10.0).unwrap();
+        assert_eq!((energy.value(), average.value()), (0.0, 0.0));
+        assert!(backed.store().power_at(0.0).unwrap().is_none());
         assert!(backed.window(0.0, 1.0).unwrap().is_empty());
     }
 

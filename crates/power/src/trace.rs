@@ -56,6 +56,11 @@ pub trait TraceQuery {
     /// Time-weighted average power over `[t0, t1]`, clamped to the span.
     fn average_power_between(&self, t0: f64, t1: f64) -> Result<Watts, StoreError>;
 
+    /// Both [`TraceQuery::energy_between`] and
+    /// [`TraceQuery::average_power_between`], bit-identical to each, from
+    /// one boundary lookup per window end.
+    fn energy_and_average_between(&self, t0: f64, t1: f64) -> Result<(Joules, Watts), StoreError>;
+
     /// The in-memory sub-trace covering `[t0, t1]` (clamped), with
     /// linearly interpolated boundary samples.
     fn window(&self, t0: f64, t1: f64) -> Result<PowerTrace, StoreError>;
@@ -345,31 +350,40 @@ impl PowerTrace {
         base + 0.5 * (self.watts[i] + w_t) * dt
     }
 
+    /// Trapezoidal energy and time-weighted average power over `[t0, t1]`
+    /// (clamped to the trace span), from one prefix-index lookup per
+    /// window end — O(log n). An empty trace or a window entirely outside
+    /// it reports `(0, 0)`; a zero-width clamped window reports no energy
+    /// and the interpolated instantaneous power at that point.
+    ///
+    /// # Panics
+    /// Panics if either bound is NaN (infinities clamp to the trace span).
+    pub fn energy_and_average_between(&self, t0: f64, t1: f64) -> (Joules, Watts) {
+        let (energy, average) = match clamp_window(self.time_bounds(), t0, t1) {
+            Some((a, b)) if a < b => {
+                let energy = self.cum_energy_at(b) - self.cum_energy_at(a);
+                (energy, energy / (b - a))
+            }
+            Some((a, _)) => (0.0, self.power_at(a).map_or(0.0, Watts::value)),
+            None => (0.0, 0.0),
+        };
+        (Joules::new(energy), Watts::new(average))
+    }
+
     /// Trapezoidal energy over `[t0, t1]` (clamped to the trace span) —
-    /// O(log n) from the prefix index. Returns 0 for an empty trace or an
-    /// empty clamped interval.
+    /// the energy half of [`PowerTrace::energy_and_average_between`].
     ///
     /// # Panics
     /// Panics if either bound is NaN (infinities clamp to the trace span).
     pub fn energy_between(&self, t0: f64, t1: f64) -> Joules {
-        match clamp_window(self.time_bounds(), t0, t1) {
-            Some((a, b)) if a < b => Joules::new(self.cum_energy_at(b) - self.cum_energy_at(a)),
-            _ => Joules::new(0.0),
-        }
+        self.energy_and_average_between(t0, t1).0
     }
 
     /// Time-weighted average power over `[t0, t1]` (clamped to the trace
-    /// span) — O(log n). A zero-width clamped window reports the
-    /// interpolated instantaneous power at that point; a window entirely
-    /// outside the trace reports 0.
+    /// span) — the average half of
+    /// [`PowerTrace::energy_and_average_between`].
     pub fn average_power_between(&self, t0: f64, t1: f64) -> Watts {
-        match clamp_window(self.time_bounds(), t0, t1) {
-            Some((a, b)) if a < b => {
-                Watts::new((self.cum_energy_at(b) - self.cum_energy_at(a)) / (b - a))
-            }
-            Some((a, _)) => self.power_at(a).unwrap_or(Watts::new(0.0)),
-            None => Watts::new(0.0),
-        }
+        self.energy_and_average_between(t0, t1).1
     }
 
     /// Linearly interpolated instantaneous power at time `t` — O(log n).
@@ -460,6 +474,10 @@ impl TraceQuery for PowerTrace {
 
     fn average_power_between(&self, t0: f64, t1: f64) -> Result<Watts, StoreError> {
         Ok(PowerTrace::average_power_between(self, t0, t1))
+    }
+
+    fn energy_and_average_between(&self, t0: f64, t1: f64) -> Result<(Joules, Watts), StoreError> {
+        Ok(PowerTrace::energy_and_average_between(self, t0, t1))
     }
 
     fn window(&self, t0: f64, t1: f64) -> Result<PowerTrace, StoreError> {

@@ -6,9 +6,10 @@
 //! each energy window touched at most its two boundary chunks.
 
 use power_model::persist::StoreBackedTrace;
-use power_model::PowerTrace;
+use power_model::{PowerTrace, TraceQuery};
 use std::path::PathBuf;
-use tgi_core::Watts;
+use tgi_core::{Joules, Watts};
+use tgi_trace_store::chunk::SUB_BLOCK_SAMPLES;
 use tgi_trace_store::StoreConfig;
 
 struct ScratchDir(PathBuf);
@@ -81,8 +82,9 @@ fn store_queries_are_bit_identical_to_memory_oracle() {
     assert!(backed.store().sealed_chunks() >= 70, "want many chunks for a meaningful test");
 
     assert_eq!(backed.energy().value().to_bits(), trace.energy().value().to_bits());
-    assert_eq!(backed.peak_power().value().to_bits(), trace.peak_power().value().to_bits());
-    assert_eq!(backed.min_power().value().to_bits(), trace.min_power().value().to_bits());
+    let store = backed.store();
+    assert_eq!(store.peak_watts().to_bits(), trace.peak_power().value().to_bits());
+    assert_eq!(store.min_watts().to_bits(), trace.min_power().value().to_bits());
     assert_eq!(backed.time_bounds(), trace.time_bounds());
 
     let (first, last) = trace.time_bounds().unwrap();
@@ -91,16 +93,16 @@ fn store_queries_are_bit_identical_to_memory_oracle() {
     for case in 0..400 {
         let a = first + span * rng.uniform();
         let b = first + span * rng.uniform();
-        backed.store().reset_decompressions();
+        store.reset_decompressions();
         let got = backed.energy_between(a, b).unwrap().value();
         let want = trace.energy_between(a, b).value();
         assert_eq!(got.to_bits(), want.to_bits(), "case {case}: energy_between({a}, {b})");
         assert!(
-            backed.store().decompressions() <= 2,
+            store.decompressions() <= 2,
             "case {case}: energy_between({a}, {b}) decompressed {} chunks",
-            backed.store().decompressions()
+            store.decompressions()
         );
-        let got = backed.power_at(a).unwrap().map(|w| w.value().to_bits());
+        let got = store.power_at(a).unwrap().map(f64::to_bits);
         let want = trace.power_at(a).map(|w| w.value().to_bits());
         assert_eq!(got, want, "case {case}: power_at({a})");
         let got = backed.average_power_between(a, b).unwrap().value();
@@ -113,17 +115,17 @@ fn store_queries_are_bit_identical_to_memory_oracle() {
     for idx in [0usize, 511, 512, 513, 8191, 8192, 39_999] {
         let t = trace.times()[idx];
         assert_eq!(
-            backed.power_at(t).unwrap().map(|w| w.value().to_bits()),
+            store.power_at(t).unwrap().map(f64::to_bits),
             trace.power_at(t).map(|w| w.value().to_bits()),
             "power_at stored sample {idx}"
         );
-        backed.store().reset_decompressions();
+        store.reset_decompressions();
         let got = backed.energy_between(first, t).unwrap().value();
         assert_eq!(got.to_bits(), trace.energy_between(first, t).value().to_bits());
-        assert!(backed.store().decompressions() <= 2);
+        assert!(store.decompressions() <= 2);
     }
-    assert_eq!(backed.power_at(first - 1.0).unwrap(), None);
-    assert_eq!(backed.power_at(last + 1.0).unwrap(), None);
+    assert_eq!(store.power_at(first - 1.0).unwrap(), None);
+    assert_eq!(store.power_at(last + 1.0).unwrap(), None);
     assert_eq!(
         backed.energy_between(f64::NEG_INFINITY, f64::INFINITY).unwrap().value().to_bits(),
         trace.energy_between(f64::NEG_INFINITY, f64::INFINITY).value().to_bits()
@@ -170,7 +172,6 @@ fn reopened_store_stays_bit_identical() {
 
 #[test]
 fn zero_duration_traces_and_windows_match_memory() {
-    use power_model::TraceQuery;
     // One sample, and several samples sharing one timestamp: both span
     // zero time, so the average is the plain sample mean in either form.
     let cases: [&[(f64, f64)]; 3] = [
@@ -224,4 +225,72 @@ fn zero_duration_traces_and_windows_match_memory() {
             "average_power_between({a}, {b})"
         );
     }
+}
+
+/// A trace of three sealed 10,000-sample chunks — sub-blocks of 4,096,
+/// 4,096 and 1,808 samples — and an active tail, with timestamps
+/// repeating across two sub-block edges and one chunk edge.
+fn sub_block_trace(scratch: &ScratchDir) -> (PowerTrace, StoreBackedTrace, Vec<usize>) {
+    let base = synth(32_000, 0xF05E);
+    let mut times = base.times().to_vec();
+    for i in [SUB_BLOCK_SAMPLES, 10_000 + SUB_BLOCK_SAMPLES, 20_000] {
+        times[i] = times[i - 1];
+    }
+    let mut trace = PowerTrace::new();
+    trace.extend_from_slices(&times, base.watts());
+    let config = StoreConfig { chunk_samples: 10_000, retain_seconds: None };
+    let backed = StoreBackedTrace::new(trace.to_store(&scratch.0, config).unwrap());
+    assert_eq!(backed.store().sealed_chunks(), 3);
+    let edges = (0..3)
+        .flat_map(|c| [0, SUB_BLOCK_SAMPLES, 2 * SUB_BLOCK_SAMPLES, 9_999].map(|k| c * 10_000 + k))
+        .flat_map(|i| [i.saturating_sub(1), i, i + 1])
+        .chain([30_000, 31_999])
+        .collect();
+    (trace, backed, edges)
+}
+
+#[test]
+fn fused_energy_and_average_match_the_separate_reads_bitwise() {
+    let scratch = ScratchDir::new("fused");
+    let (trace, backed, edges) = sub_block_trace(&scratch);
+    let (first, last) = trace.time_bounds().unwrap();
+    // Every edge sample (sub-block, chunk and duplicate edges alike), the
+    // points just off it — inside a segment or across a chunk gap — and
+    // points outside the span.
+    let mut probes = vec![first - 5.0, first - 1.0, last + 1.0, last + 5.0];
+    for &i in &edges {
+        let t = trace.times()[i];
+        probes.extend([t, t - 0.3, t + 0.3]);
+    }
+    let bits = |(e, w): (Joules, Watts)| (e.value().to_bits(), w.value().to_bits());
+    let windows = probes.iter().flat_map(|&a| probes.iter().map(move |&b| (a, b)));
+    let extremes = [(f64::NEG_INFINITY, f64::INFINITY), (f64::NEG_INFINITY, first - 1.0)];
+    for (a, b) in windows.chain(extremes) {
+        let separate =
+            (backed.energy_between(a, b).unwrap(), backed.average_power_between(a, b).unwrap());
+        let fused = TraceQuery::energy_and_average_between(&backed, a, b).unwrap();
+        assert_eq!(bits(fused), bits(separate), "stored energy_and_average_between({a}, {b})");
+        let memory = trace.energy_and_average_between(a, b);
+        assert_eq!(bits(memory), bits(fused), "in-memory energy_and_average_between({a}, {b})");
+        let memory_separate = (trace.energy_between(a, b), trace.average_power_between(a, b));
+        assert_eq!(bits(memory), bits(memory_separate), "in-memory halves ({a}, {b})");
+    }
+}
+
+#[test]
+fn fused_read_decodes_each_boundary_sub_block_once() {
+    let scratch = ScratchDir::new("fused_decodes");
+    let (trace, backed, _) = sub_block_trace(&scratch);
+    let store = backed.store();
+    // Both ends strictly inside sealed sub-blocks: mid-segment, away from
+    // every sub-block's first and last sample.
+    let (a, b) = (trace.times()[2_000] + 0.5, trace.times()[16_000] + 0.5);
+    store.reset_decompressions();
+    let fused = TraceQuery::energy_and_average_between(&backed, a, b).unwrap();
+    assert_eq!(store.decompressions(), 2, "fused read");
+    store.reset_decompressions();
+    let separate =
+        (backed.energy_between(a, b).unwrap(), backed.average_power_between(a, b).unwrap());
+    assert_eq!(store.decompressions(), 4, "separate reads");
+    assert_eq!(fused, separate);
 }

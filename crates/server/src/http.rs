@@ -152,29 +152,49 @@ fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
     }
 }
 
-/// Decodes `%xx` escapes and `+` in a query component.
+/// Decodes `%xx` escapes and `+` in a query component. A `%` decodes
+/// only when exactly two ASCII hex digits follow it; otherwise it stays a
+/// literal `%`.
 fn url_decode(s: &str) -> String {
+    fn hex(b: u8) -> Option<u8> {
+        (b as char).to_digit(16).map(|d| d as u8)
+    }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
             b'+' => out.push(b' '),
-            b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 2;
-                    }
-                    None => out.push(b'%'),
+            b'%' if i + 2 < bytes.len() => match (hex(bytes[i + 1]), hex(bytes[i + 2])) {
+                (Some(hi), Some(lo)) => {
+                    out.push(hi << 4 | lo);
+                    i += 2;
                 }
-            }
+                _ => out.push(b'%'),
+            },
             b => out.push(b),
         }
         i += 1;
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+/// The declared body length. Every `Content-Length` header must be plain
+/// ASCII digits, and repeats must agree: a framing the peer and a proxy
+/// could read two ways is refused rather than guessed.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut declared = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        let len = Some(value)
+            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or_else(|| HttpError::BadRequest(format!("invalid content-length `{value}`")))?;
+        if declared.is_some_and(|d| d != len) {
+            return Err(HttpError::BadRequest("conflicting content-length headers".into()));
+        }
+        declared = Some(len);
+    }
+    Ok(declared)
 }
 
 /// Reads and validates one request from `reader`.
@@ -247,10 +267,7 @@ pub fn read_request<R: BufRead>(
     if request.header("transfer-encoding").is_some_and(|v| !v.eq_ignore_ascii_case("identity")) {
         return Err(HttpError::NotImplemented("transfer-encoding"));
     }
-    if let Some(len) = request.header("content-length") {
-        let declared: usize = len
-            .parse()
-            .map_err(|_| HttpError::BadRequest(format!("invalid content-length `{len}`")))?;
+    if let Some(declared) = content_length(&request.headers)? {
         if declared > max_body_bytes {
             return Err(HttpError::BodyTooLarge { declared, limit: max_body_bytes });
         }
@@ -324,10 +341,17 @@ impl Response {
         }
     }
 
-    /// Writes the response with explicit framing headers.
+    /// Writes the response with explicit framing headers. The status
+    /// line, headers and body are formatted into one buffer and handed to
+    /// `writer` in a single `write_all`: the server's sockets run with
+    /// Nagle off, so every separate write would leave as its own segment.
     pub fn write_to<W: Write>(&self, writer: &mut W) -> io::Result<()> {
+        /// The status line and headers at their longest (20-digit
+        /// numbers), not counting the content type's value.
+        const HEAD_BYTES: usize = 160;
+        let mut out = Vec::with_capacity(HEAD_BYTES + self.content_type.len() + self.body.len());
         write!(
-            writer,
+            out,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
             self.reason(),
@@ -336,10 +360,11 @@ impl Response {
             if self.close { "close" } else { "keep-alive" },
         )?;
         if let Some(seconds) = self.retry_after {
-            write!(writer, "retry-after: {seconds}\r\n")?;
+            write!(out, "retry-after: {seconds}\r\n")?;
         }
-        writer.write_all(b"\r\n")?;
-        writer.write_all(self.body.as_bytes())?;
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(self.body.as_bytes());
+        writer.write_all(&out)?;
         writer.flush()
     }
 }
@@ -387,10 +412,20 @@ mod tests {
 
     #[test]
     fn invalid_content_length_is_a_bad_request() {
-        assert!(matches!(
-            parse("POST /evaluate HTTP/1.1\r\nContent-Length: banana\r\n\r\n"),
-            Err(HttpError::BadRequest(_))
-        ));
+        // Only ASCII digits: `usize::from_str` alone would take `+5`.
+        for len in ["banana", "+5", "-5", "5x", ""] {
+            let raw = format!("POST /evaluate HTTP/1.1\r\nContent-Length: {len}\r\n\r\nhello");
+            assert!(matches!(parse(&raw), Err(HttpError::BadRequest(_))), "`{len}`");
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_a_bad_request() {
+        let raw = "POST /evaluate HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello";
+        assert!(matches!(parse(raw), Err(HttpError::BadRequest(_))));
+        // Repeats that agree frame the body one way only.
+        let raw = "POST /evaluate HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(parse(raw).expect("agreeing repeats").body, b"hello");
     }
 
     #[test]
@@ -422,6 +457,58 @@ mod tests {
         assert_eq!(url_decode("a%20b+c"), "a b c");
         assert_eq!(url_decode("100%"), "100%");
         assert_eq!(url_decode("%zz"), "%zz");
+        assert_eq!(url_decode("%41%2f"), "A/");
+        // Two hex digits or no escape: `u8::from_str_radix` alone would
+        // read the sign in `%+f` and yield byte 0x0F.
+        assert_eq!(url_decode("%+f"), "% f");
+        assert_eq!(url_decode("%-1x"), "%-1x");
+    }
+
+    /// A writer that accepts every byte and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_reaches_the_writer_in_one_write() {
+        let cases = [
+            (
+                Response::json(200, "{\"tgi\":1.5}".to_string()),
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\n\
+                 connection: keep-alive\r\n\r\n{\"tgi\":1.5}",
+            ),
+            (
+                HttpError::BadRequest("bad".into()).to_response(),
+                "HTTP/1.1 400 Bad Request\r\ncontent-type: application/json\r\n\
+                 content-length: 28\r\nconnection: close\r\n\r\n{\"error\":\"bad request: bad\"}",
+            ),
+            (
+                Response::error(429, "server overloaded, retry later").with_retry_after(1),
+                "HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+                 content-length: 42\r\nconnection: keep-alive\r\nretry-after: 1\r\n\r\n\
+                 {\"error\":\"server overloaded, retry later\"}",
+            ),
+        ];
+        for (response, framing) in cases {
+            let mut out = CountingWriter::default();
+            response.write_to(&mut out).unwrap();
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), framing);
+            assert_eq!(out.writes, 1, "{framing}");
+        }
     }
 
     #[test]

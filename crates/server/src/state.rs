@@ -578,8 +578,8 @@ impl ServerState {
         json_response(200, &response)
     }
 
-    /// `GET /traces/{node}/energy?from=&to=`: an O(log n) indexed window
-    /// query against the node's prefix index.
+    /// `GET /traces/{node}/energy?from=&to=`: energy and average power
+    /// over the window from one indexed lookup per window end.
     fn energy(&self, node: &str, request: &Request) -> Response {
         let (from, to) = match query_bounds(request, |v| !v.is_nan()) {
             Ok((from, to)) => (from.unwrap_or(f64::NEG_INFINITY), to.unwrap_or(f64::INFINITY)),
@@ -592,12 +592,13 @@ impl ServerState {
         };
         let answer = || -> Result<EnergyResponse, StoreError> {
             let (first, last) = trace.time_bounds()?.unwrap_or((0.0, 0.0));
+            let (energy, average) = trace.energy_and_average_between(from, to)?;
             Ok(EnergyResponse {
                 node: node.to_string(),
                 from: from.max(first),
                 to: to.min(last),
-                energy_j: trace.energy_between(from, to)?.value(),
-                average_w: trace.average_power_between(from, to)?.value(),
+                energy_j: energy.value(),
+                average_w: average.value(),
                 samples: trace.len()?,
             })
         };

@@ -664,34 +664,42 @@ impl TraceStore {
         Ok(chain_step(n.cum_i, (n.t_i, n.w_i), (t, w_t)))
     }
 
-    /// Trapezoidal energy over `[t0, t1]` clamped to the stored span — a
+    /// Trapezoidal energy and time-weighted average power over `[t0, t1]`
+    /// clamped to the stored span, from one lookup per window end — a
     /// footer and index binary search decoding at most the two boundary
-    /// sub-blocks.
-    /// Returns 0 for an empty store or an empty clamped interval.
+    /// sub-blocks. An empty store or a window outside the span answers
+    /// `(0, 0)`; a zero-width clamped window answers no energy and the
+    /// interpolated power at that point.
     ///
     /// # Panics
     /// Panics if either bound is NaN (infinities clamp to the span),
     /// mirroring the in-memory trace.
-    pub fn energy_between(&self, t0: f64, t1: f64) -> Result<f64, StoreError> {
+    pub fn energy_and_average_between(&self, t0: f64, t1: f64) -> Result<(f64, f64), StoreError> {
         match clamp_window(self.time_bounds(), t0, t1) {
-            Some((a, b)) if a < b => Ok(self.cum_energy_at(b)? - self.cum_energy_at(a)?),
-            _ => Ok(0.0),
+            Some((a, b)) if a < b => {
+                let energy = self.cum_energy_at(b)? - self.cum_energy_at(a)?;
+                Ok((energy, energy / (b - a)))
+            }
+            Some((a, _)) => Ok((0.0, self.power_at(a)?.unwrap_or(0.0))),
+            None => Ok((0.0, 0.0)),
         }
     }
 
-    /// Time-weighted average power over `[t0, t1]` clamped to the stored
-    /// span — same cost profile as [`TraceStore::energy_between`].
+    /// The energy half of [`TraceStore::energy_and_average_between`].
+    ///
+    /// # Panics
+    /// Panics if either bound is NaN.
+    pub fn energy_between(&self, t0: f64, t1: f64) -> Result<f64, StoreError> {
+        Ok(self.energy_and_average_between(t0, t1)?.0)
+    }
+
+    /// The average-power half of
+    /// [`TraceStore::energy_and_average_between`].
     ///
     /// # Panics
     /// Panics if either bound is NaN.
     pub fn average_power_between(&self, t0: f64, t1: f64) -> Result<f64, StoreError> {
-        match clamp_window(self.time_bounds(), t0, t1) {
-            Some((a, b)) if a < b => {
-                Ok((self.cum_energy_at(b)? - self.cum_energy_at(a)?) / (b - a))
-            }
-            Some((a, _)) => Ok(self.power_at(a)?.unwrap_or(0.0)),
-            None => Ok(0.0),
-        }
+        Ok(self.energy_and_average_between(t0, t1)?.1)
     }
 
     /// Linearly interpolated instantaneous power at `t`; `None` outside

@@ -71,11 +71,20 @@ impl Oracle {
         self.cum.last().copied().unwrap_or(0.0)
     }
 
-    pub fn energy_between(&self, t0: f64, t1: f64) -> f64 {
+    /// `(energy, average power)` over `[t0, t1]`, clamped to the span.
+    pub fn energy_and_average_between(&self, t0: f64, t1: f64) -> (f64, f64) {
         match clamp_window(self.bounds(), t0, t1) {
-            Some((a, b)) if a < b => self.at(b).0 - self.at(a).0,
-            _ => 0.0,
+            Some((a, b)) if a < b => {
+                let energy = self.at(b).0 - self.at(a).0;
+                (energy, energy / (b - a))
+            }
+            Some((a, _)) => (0.0, self.at(a).1),
+            None => (0.0, 0.0),
         }
+    }
+
+    pub fn energy_between(&self, t0: f64, t1: f64) -> f64 {
+        self.energy_and_average_between(t0, t1).0
     }
 
     pub fn power_at(&self, t: f64) -> Option<f64> {
@@ -107,8 +116,9 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Asks `store` every query over `probes` — each point; the energy and
-/// samples between near neighbours; the energy between probes mirrored
+/// Asks `store` every query over `probes` — each point; the energy, the
+/// fused energy-and-average read and the samples between near
+/// neighbours; the energy and the fused read between probes mirrored
 /// about the middle (nested windows up to the whole span) — and asserts
 /// each answer equals `oracle` bit-for-bit. A query may instead fail as
 /// [`StoreError::Corrupt`]; returns how many did. Any other error fails
@@ -143,6 +153,17 @@ pub fn corrupt_answers(store: &TraceStore, oracle: &Oracle, probes: &[f64]) -> u
                 oracle.energy_between(a, b).to_bits(),
                 "energy_between({a}, {b})"
             ),
+            Err(e) => tally(e),
+        }
+        match store.energy_and_average_between(a, b) {
+            Ok((energy, average)) => {
+                let (want_e, want_w) = oracle.energy_and_average_between(a, b);
+                assert_eq!(
+                    (energy.to_bits(), average.to_bits()),
+                    (want_e.to_bits(), want_w.to_bits()),
+                    "energy_and_average_between({a}, {b})"
+                );
+            }
             Err(e) => tally(e),
         }
     }
