@@ -1,30 +1,17 @@
-//! # tgi-bench — benchmark harnesses for every paper artifact
+//! # tgi-bench — the benches behind the committed `BENCH_*.json` ledgers
 //!
-//! Sixteen bench targets, all run with `cargo bench -p tgi-bench --bench
-//! <name>`. Seven are Criterion benches that regenerate a paper artifact
-//! or ablate a design choice called out in DESIGN.md, printing their
-//! rows/series once and then timing the regeneration:
-//!
-//! * `figures` — Figures 2–6 (one bench group per figure).
-//! * `tables` — Tables I and II.
-//! * `kernels` — the native kernels (HPL, STREAM, IOzone-style, DGEMM, FFT,
-//!   PTRANS, GUPS) at several sizes.
-//! * `lu_ablation` — blocked vs unblocked LU, block-size sweep.
-//! * `metric` — tgi-core microbenchmarks (TGI, Pearson correlation, means).
-//! * `meter_ablation` — meter sampling-rate sensitivity and PUE on/off.
-//! * `minimpi` — the thread-backed message-passing runtime's collectives
-//!   and distributed HPL.
-//!
-//! Nine write a [`Ledger`] — one record schema, bounds checked in one
-//! place — to `BENCH_<stem>.json` at the repository root (the targets and
-//! stems are listed in [`LEDGERS`]):
+//! Nine bench targets, each run with `cargo bench -p tgi-bench --bench
+//! <name>`. Each writes a [`Ledger`] — one record schema, bounds checked
+//! in one place — to `BENCH_<stem>.json` at the repository root (the
+//! targets and stems are listed in [`LEDGERS`]):
 //!
 //! * `fleet` → `BENCH_fleet.json` — synthetic Green500 generation, the
 //!   500-system fleet sweep, and the single-flight memo race.
 //! * `frontier` → `BENCH_frontier.json` — the DVFS energy/time frontier
 //!   over measured GEMM and STREAM.
 //! * `kernel_throughput` → `BENCH_kernels.json` — DGEMM/HPL/STREAM/GUPS at
-//!   1 thread plus N-over-1 speedups.
+//!   1 thread plus N-over-1 speedups, and the LU blocking, DGEMM blocking
+//!   and mixed-precision ablations.
 //! * `obs` → `BENCH_obs.json` — anomaly-detector throughput, quantile
 //!   sketch accuracy, flight-recorder vs collector span cost.
 //! * `server_load` → `BENCH_server.json` — `tgi-server` under the
@@ -38,7 +25,7 @@
 //! * `trace_store` → `BENCH_store.json` — compressed on-disk ingest, cold
 //!   window queries and parity with the in-memory trace.
 //!
-//! `TGI_BENCH_SMOKE=1` runs the nine at their CI smoke sizes and writes
+//! `TGI_BENCH_SMOKE=1` runs them at their CI smoke sizes and writes
 //! their ledgers under the temp directory instead (see [`ledger`]).
 
 pub mod ledger;

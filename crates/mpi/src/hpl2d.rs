@@ -581,7 +581,7 @@ mod tests {
         let nb = 8;
         let seed = 31;
         let reference = run_grid(n, nb, 1, 1, seed)[0].x.clone();
-        for (p, q) in [(2usize, 1usize), (1, 3), (2, 2), (3, 2), (2, 3)] {
+        for (p, q) in [(2usize, 1usize), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3)] {
             let out = run_grid(n, nb, p, q, seed);
             for r in &out {
                 assert!(r.passed, "grid {p}x{q}: residual {}", r.scaled_residual);

@@ -60,6 +60,23 @@ fn one_hz_meter_underestimates_bursty_energy_fine_meter_does_not() {
     let coarse_e = coarse.record(&spiky, 30.0).energy().value();
     // 1 Hz samples land at whole seconds, exactly in the 100 W region.
     assert!(coarse_e < truth * 0.8, "coarse {coarse_e} vs truth {truth}");
+
+    // A square wave off the 1 s grid: 400 W with a 0.3 s spike to 900 W
+    // every 2.3 s. Coarser sampling never tracks it better, and the phase
+    // drift between samples and spikes keeps the 1 Hz meter within 1%.
+    let bursty = |t: f64| Watts::new(if t % 2.3 < 0.3 { 900.0 } else { 400.0 });
+    let duration = 120.0;
+    let truth = IdealMeter::new(0.01).record(&bursty, duration).energy().value();
+    let error = |energy: f64| (energy - truth) / truth;
+    let errors: Vec<f64> = [0.1, 0.5, 1.0, 2.0, 5.0]
+        .iter()
+        .map(|&interval| {
+            error(IdealMeter::new(interval).record(&bursty, duration).energy().value()).abs()
+        })
+        .collect();
+    assert!(errors.windows(2).all(|w| w[0] <= w[1]), "errors by interval: {errors:?}");
+    let wattsup = error(WattsUpPro::calibrated(7).record(&bursty, duration).energy().value());
+    assert!(wattsup.abs() < 0.01, "Watts Up? PRO error {wattsup}");
 }
 
 #[test]
@@ -105,6 +122,50 @@ fn facility_tgi_is_lower_than_it_tgi() {
     let tgi_fac =
         Tgi::builder().reference(reference).measurement(facility).compute().expect("valid").value();
     assert!((tgi_fac - tgi_it / 1.5).abs() < 1e-12);
+
+    // The Fire sweep's 128-core point under every weighting: a uniform PUE
+    // scales each benchmark's power and metered energy alike, so the
+    // weights do not move and TGI falls by exactly the PUE.
+    let system_g = tgi::harness::system_g_reference();
+    let sweep = tgi::harness::FireSweep::run();
+    let point = sweep.points().iter().find(|p| p.cores == 128).expect("128-core point");
+    let tgi_with = |weighting: &Weighting, measurements: Vec<Measurement>| {
+        Tgi::builder()
+            .reference(system_g.clone())
+            .weighting(weighting.clone())
+            .measurements(measurements)
+            .compute()
+            .expect("valid")
+            .value()
+    };
+    for weighting in [Weighting::Arithmetic, Weighting::Time, Weighting::Energy, Weighting::Power] {
+        let tgi_it = tgi_with(&weighting, point.measurements.clone());
+        for (cooling, pue) in
+            [(CoolingModel::typical_2012(), 1.8), (CoolingModel::free_cooled(), 1.1)]
+        {
+            let facility = point
+                .measurements
+                .iter()
+                .map(|m| {
+                    Measurement::new(
+                        m.id(),
+                        m.performance().clone(),
+                        cooling.facility_power(m.power()),
+                        m.time(),
+                    )
+                    .and_then(|f| f.with_energy(Joules::new(m.energy().value() * pue)))
+                    .expect("valid")
+                })
+                .collect();
+            let tgi_fac = tgi_with(&weighting, facility);
+            let expected = tgi_it / pue;
+            assert!(
+                ((tgi_fac - expected) / expected).abs() < 1e-12,
+                "{}, PUE {pue}: facility TGI {tgi_fac} vs IT TGI / PUE {expected}",
+                weighting.label()
+            );
+        }
+    }
 }
 
 #[test]
