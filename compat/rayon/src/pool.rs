@@ -51,8 +51,10 @@ pub const NUM_THREADS_ENV: &str = "TGI_NUM_THREADS";
 /// A type-erased pointer to a [`StackJob`] living on a spawner's stack.
 ///
 /// Soundness: the spawner blocks (while helping) until the job's latch
-/// is set, and the latch is set only after `execute` finishes touching
-/// the job, so the pointee is always alive when dereferenced.
+/// is set, then takes the job's result lock before it returns; `execute`
+/// sets the latch and notifies under that lock and releases it as its
+/// last touch of the job, so the pointee is always alive when
+/// dereferenced.
 #[derive(Clone, Copy)]
 struct JobRef {
     execute: unsafe fn(*const ()),
@@ -288,11 +290,16 @@ where
         // DONE is stored while the result lock is held: a waiter that
         // observes !DONE under the same lock is therefore guaranteed to
         // receive the notify below — no lost wakeup.
+        //
+        // The notify also happens under the lock. The spawner takes this
+        // lock before it reads the result and returns, so releasing it is
+        // the last touch of the job; a notify after the release would
+        // write into the condvar of a frame that may already be gone.
         let mut slot = job.result.lock().expect("job result poisoned");
         *slot = Some(outcome);
         job.state.store(DONE, Ordering::Release);
-        drop(slot);
         job.done.notify_all();
+        drop(slot);
     }
 
     fn run_inline(&self) -> R {

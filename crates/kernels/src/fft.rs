@@ -8,6 +8,7 @@
 //! groups of the later (large-stride) stages are parallelized with rayon.
 
 use crate::complex::Complex64;
+use crate::matrix::max_or_nan;
 use crate::timing::time_until_resolved;
 use rayon::prelude::*;
 use std::f64::consts::PI;
@@ -156,15 +157,20 @@ pub fn benchmark(n: usize, repetitions: usize, seed: u64) -> FftResult {
     // the batch thousands of times on tiny n before the timer resolves,
     // and that accumulated rounding error would swamp the
     // single-round-trip accuracy this field reports.
-    let mut check = original.clone();
-    fft(&mut check, Direction::Forward);
-    fft(&mut check, Direction::Inverse);
-    let max_roundtrip_error =
-        check.iter().zip(&original).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
+    let max_roundtrip_error = roundtrip_error(&original);
 
     // 2 transforms per repetition; `seconds` is the mean per batch.
     let flops = 2.0 * repetitions as f64 * fft_flops(n);
     FftResult { n, gflops: flops / seconds / 1e9, seconds, max_roundtrip_error }
+}
+
+/// `max |IFFT(FFT(x)) − x|` of one forward+inverse pass over a copy of
+/// `x`; NaN if any element of the round trip is NaN.
+fn roundtrip_error(x: &[Complex64]) -> f64 {
+    let mut check = x.to_vec();
+    fft(&mut check, Direction::Forward);
+    fft(&mut check, Direction::Inverse);
+    check.iter().zip(x).map(|(a, b)| (*a - *b).abs()).fold(0.0, max_or_nan)
 }
 
 #[cfg(test)]
@@ -264,6 +270,18 @@ mod tests {
         let r = benchmark(1 << 12, 2, 7);
         assert!(r.gflops > 0.0);
         assert!(r.max_roundtrip_error < 1e-9, "error {}", r.max_roundtrip_error);
+    }
+
+    #[test]
+    fn roundtrip_error_fails_closed_on_one_nan() {
+        let n = 256;
+        assert!(roundtrip_error(&random_signal(n, 3)) < 1e-9);
+        for i in [0, 1, n / 2, n - 1] {
+            let mut x = random_signal(n, 3);
+            x[i].im = f64::NAN;
+            let err = roundtrip_error(&x);
+            assert!(err.is_nan(), "NaN at {i} gave round-trip error {err}");
+        }
     }
 
     proptest! {

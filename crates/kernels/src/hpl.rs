@@ -78,12 +78,15 @@ pub const RESIDUAL_THRESHOLD: f64 = 16.0;
 /// Runs the HPL benchmark.
 ///
 /// Generation and validation are excluded from the timed region, exactly as
-/// in the reference implementation; so is the per-repetition matrix clone
-/// when a tiny order forces the factor+solve to repeat until the timer
-/// resolves (the reported GFLOPS is a per-solve mean and always finite).
+/// in the reference implementation. Each repetition generates `A` in its
+/// untimed setup (a tiny order repeats the factor+solve until the timer
+/// resolves; the reported GFLOPS is a per-solve mean and always finite),
+/// and the residual check regenerates it from its seed once the factored
+/// copy is gone, as the reference HPL does, so only one `n × n` matrix is
+/// ever live.
 pub fn run(config: HplConfig) -> Result<HplResult, SingularMatrix> {
     assert!(config.n > 0, "HPL problem order must be positive");
-    let a = Matrix::random(config.n, config.n, config.seed);
+    let generate = || Matrix::random(config.n, config.n, config.seed);
     let b: Vec<f64> = {
         let bm = Matrix::random(config.n, 1, config.seed.wrapping_add(0x9E37_79B9));
         bm.as_slice().to_vec()
@@ -92,7 +95,7 @@ pub fn run(config: HplConfig) -> Result<HplResult, SingularMatrix> {
     let mut factor_error = None;
     let mut x = Vec::new();
     let (_, seconds) = time_until_resolved_excluding_setup(|| {
-        let mut lu_mat = a.clone(); // untimed setup
+        let mut lu_mat = generate(); // untimed setup
         let start = Instant::now();
         match lu::factor_blocked(&mut lu_mat, config.block_size) {
             Ok(piv) => x = lu::solve_factored(&lu_mat, &piv, &b),
@@ -108,7 +111,7 @@ pub fn run(config: HplConfig) -> Result<HplResult, SingularMatrix> {
         return Err(e);
     }
 
-    let scaled_residual = scaled_residual(&a, &x, &b);
+    let scaled_residual = scaled_residual(&generate(), &x, &b);
     Ok(HplResult {
         n: config.n,
         gflops: config.flops() / seconds / 1e9,
@@ -200,6 +203,23 @@ mod tests {
         let b = vec![3.0; 8];
         let x = vec![4.0; 8]; // off by 1 everywhere
         assert!(scaled_residual(&a, &x, &b) > RESIDUAL_THRESHOLD);
+    }
+
+    #[test]
+    fn residual_with_one_nan_in_x_fails() {
+        let a = Matrix::random(8, 8, 5);
+        let b = Matrix::random(8, 1, 6).as_slice().to_vec();
+        let mut lu_mat = a.clone();
+        let piv = lu::factor_blocked(&mut lu_mat, 4).unwrap();
+        let x = lu::solve_factored(&lu_mat, &piv, &b);
+        assert!(scaled_residual(&a, &x, &b) <= RESIDUAL_THRESHOLD);
+        for i in [0, 3, 7] {
+            let mut poisoned = x.clone();
+            poisoned[i] = f64::NAN;
+            let r = scaled_residual(&a, &poisoned, &b);
+            let passed = r <= RESIDUAL_THRESHOLD;
+            assert!(!passed, "NaN at x[{i}] passed with residual {r}");
+        }
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl Matrix {
         }
     }
 
-    /// Infinity norm: maximum absolute row sum.
+    /// Infinity norm: maximum absolute row sum (NaN if any entry is).
     pub fn norm_inf(&self) -> f64 {
         let mut row_sums = vec![0.0; self.rows];
         for j in 0..self.cols {
@@ -143,12 +143,14 @@ impl Matrix {
                 row_sums[i] += col[i].abs();
             }
         }
-        row_sums.into_iter().fold(0.0, f64::max)
+        row_sums.into_iter().fold(0.0, max_or_nan)
     }
 
-    /// One norm: maximum absolute column sum.
+    /// One norm: maximum absolute column sum (NaN if any entry is).
     pub fn norm_one(&self) -> f64 {
-        (0..self.cols).map(|j| self.col(j).iter().map(|v| v.abs()).sum::<f64>()).fold(0.0, f64::max)
+        (0..self.cols)
+            .map(|j| self.col(j).iter().map(|v| v.abs()).sum::<f64>())
+            .fold(0.0, max_or_nan)
     }
 
     /// Frobenius norm.
@@ -156,14 +158,15 @@ impl Matrix {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute element-wise difference to another matrix.
+    /// Maximum absolute element-wise difference to another matrix (NaN if
+    /// any difference is).
     ///
     /// # Panics
     /// Panics on shape mismatch.
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.rows, other.rows);
         assert_eq!(self.cols, other.cols);
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
+        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, max_or_nan)
     }
 }
 
@@ -206,9 +209,21 @@ impl fmt::Debug for Matrix {
     }
 }
 
-/// Infinity norm of a vector: maximum absolute entry.
+/// Infinity norm of a vector: maximum absolute entry (NaN if any entry is).
 pub fn vec_norm_inf(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).fold(0.0, f64::max)
+    x.iter().map(|v| v.abs()).fold(0.0, max_or_nan)
+}
+
+/// The larger of `m` and `v`, or NaN if either is NaN. `f64::max` returns
+/// the other operand for a NaN, so `fold(0.0, f64::max)` skips a NaN and a
+/// poisoned result would read as a small error; the kernels' validation
+/// folds with this instead so it fails closed.
+pub(crate) fn max_or_nan(m: f64, v: f64) -> f64 {
+    if v > m || v.is_nan() {
+        v
+    } else {
+        m
+    }
 }
 
 /// One norm of a vector: sum of absolute entries.
@@ -301,6 +316,22 @@ mod tests {
         assert_eq!(m.norm_inf(), 7.0); // row 1: |-3| + |4|
         assert_eq!(m.norm_one(), 6.0); // col 1: |-2| + |4|
         assert!((m.norm_frobenius() - (30.0f64).sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn norms_are_nan_when_one_entry_is_nan() {
+        for i in [0, 5, 11] {
+            let mut x = vec![1.0, -5.0, 3.0, 0.5, 2.0, -1.0, 4.0, 0.0, 1.5, -2.5, 3.5, 1.0];
+            x[i] = f64::NAN;
+            assert!(vec_norm_inf(&x).is_nan(), "vec_norm_inf missed a NaN at {i}");
+            let mut m = Matrix::from_col_major(4, 3, x.iter().map(|v| v.abs()).collect());
+            assert!(m.norm_inf().is_nan(), "norm_inf missed a NaN at {i}");
+            assert!(m.norm_one().is_nan(), "norm_one missed a NaN at {i}");
+            let zeros = Matrix::zeros(4, 3);
+            assert!(m.max_abs_diff(&zeros).is_nan(), "max_abs_diff missed a NaN at {i}");
+            m.as_mut_slice()[i] = 1.0;
+            assert!(m.norm_inf().is_finite());
+        }
     }
 
     #[test]

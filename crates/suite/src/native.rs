@@ -258,7 +258,8 @@ impl Benchmark for NativeFft {
         let (result, meter) = metered(&self.model, UtilizationSample::cpu_bound(0.9), || {
             fft::benchmark(n, reps, 0xFF7)
         });
-        if result.max_roundtrip_error > 1e-6 {
+        // A NaN error compares false against the bound; it must fail too.
+        if result.max_roundtrip_error.is_nan() || result.max_roundtrip_error > 1e-6 {
             return Err(SuiteError::ValidationFailed {
                 benchmark: "fft".into(),
                 detail: format!("round-trip error {}", result.max_roundtrip_error),
