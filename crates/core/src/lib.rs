@@ -63,7 +63,6 @@ pub mod ranking;
 pub mod reference;
 pub mod repeats;
 pub mod sensitivity;
-pub mod spec_rating;
 pub mod stats;
 pub mod tgi;
 pub mod units;

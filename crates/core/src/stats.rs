@@ -2,8 +2,7 @@
 //!
 //! The paper judges TGI variants by the Pearson correlation coefficient
 //! (Eq. 17) between the TGI series and each benchmark's energy-efficiency
-//! series across the core-count sweep. Spearman rank correlation and simple
-//! linear regression are provided for additional ablations.
+//! series across the core-count sweep.
 
 use crate::error::TgiError;
 
@@ -73,36 +72,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64, TgiError> {
     Ok((cov / (sx * sy)).clamp(-1.0, 1.0))
 }
 
-/// Spearman rank correlation: Pearson correlation of the rank vectors, with
-/// average ranks assigned to ties.
-pub fn spearman(xs: &[f64], ys: &[f64]) -> Result<f64, TgiError> {
-    let rx = ranks(xs)?;
-    let ry = ranks(ys)?;
-    pearson(&rx, &ry)
-}
-
-fn ranks(xs: &[f64]) -> Result<Vec<f64>, TgiError> {
-    validate_series(xs)?;
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite values compare"));
-    let mut ranks = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        // Find the tie group [i, j).
-        let mut j = i + 1;
-        while j < idx.len() && xs[idx[j]] == xs[idx[i]] {
-            j += 1;
-        }
-        // Average rank of the group (1-based ranks).
-        let avg = (i + 1 + j) as f64 / 2.0;
-        for &k in &idx[i..j] {
-            ranks[k] = avg;
-        }
-        i = j;
-    }
-    Ok(ranks)
-}
-
 /// The `p`-th percentile (0–100) of `values` by linear interpolation between
 /// order statistics, selected in place.
 ///
@@ -125,31 +94,6 @@ pub fn percentile_interpolated(values: &mut [f64], p: f64) -> Result<f64, TgiErr
     // The next order statistic is the minimum of the right partition.
     let hi_v = if frac > 0.0 { rest.iter().copied().fold(f64::INFINITY, f64::min) } else { lo_v };
     Ok(lo_v + (hi_v - lo_v) * frac)
-}
-
-/// Ordinary least-squares fit `y = slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
-    /// Fitted slope.
-    pub slope: f64,
-    /// Fitted intercept.
-    pub intercept: f64,
-    /// Coefficient of determination.
-    pub r_squared: f64,
-}
-
-/// Simple linear regression of `ys` on `xs`.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Result<LinearFit, TgiError> {
-    let cov = covariance(xs, ys)?;
-    let vx = variance(xs)?;
-    if vx == 0.0 {
-        return Err(TgiError::DegenerateStatistic("zero variance in x"));
-    }
-    let slope = cov / vx;
-    let intercept = mean(ys)? - slope * mean(xs)?;
-    let vy = variance(ys)?;
-    let r_squared = if vy == 0.0 { 1.0 } else { (cov * cov / (vx * vy)).clamp(0.0, 1.0) };
-    Ok(LinearFit { slope, intercept, r_squared })
 }
 
 #[cfg(test)]
@@ -190,36 +134,6 @@ mod tests {
         assert!(pearson(&[1.0, 2.0], &[1.0]).is_err());
         assert!(pearson(&[1.0, 1.0], &[1.0, 2.0]).is_err()); // zero variance
         assert!(pearson(&[1.0, f64::NAN], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear_is_one() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys: Vec<f64> = xs.iter().map(|x: &f64| x.exp()).collect();
-        assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let xs = [1.0, 2.0, 2.0, 3.0];
-        let ys = [1.0, 2.0, 2.0, 3.0];
-        assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_average_ties() {
-        let r = ranks(&[10.0, 20.0, 20.0, 30.0]).unwrap();
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
-    fn linear_fit_exact_line() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys = [1.0, 3.0, 5.0, 7.0];
-        let fit = linear_fit(&xs, &ys).unwrap();
-        assert!((fit.slope - 2.0).abs() < 1e-12);
-        assert!((fit.intercept - 1.0).abs() < 1e-12);
-        assert!((fit.r_squared - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -141,8 +141,10 @@ fn main() {
     let args = parse_args();
     let telemetry =
         tgi_harness::TelemetrySession::start(args.telemetry.clone(), args.trace_out.clone());
-    let spec = load_spec(&args);
-    let suite = spec.build();
+    let suite = load_spec(&args).build().unwrap_or_else(|e| {
+        eprintln!("invalid suite spec: {e}");
+        std::process::exit(1);
+    });
     eprintln!("running {} benchmarks natively...", suite.len());
 
     let runner = SuiteRunner::new()

@@ -247,31 +247,6 @@ pub fn dvfs_sweep(reference: &ReferenceSystem) -> Result<crate::report::FigureDa
     })
 }
 
-/// Native miniature of Figure 2: the *real* distributed HPL (mini-MPI,
-/// block-cyclic) swept over rank counts on this machine, with modeled
-/// power sampled in the background — the same MFLOPS/W-vs-processes series
-/// the paper plots, produced by actual computation and message passing.
-pub fn native_hpl_scaling(
-    n: usize,
-    rank_counts: &[usize],
-) -> Result<crate::report::FigureData, tgi_suite::SuiteError> {
-    use crate::report::{FigureData, Series};
-    use tgi_suite::native::NativeDistributedHpl;
-    use tgi_suite::Benchmark;
-    let mut pairs = Vec::with_capacity(rank_counts.len());
-    for &ranks in rank_counts {
-        let m = NativeDistributedHpl::new(n, ranks).run()?;
-        pairs.push((ranks as f64, m.energy_efficiency() / 1e6));
-    }
-    Ok(FigureData {
-        id: "ext-native-fig2".into(),
-        title: "Native Figure 2: distributed HPL MFLOPS/W vs ranks".into(),
-        x_label: "ranks".into(),
-        y_label: "MFLOPS/Watt".into(),
-        series: vec![Series::from_pairs("MFLOPS/Watt", &pairs)],
-    })
-}
-
 /// Central-tendency ablation (§III / John, CAN 2004): TGI of Fire at full
 /// scale under every mean × weighting combination. The AM ≥ GM ≥ HM
 /// ordering holds column-wise, and the geometric mean is the only one whose
@@ -335,13 +310,6 @@ mod tests {
         assert!(it > modern && modern > legacy, "it={it} modern={modern} legacy={legacy}");
         // Fixed PUE divides TGI exactly (within the table's 4-decimal rounding).
         assert!((legacy - it / 1.8).abs() < 1e-3 * it);
-    }
-
-    #[test]
-    fn native_hpl_scaling_produces_valid_series() {
-        let fig = native_hpl_scaling(96, &[1, 2]).unwrap();
-        assert_eq!(fig.series[0].points.len(), 2);
-        assert!(fig.series[0].ys().iter().all(|&v| v > 0.0 && v.is_finite()));
     }
 
     #[test]

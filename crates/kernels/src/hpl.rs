@@ -144,14 +144,6 @@ pub fn work(n: usize) -> Work {
     Work::compute(flops, bytes)
 }
 
-/// Chooses an HPL problem order that fills `fraction` of `mem_bytes` of
-/// memory with the 8-byte matrix (the standard sizing rule: N ≈
-/// √(mem·fraction/8)).
-pub fn problem_size_for_memory(mem_bytes: u64, fraction: f64) -> usize {
-    assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-    ((mem_bytes as f64 * fraction / 8.0).sqrt()) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,13 +212,6 @@ mod tests {
             let passed = r <= RESIDUAL_THRESHOLD;
             assert!(!passed, "NaN at x[{i}] passed with residual {r}");
         }
-    }
-
-    #[test]
-    fn problem_sizing_rule() {
-        // 8 GB, 80% fill: N = sqrt(8e9 * 0.8 / 8) ≈ 28284.
-        let n = problem_size_for_memory(8_000_000_000, 0.8);
-        assert!((28_000..29_000).contains(&n), "got {n}");
     }
 
     #[test]

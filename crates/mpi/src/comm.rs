@@ -102,22 +102,6 @@ impl Communicator {
         }
     }
 
-    /// `send` for index slices.
-    pub fn send_usize(&self, dst: usize, tag: u64, data: &[usize]) {
-        self.send(dst, tag, Payload::Usize(data.to_vec()));
-    }
-
-    /// `recv` for index data.
-    ///
-    /// # Panics
-    /// Panics if the matching message carries `f64` data instead.
-    pub fn recv_usize(&mut self, src: usize, tag: u64) -> Vec<usize> {
-        match self.recv(src, tag) {
-            Payload::Usize(v) => v,
-            other => panic!("expected Usize payload from {src} tag {tag}, got {other:?}"),
-        }
-    }
-
     // --- Collectives. Each call consumes one internal tag generation.    ---
     // All ranks must call collectives in the same order (MPI's rule).
 
@@ -324,42 +308,6 @@ impl Communicator {
         }
     }
 
-    /// Element-wise sum within a group; every member gets the result.
-    pub fn allreduce_sum_among(
-        &mut self,
-        group: &[usize],
-        generation: u64,
-        local: &[f64],
-    ) -> Vec<f64> {
-        let _ = self.group_pos(group);
-        let tag = INTERNAL | (generation << 8) | 7;
-        let head = group[0];
-        if self.rank == head {
-            let mut acc = local.to_vec();
-            for &src in &group[1..] {
-                match self.recv_raw(src, tag) {
-                    Payload::F64(v) => {
-                        assert_eq!(v.len(), acc.len(), "group allreduce length mismatch");
-                        for (a, b) in acc.iter_mut().zip(v) {
-                            *a += b;
-                        }
-                    }
-                    other => panic!("group allreduce payload mismatch: {other:?}"),
-                }
-            }
-            for &dst in &group[1..] {
-                self.send_raw(dst, tag | 1, Payload::F64(acc.clone()));
-            }
-            acc
-        } else {
-            self.send_raw(head, tag, Payload::F64(local.to_vec()));
-            match self.recv_raw(head, tag | 1) {
-                Payload::F64(v) => v,
-                other => panic!("group allreduce payload mismatch: {other:?}"),
-            }
-        }
-    }
-
     /// Pairwise exchange: both ranks send and receive one `f64` buffer.
     /// Both sides must use the same generation; a rank may exchange with
     /// itself (returns its own data).
@@ -372,30 +320,6 @@ impl Communicator {
         match self.recv_raw(peer, tag) {
             Payload::F64(v) => v,
             other => panic!("exchange payload mismatch: {other:?}"),
-        }
-    }
-
-    /// Gathers variable-length `f64` chunks to `root`; root receives them
-    /// in rank order, others receive an empty vector.
-    pub fn gather_f64(&mut self, root: usize, generation: u64, local: &[f64]) -> Vec<Vec<f64>> {
-        let tag = INTERNAL | (generation << 8) | 4;
-        if self.rank == root {
-            let mut out = vec![Vec::new(); self.size];
-            out[root] = local.to_vec();
-            #[allow(clippy::needless_range_loop)] // recv order is rank order
-            for src in 0..self.size {
-                if src == root {
-                    continue;
-                }
-                match self.recv_raw(src, tag) {
-                    Payload::F64(v) => out[src] = v,
-                    other => panic!("gather payload mismatch: {other:?}"),
-                }
-            }
-            out
-        } else {
-            self.send_raw(root, tag, Payload::F64(local.to_vec()));
-            Vec::new()
         }
     }
 }
@@ -566,20 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_collects_in_rank_order() {
-        let out = World::run(4, |comm| {
-            let local = vec![comm.rank() as f64; comm.rank() + 1];
-            comm.gather_f64(0, 2, &local)
-        });
-        assert_eq!(out[0].len(), 4);
-        for (rank, chunk) in out[0].iter().enumerate() {
-            assert_eq!(chunk.len(), rank + 1);
-            assert!(chunk.iter().all(|&v| v == rank as f64));
-        }
-        assert!(out[1].is_empty());
-    }
-
-    #[test]
     fn group_broadcast_stays_within_group() {
         // Two disjoint groups broadcast concurrently with the same generation.
         let out = World::run(4, |comm| {
@@ -595,21 +505,16 @@ mod tests {
     }
 
     #[test]
-    fn group_maxloc_and_sum() {
+    fn group_maxloc_stays_within_group() {
         let out = World::run(6, |comm| {
             // Groups by parity: {0,2,4} and {1,3,5}.
             let group: Vec<usize> = (0..6).filter(|r| r % 2 == comm.rank() % 2).collect();
-            let maxloc = comm.allreduce_max_loc_among(&group, 0, comm.rank() as f64, 7);
-            let sum = comm.allreduce_sum_among(&group, 1, &[1.0, comm.rank() as f64]);
-            (maxloc, sum)
+            comm.allreduce_max_loc_among(&group, 0, comm.rank() as f64, 7)
         });
         // Even group max is rank 4; odd group max is rank 5.
-        assert_eq!(out[0].0, (4.0, 4, 7));
-        assert_eq!(out[2].0, (4.0, 4, 7));
-        assert_eq!(out[1].0, (5.0, 5, 7));
-        // Sums: evens 0+2+4=6; odds 1+3+5=9.
-        assert_eq!(out[0].1, vec![3.0, 6.0]);
-        assert_eq!(out[1].1, vec![3.0, 9.0]);
+        assert_eq!(out[0], (4.0, 4, 7));
+        assert_eq!(out[2], (4.0, 4, 7));
+        assert_eq!(out[1], (5.0, 5, 7));
     }
 
     #[test]

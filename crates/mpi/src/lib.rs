@@ -4,21 +4,18 @@
 //! Number of MPI Processes"). This crate provides the message-passing
 //! substrate so the suite can run *as* a distributed program: an MPI-like
 //! subset (point-to-point send/recv, barrier, broadcast, reductions,
-//! gather) where ranks are threads and the fabric is crossbeam channels.
+//! pairwise exchange) where ranks are threads and the fabric is crossbeam
+//! channels.
 //!
-//! On top of it, two distributed dense solvers implement exactly what the
+//! On top of it, [`hpl2d`] implements the distributed dense solver the
 //! paper describes for HPL (§IV-A): "The data is distributed on a
 //! two-dimensional grid using a cyclic scheme for better load balance and
-//! scalability."
-//!
-//! * [`hpl`] — the `1×Q` process grid (column block-cyclic): every pivot
-//!   search is local, while panel broadcast and the distributed trailing
-//!   update are real message traffic.
-//! * [`hpl2d`] — the general `P×Q` grid with block-cyclic distribution in
-//!   *both* dimensions: max-loc pivot reductions down process columns,
-//!   pairwise row interchanges between process rows, panel/U₁₂ broadcasts
-//!   along rows/columns, and local GEMM updates — HPL's full communication
-//!   pattern.
+//! scalability." It runs on any `P×Q` process grid with block-cyclic
+//! distribution in *both* dimensions: max-loc pivot reductions down process
+//! columns, pairwise row interchanges between process rows, panel/U₁₂
+//! broadcasts along rows/columns, and local GEMM updates — HPL's full
+//! communication pattern. A `1×Q` grid (column block-cyclic, every pivot
+//! search local) is one grid shape of the same solver.
 //!
 //! [`benchmarks`] adds the distributed STREAM and I/O drivers.
 //!
@@ -37,7 +34,6 @@
 
 pub mod benchmarks;
 pub mod comm;
-pub mod hpl;
 pub mod hpl2d;
 
 pub use comm::{Communicator, World};

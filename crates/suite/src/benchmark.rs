@@ -33,6 +33,14 @@ pub enum SuiteError {
         /// Panic payload, when it was a string.
         detail: String,
     },
+    /// A suite spec entry asks for a size the kernel cannot run; rejected
+    /// before anything runs.
+    InvalidSpec {
+        /// The entry's `kind`.
+        benchmark: String,
+        /// Which field is out of range, and why.
+        detail: String,
+    },
 }
 
 impl SuiteError {
@@ -64,6 +72,9 @@ impl std::fmt::Display for SuiteError {
             }
             SuiteError::Panicked { benchmark, detail } => {
                 write!(f, "benchmark `{benchmark}` panicked: {detail}")
+            }
+            SuiteError::InvalidSpec { benchmark, detail } => {
+                write!(f, "invalid `{benchmark}` spec: {detail}")
             }
         }
     }

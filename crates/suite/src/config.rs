@@ -6,13 +6,18 @@
 //! that HPL's `HPL.dat` and IOzone's flag conventions play for the paper's
 //! methodology.
 
-use crate::benchmark::Benchmark;
+use crate::benchmark::{Benchmark, SuiteError};
 use crate::native::{
     NativeComm, NativeDgemm, NativeDistributedHpl, NativeFft, NativeGups, NativeHpl, NativeIozone,
     NativePtrans, NativeStream,
 };
 use crate::suite::BenchmarkSuite;
 use serde::{Deserialize, Serialize};
+
+/// The most ranks a `distributed_hpl` or `comm` entry may ask for: the
+/// paper's largest run, 1,024 processes. Ranks are threads, so the cap
+/// keeps a spec from starting an unbounded number of them.
+const MAX_RANKS: usize = 1024;
 
 /// One benchmark entry in a suite spec.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,6 +77,40 @@ pub enum BenchmarkSpec {
 }
 
 impl BenchmarkSpec {
+    /// Rejects every size the kernel would refuse with a panic, before
+    /// any benchmark runs or any rank thread starts.
+    fn validate(&self) -> Result<(), SuiteError> {
+        let reject = |benchmark: &str, detail: String| {
+            Err(SuiteError::InvalidSpec { benchmark: benchmark.into(), detail })
+        };
+        let ranks_ok = |ranks: usize, min: usize| (min..=MAX_RANKS).contains(&ranks);
+        match *self {
+            BenchmarkSpec::Hpl { n: 0 } => reject("hpl", "n must be positive".into()),
+            BenchmarkSpec::DistributedHpl { n: 0, .. } => {
+                reject("distributed_hpl", "n must be positive".into())
+            }
+            BenchmarkSpec::DistributedHpl { ranks, .. } if !ranks_ok(ranks, 1) => {
+                reject("distributed_hpl", format!("ranks {ranks} is outside 1..={MAX_RANKS}"))
+            }
+            BenchmarkSpec::Stream { array_size: 0, .. } => {
+                reject("stream", "array_size must be positive".into())
+            }
+            BenchmarkSpec::Stream { ntimes: 0, .. } => {
+                reject("stream", "ntimes must be positive".into())
+            }
+            BenchmarkSpec::Fft { n } if !n.is_power_of_two() => {
+                reject("fft", format!("n {n} is not a power of two"))
+            }
+            BenchmarkSpec::Gups { log2_size } if log2_size < 4 => {
+                reject("gups", format!("log2_size {log2_size} is below 4 (a 16-word table)"))
+            }
+            BenchmarkSpec::Comm { ranks } if !ranks_ok(ranks, 2) => {
+                reject("comm", format!("ranks {ranks} is outside 2..={MAX_RANKS}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     fn build(&self) -> Box<dyn Benchmark> {
         match *self {
             BenchmarkSpec::Hpl { n } => Box::new(NativeHpl::new(n)),
@@ -143,13 +182,19 @@ impl SuiteSpec {
         }
     }
 
-    /// Materializes the executable suite.
-    pub fn build(&self) -> BenchmarkSuite {
+    /// Materializes the executable suite, after checking every entry.
+    ///
+    /// # Errors
+    /// [`SuiteError::InvalidSpec`] for the first entry whose sizes its
+    /// kernel cannot run (for example an FFT length that is not a power of
+    /// two, or more than 1,024 ranks); nothing is built then.
+    pub fn build(&self) -> Result<BenchmarkSuite, SuiteError> {
         let mut suite = BenchmarkSuite::new();
         for spec in &self.benchmarks {
+            spec.validate()?;
             suite.push(spec.build());
         }
-        suite
+        Ok(suite)
     }
 }
 
@@ -166,7 +211,7 @@ mod tests {
 
     #[test]
     fn quick_suite_builds_and_runs() {
-        let suite = SuiteSpec::quick().build();
+        let suite = SuiteSpec::quick().build().expect("valid preset");
         assert_eq!(suite.ids(), vec!["hpl", "stream", "iozone"]);
         let ms = suite.run_all().expect("quick suite runs");
         assert_eq!(ms.len(), 3);
@@ -193,9 +238,73 @@ mod tests {
     fn distributed_hpl_spec_builds() {
         let spec =
             SuiteSpec { benchmarks: vec![BenchmarkSpec::DistributedHpl { n: 64, ranks: 2 }] };
-        let suite = spec.build();
+        let suite = spec.build().expect("valid spec");
         assert_eq!(suite.ids(), vec!["hpl"]);
         let ms = suite.run_all().expect("runs");
         assert!(ms[0].performance().as_gflops() > 0.0);
+    }
+
+    /// Builds a one-entry spec from JSON and returns its error text.
+    fn rejection(entry: &str) -> String {
+        let spec: SuiteSpec =
+            serde_json::from_str(&format!(r#"{{"benchmarks": [{entry}]}}"#)).expect("parseable");
+        match spec.build() {
+            Err(e @ SuiteError::InvalidSpec { .. }) => e.to_string(),
+            Err(e) => panic!("{entry}: wrong error {e}"),
+            Ok(_) => panic!("{entry}: accepted"),
+        }
+    }
+
+    #[test]
+    fn fft_length_must_be_a_power_of_two() {
+        assert!(rejection(r#"{"kind": "fft", "n": 1000}"#).contains("power of two"));
+    }
+
+    #[test]
+    fn hpl_order_must_be_positive() {
+        assert!(rejection(r#"{"kind": "hpl", "n": 0}"#).contains("n must be positive"));
+    }
+
+    #[test]
+    fn distributed_hpl_order_must_be_positive() {
+        let e = rejection(r#"{"kind": "distributed_hpl", "n": 0, "ranks": 2}"#);
+        assert!(e.contains("n must be positive"), "{e}");
+    }
+
+    #[test]
+    fn distributed_hpl_ranks_are_capped() {
+        // Rejected before any thread starts.
+        let e = rejection(r#"{"kind": "distributed_hpl", "n": 64, "ranks": 1025}"#);
+        assert!(e.contains("1025"), "{e}");
+        assert!(rejection(r#"{"kind": "distributed_hpl", "n": 64, "ranks": 0}"#).contains("ranks"));
+    }
+
+    #[test]
+    fn comm_needs_two_ranks_and_at_most_the_cap() {
+        assert!(rejection(r#"{"kind": "comm", "ranks": 1}"#).contains("ranks 1"));
+        assert!(rejection(r#"{"kind": "comm", "ranks": 1025}"#).contains("ranks 1025"));
+    }
+
+    #[test]
+    fn stream_needs_repetitions_and_elements() {
+        let e = rejection(r#"{"kind": "stream", "array_size": 1024, "ntimes": 0}"#);
+        assert!(e.contains("ntimes"), "{e}");
+        let e = rejection(r#"{"kind": "stream", "array_size": 0, "ntimes": 2}"#);
+        assert!(e.contains("array_size"), "{e}");
+    }
+
+    #[test]
+    fn gups_table_must_have_sixteen_words() {
+        assert!(rejection(r#"{"kind": "gups", "log2_size": 3}"#).contains("log2_size 3"));
+    }
+
+    #[test]
+    fn one_bad_entry_rejects_the_whole_suite() {
+        let mut spec = SuiteSpec::quick();
+        spec.benchmarks.push(BenchmarkSpec::Fft { n: 3 });
+        assert!(matches!(spec.build(), Err(SuiteError::InvalidSpec { .. })));
+        for preset in [SuiteSpec::standard(), SuiteSpec::quick(), SuiteSpec::hpcc_style()] {
+            assert!(preset.build().is_ok());
+        }
     }
 }

@@ -349,23 +349,21 @@ impl Benchmark for NativeGups {
 }
 
 /// HPL run as a *distributed* program over the mini-MPI runtime — the form
-/// the paper's benchmarks actually take ("Number of MPI Processes").
+/// the paper's benchmarks actually take ("Number of MPI Processes") — on a
+/// `1×Q` block-cyclic process grid, one rank per grid column.
 #[derive(Debug, Clone)]
 pub struct NativeDistributedHpl {
-    /// Distributed-solver configuration.
-    pub config: mini_mpi::hpl::DistributedHplConfig,
-    /// MPI ranks (threads).
-    pub ranks: usize,
+    /// Distributed-solver configuration; the world has `p * q` ranks.
+    pub config: mini_mpi::hpl2d::Grid2dConfig,
     /// Node power model used by the sampler.
     pub model: NodePowerModel,
 }
 
 impl NativeDistributedHpl {
-    /// A distributed HPL of order `n` on `ranks` ranks.
+    /// A distributed HPL of order `n` on `ranks` ranks (a `1×ranks` grid).
     pub fn new(n: usize, ranks: usize) -> Self {
         NativeDistributedHpl {
-            config: mini_mpi::hpl::DistributedHplConfig::new(n),
-            ranks,
+            config: mini_mpi::hpl2d::Grid2dConfig { n, block_size: 32, p: 1, q: ranks, seed: 42 },
             model: NodePowerModel::fire_node(),
         }
     }
@@ -382,9 +380,11 @@ impl Benchmark for NativeDistributedHpl {
         true
     }
     fn run_detailed(&self) -> Result<BenchmarkOutput, SuiteError> {
-        let (config, ranks) = (self.config, self.ranks);
+        let config = self.config;
         let (results, meter) = metered(&self.model, UtilizationSample::cpu_bound(1.0), || {
-            mini_mpi::World::run(ranks, move |comm| mini_mpi::hpl::run(comm, config))
+            mini_mpi::World::run(config.p * config.q, move |comm| {
+                mini_mpi::hpl2d::run(comm, config)
+            })
         });
         let rank0 = &results[0];
         if !rank0.passed {
@@ -393,7 +393,14 @@ impl Benchmark for NativeDistributedHpl {
                 detail: format!("scaled residual {} > 16", rank0.scaled_residual),
             });
         }
-        to_output("hpl", Perf::gflops(rank0.gflops), &meter)
+        if let Some(rank) = results.iter().position(|r| r.x != rank0.x) {
+            return Err(SuiteError::ValidationFailed {
+                benchmark: "hpl".into(),
+                detail: format!("rank {rank}'s solution differs from rank 0's"),
+            });
+        }
+        let gflops = hpl::work(config.n).flops / rank0.seconds / 1e9;
+        to_output("hpl", Perf::gflops(gflops), &meter)
     }
 }
 
@@ -500,6 +507,18 @@ mod tests {
         assert_eq!(m.id(), "hpl");
         assert!(m.performance().as_gflops() > 0.0);
         assert!(m.power().value() > 0.0);
+    }
+
+    #[test]
+    fn native_distributed_hpl_solution_is_replicated_and_valid() {
+        // `run` fails closed unless every rank passes the residual check
+        // and holds the same `x`.
+        for ranks in [2usize, 4] {
+            let b = NativeDistributedHpl::new(96, ranks);
+            assert_eq!((b.config.p, b.config.q), (1, ranks));
+            let m = b.run().unwrap();
+            assert!(m.performance().as_gflops() > 0.0);
+        }
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //!
 //! The paper's Figure 2 plots HPL energy efficiency against the number of
 //! MPI processes. This example runs the *actual* distributed solver — LU
-//! with row partial pivoting over a column block-cyclic distribution on the
-//! mini-MPI runtime — at increasing rank counts on this machine, with
+//! with row partial pivoting over a `P×Q` block-cyclic distribution on the
+//! mini-MPI runtime — on `1×Q` grids of increasing rank counts, with
 //! modeled power sampled in the background, and prints the same
-//! MFLOPS/W-vs-processes series.
+//! MFLOPS/W-vs-processes series. It then solves one problem on four grid
+//! shapes, including `2×2` and `4×1`, and prints how far each answer is
+//! from the `1×1` one.
 
 use tgi::suite::native::NativeDistributedHpl;
 use tgi::suite::Benchmark;
@@ -33,9 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         ranks *= 2;
     }
-    // The general 2D process grid (the paper's exact phrasing: "distributed
-    // on a two-dimensional grid using a cyclic scheme"): same problem, three
-    // grid shapes, identical answers.
+    // Other grid shapes (the paper's exact phrasing: "distributed on a
+    // two-dimensional grid using a cyclic scheme"): same problem, four grid
+    // shapes, identical answers.
     use tgi::mpi::hpl2d::{run as run2d, Grid2dConfig};
     use tgi::mpi::World;
     println!("\n2D block-cyclic grids on N = 192 (same problem, same answer):");

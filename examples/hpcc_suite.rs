@@ -22,10 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Reference: this machine's own first pass (SPEC-style self-reference;
     // swap in a community reference file via `tgi-native --reference`).
-    let reference = spec.build().run_as_reference("first-pass")?;
+    let reference = spec.build()?.run_as_reference("first-pass")?;
     // Second pass through the resilient runner: one retry for transient
     // I/O errors, and a report that records attempts per benchmark.
-    let report = SuiteRunner::new().retries(1).run(&spec.build());
+    let report = SuiteRunner::new().retries(1).run(&spec.build()?);
     let attempts: usize = report.entries.iter().map(|e| e.attempts).sum();
     let measurements = report.into_result()?;
     println!("second pass took {attempts} attempts across {} tests\n", measurements.len());

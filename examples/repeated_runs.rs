@@ -20,13 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = SuiteSpec::quick();
 
     // Reference: one suite run promoted to the reference system.
-    let reference = spec.build().run_as_reference("this-machine")?;
+    let reference = spec.build()?.run_as_reference("this-machine")?;
 
     // Repeats, grouped per benchmark.
     let mut sets: Vec<MeasurementSet> = Vec::new();
     for round in 0..REPEATS {
         eprintln!("round {}/{}...", round + 1, REPEATS);
-        for m in spec.build().run_all()? {
+        for m in spec.build()?.run_all()? {
             match sets.iter_mut().find(|s| s.id() == m.id()) {
                 Some(set) => set.push(m)?,
                 None => {

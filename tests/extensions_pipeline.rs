@@ -21,8 +21,8 @@ fn config_driven_suite_to_tgi_end_to_end() {
         ]
     }"#;
     let spec: SuiteSpec = serde_json::from_str(json).expect("valid spec");
-    let reference = spec.build().run_as_reference("self").expect("suite runs");
-    let measurements = spec.build().run_all().expect("suite runs");
+    let reference = spec.build().expect("valid spec").run_as_reference("self").expect("suite runs");
+    let measurements = spec.build().expect("valid spec").run_all().expect("suite runs");
     let tgi = Tgi::builder()
         .reference(reference)
         .measurements(measurements)
@@ -50,7 +50,7 @@ fn hpcc_style_spec_runs_seven_benchmarks() {
             _ => {}
         }
     }
-    let ms = spec.build().run_all().expect("suite runs");
+    let ms = spec.build().expect("valid spec").run_all().expect("suite runs");
     assert_eq!(ms.len(), 7);
     let ids: Vec<&str> = ms.iter().map(|m| m.id()).collect();
     assert_eq!(ids, vec!["hpl", "dgemm", "stream", "ptrans", "gups", "fft", "comm"]);

@@ -150,10 +150,10 @@ fn fft_shift_theorem_holds() {
 #[test]
 fn distributed_hpl_agrees_on_pathological_matrix_sizes() {
     // Prime sizes with tiny blocks stress the block-cyclic bookkeeping.
-    use tgi::mpi::hpl::{run, DistributedHplConfig};
+    use tgi::mpi::hpl2d::{run, Grid2dConfig};
     use tgi::mpi::World;
     for (n, nb, ranks) in [(13usize, 3usize, 4usize), (29, 5, 3), (31, 7, 2)] {
-        let config = DistributedHplConfig { n, block_size: nb, seed: 99 };
+        let config = Grid2dConfig { n, block_size: nb, p: 1, q: ranks, seed: 99 };
         let out = World::run(ranks, move |comm| run(comm, config));
         for r in &out {
             assert!(r.passed, "n={n} nb={nb} ranks={ranks}: {}", r.scaled_residual);
