@@ -48,7 +48,8 @@ fn measure(threads: usize) -> [(&'static str, &'static str, f64); 4] {
         assert!(h.passed, "HPL residual check failed");
         let s = stream::run(StreamConfig { array_size: STREAM_ELEMS, ntimes: 3 });
         assert!(s.validated, "STREAM results check failed");
-        let r = random_access::run(random_access::GupsConfig::new(GUPS_LOG2));
+        let r = random_access::run(random_access::GupsConfig::new(GUPS_LOG2))
+            .expect("GUPS table allocates");
         assert!(r.passed, "GUPS verification failed");
         [
             ("gemm", "GFLOP/s", g.gflops),

@@ -162,7 +162,7 @@ fn main() {
     let mut sweep = FleetSweep::new();
     for spec in [cluster_sim::ClusterSpec::fire(), cluster_sim::ClusterSpec::fire_gpu()] {
         for cores in FIRE_CORE_COUNTS {
-            sweep = sweep.system_at(spec.clone(), cores);
+            sweep = sweep.system_at(cluster_sim::ExecutionEngine::new(spec.clone()), cores);
         }
     }
     let sweep = sweep.suite("fire", cluster_sim::Workload::fire_suite()).paper_axes();

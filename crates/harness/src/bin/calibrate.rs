@@ -11,6 +11,7 @@
 //! stderr with exit 1 — never a panic.
 
 use tgi_core::{MeanKind, Weighting};
+use tgi_harness::sweep::FIRE_CORE_COUNTS;
 use tgi_harness::{experiments, FireSweep};
 
 const USAGE: &str = "\
@@ -56,9 +57,9 @@ fn run() -> Result<(), tgi_core::TgiError> {
 
     let sweep = FireSweep::run();
     println!("\nsweep detail:");
-    for p in sweep.points() {
-        println!("cores={}", p.cores);
-        for m in &p.measurements {
+    for (row, cores) in FIRE_CORE_COUNTS.into_iter().enumerate() {
+        println!("cores={cores}");
+        for m in sweep.fleet().measurements(row, 0).iter() {
             let ree = reference.ree(m)?;
             println!(
                 "  {:8} perf={:>16} power={:>9} time={:>10} energy={:>11} ee={:.4e} ree={:.4}",
@@ -74,10 +75,12 @@ fn run() -> Result<(), tgi_core::TgiError> {
     }
 
     println!("\nTGI series:");
-    for w in [Weighting::Arithmetic, Weighting::Time, Weighting::Energy, Weighting::Power] {
-        let series = sweep.tgi_values(&reference, &w, MeanKind::Arithmetic)?;
-        let vals: Vec<String> = series.iter().map(|v| format!("{v:.3}")).collect();
-        println!("  {:16} {}", w.label(), vals.join(" "));
+    let table = sweep.fleet().run(&reference)?;
+    let mean = table.means().iter().position(|&m| m == MeanKind::Arithmetic).expect("paper mean");
+    for (w, weighting) in table.weightings().iter().enumerate() {
+        let series = table.series("Fire", 0, w, mean).expect("Fire rows");
+        let vals: Vec<String> = series.ys().iter().map(|v| format!("{v:.3}")).collect();
+        println!("  {:16} {}", weighting.label(), vals.join(" "));
     }
 
     println!("\nPCC matrix (rows: benchmark EE, cols: weighting):");

@@ -1,7 +1,7 @@
 //! One function per figure/table of the paper's evaluation (§IV).
 
 use crate::report::{FigureData, Series, TableData};
-use crate::sweep::FireSweep;
+use crate::sweep::{FireSweep, FIRE_CORE_COUNTS};
 use cluster_sim::{ClusterSpec, ExecutionEngine, Workload};
 use tgi_core::{stats, MeanKind, Measurement, ReferenceSystem, Weighting};
 
@@ -16,6 +16,18 @@ pub fn system_g_reference() -> ReferenceSystem {
     builder.build().expect("SystemG suite is non-empty and unique")
 }
 
+/// One benchmark's energy efficiency (canonical units per watt) at every
+/// sweep row, read from the fleet's memoized measurements.
+fn efficiency(sweep: &FireSweep, benchmark: &str) -> Vec<f64> {
+    (0..sweep.fleet().len())
+        .map(|row| {
+            let measurements = sweep.fleet().measurements(row, 0);
+            let m = measurements.iter().find(|m| m.id() == benchmark).expect("Fire suite member");
+            m.energy_efficiency()
+        })
+        .collect()
+}
+
 /// A one-series figure of a benchmark's energy efficiency, scaled to
 /// millions (MFLOPS/W or MB/s per W), against `x` of each sweep point.
 fn efficiency_figure(
@@ -24,8 +36,11 @@ fn efficiency_figure(
     x: impl Fn(f64) -> f64,
     (id, title, x_label, y_label): (&str, &str, &str, &str),
 ) -> FigureData {
-    let pairs: Vec<(f64, f64)> =
-        sweep.efficiency_series(benchmark).into_iter().map(|(c, ee)| (x(c), ee / 1e6)).collect();
+    let pairs: Vec<(f64, f64)> = FIRE_CORE_COUNTS
+        .iter()
+        .zip(efficiency(sweep, benchmark))
+        .map(|(&cores, ee)| (x(cores as f64), ee / 1e6))
+        .collect();
     FigureData {
         id: id.into(),
         title: title.into(),
@@ -57,28 +72,29 @@ pub fn fig4_iozone_efficiency(sweep: &FireSweep) -> FigureData {
     efficiency_figure(sweep, "iozone", |cores| (cores / cores_per_node).ceil(), labels)
 }
 
-/// TGI (arithmetic mean) under one weighting at every sweep point, as
-/// `(cores, TGI)` pairs.
-fn tgi_pairs(
+/// TGI (arithmetic mean) under one weighting at every sweep row, named
+/// `name`: one column of the sweep's [`crate::FleetTable`].
+fn tgi_series(
     sweep: &FireSweep,
     reference: &ReferenceSystem,
     weighting: &Weighting,
-) -> Vec<(f64, f64)> {
-    let values = sweep
-        .tgi_values(reference, weighting, MeanKind::Arithmetic)
-        .expect("sweep measurements match the reference suite");
-    sweep.points().iter().zip(values).map(|(p, v)| (p.cores as f64, v)).collect()
+    name: &str,
+) -> Series {
+    let table = sweep.fleet().run(reference).expect("sweep measurements match the reference suite");
+    let w = table.weightings().iter().position(|x| x == weighting).expect("paper weighting");
+    let m = table.means().iter().position(|&m| m == MeanKind::Arithmetic).expect("paper mean");
+    let series = table.series("Fire", 0, w, m).expect("Fire rows");
+    Series { name: name.into(), ..series }
 }
 
 /// Figure 5: TGI using the arithmetic mean vs number of cores on Fire.
 pub fn fig5_tgi_arithmetic(sweep: &FireSweep, reference: &ReferenceSystem) -> FigureData {
-    let pairs = tgi_pairs(sweep, reference, &Weighting::Arithmetic);
     FigureData {
         id: "fig5".into(),
         title: "TGI using Arithmetic Mean".into(),
         x_label: "cores".into(),
         y_label: "Green Index".into(),
-        series: vec![Series::from_pairs("Green Index", &pairs)],
+        series: vec![tgi_series(sweep, reference, &Weighting::Arithmetic, "Green Index")],
     }
 }
 
@@ -91,7 +107,7 @@ pub fn fig6_tgi_weighted(sweep: &FireSweep, reference: &ReferenceSystem) -> Figu
         (Weighting::Energy, "Weights Using Energy"),
     ]
     .iter()
-    .map(|(w, label)| Series::from_pairs(*label, &tgi_pairs(sweep, reference, w)))
+    .map(|(w, label)| tgi_series(sweep, reference, w, label))
     .collect();
     FigureData {
         id: "fig6".into(),
@@ -144,14 +160,12 @@ pub fn pcc_for_weighting(
     reference: &ReferenceSystem,
     weighting: Weighting,
 ) -> Vec<(String, f64)> {
-    let tgi: Vec<f64> = sweep
-        .tgi_values(reference, &weighting, MeanKind::Arithmetic)
-        .expect("sweep measurements match the reference suite");
+    let tgi = tgi_series(sweep, reference, &weighting, "TGI").ys();
     ["iozone", "stream", "hpl"]
         .iter()
         .map(|&b| {
-            let ee: Vec<f64> = sweep.efficiency_series(b).iter().map(|&(_, y)| y).collect();
-            let r = stats::pearson(&ee, &tgi).expect("non-degenerate sweep series");
+            let r =
+                stats::pearson(&efficiency(sweep, b), &tgi).expect("non-degenerate sweep series");
             (b.to_string(), r)
         })
         .collect()

@@ -13,39 +13,20 @@
 //! * [`green500_style_list`] — the list TGI argues for: [`builtin_fleet`]
 //!   ranked side by side under FLOPS/W and TGI.
 //!
-//! Every function that scores a set of systems does so through one
-//! [`FleetSweep`] and reads its artifacts off the [`crate::FleetTable`].
+//! Every function simulates and scores through one [`FleetSweep`] and
+//! reads its artifacts off the [`crate::FleetTable`] and the memoized
+//! measurements; the DVFS study's rows are clock-scaled engines.
 
 use crate::fleet::FleetSweep;
-use crate::report::TableData;
+use crate::report::{FigureData, Series, TableData};
 use cluster_sim::{ClusterSpec, ExecutionEngine, Workload};
 use power_model::cooling::CoolingModel;
 use tgi_core::evaluator::TgiEvaluator;
-use tgi_core::{MeanKind, Measurement, Ranking, ReferenceSystem, Tgi, TgiError, Weighting};
-
-fn run_suite(cluster: &ClusterSpec) -> Vec<Measurement> {
-    ExecutionEngine::new(cluster.clone())
-        .run_suite(&Workload::fire_suite(), cluster.total_cores())
-        .into_iter()
-        .map(|r| r.measurement())
-        .collect()
-}
-
-fn tgi_of(
-    reference: &ReferenceSystem,
-    measurements: &[Measurement],
-    weighting: Weighting,
-) -> Result<f64, TgiError> {
-    Ok(Tgi::builder()
-        .reference(reference.clone())
-        .weighting(weighting)
-        .measurements(measurements.iter().cloned())
-        .compute()?
-        .value())
-}
+use tgi_core::{MeanKind, Measurement, Ranking, ReferenceSystem, TgiError, Weighting};
 
 /// The paper's Fire suite on every system at full scale, scored under the
-/// arithmetic weighting and mean (override the axes for other cells).
+/// arithmetic weighting and mean (add rows or override the axes for other
+/// studies).
 fn fire_suite_sweep(specs: impl IntoIterator<Item = ClusterSpec>) -> FleetSweep {
     FleetSweep::new()
         .fleet(specs)
@@ -104,7 +85,10 @@ pub fn gpu_platform_comparison(reference: &ReferenceSystem) -> Result<TableData,
 /// Center-wide extension: TGI of Fire computed from IT power and from
 /// facility power under two cooling models.
 pub fn center_wide_tgi(reference: &ReferenceSystem) -> Result<TableData, TgiError> {
-    let measurements = run_suite(&ClusterSpec::fire());
+    let sweep = fire_suite_sweep([ClusterSpec::fire()]);
+    let it = sweep.run(reference)?.value(0, 0, 0, 0);
+    let measurements = sweep.measurements(0, 0);
+    let evaluator = TgiEvaluator::new(reference);
     let facility = |cooling: &CoolingModel| -> Result<f64, TgiError> {
         let adjusted: Result<Vec<Measurement>, TgiError> = measurements
             .iter()
@@ -117,10 +101,9 @@ pub fn center_wide_tgi(reference: &ReferenceSystem) -> Result<TableData, TgiErro
                 )
             })
             .collect();
-        tgi_of(reference, &adjusted?, Weighting::Arithmetic)
+        evaluator.evaluate(&adjusted?, &Weighting::Arithmetic, MeanKind::Arithmetic)
     };
 
-    let it = tgi_of(reference, &measurements, Weighting::Arithmetic)?;
     let legacy = facility(&CoolingModel::typical_2012())?;
     let modern = facility(&CoolingModel::free_cooled())?;
     Ok(TableData {
@@ -218,23 +201,22 @@ pub fn green500_style_list(reference: &ReferenceSystem) -> Result<TableData, Tgi
 /// The classic result appears: with a fixed idle floor and cubic dynamic
 /// power, HPL's energy efficiency peaks at an *interior* frequency (~0.7 of
 /// nominal here) — running flat out is not the greenest operating point.
-pub fn dvfs_sweep(reference: &ReferenceSystem) -> Result<crate::report::FigureData, TgiError> {
-    use crate::report::{FigureData, Series};
+pub fn dvfs_sweep(reference: &ReferenceSystem) -> Result<FigureData, TgiError> {
     let cluster = ClusterSpec::fire();
-    let mut ee_pairs = Vec::new();
-    let mut tgi_pairs = Vec::new();
-    for step in 0..=10 {
-        let ratio = 0.5 + 0.05 * step as f64;
+    let ratios: Vec<f64> = (0..=10).map(|step| 0.5 + 0.05 * step as f64).collect();
+    let sweep = ratios.iter().fold(fire_suite_sweep([]), |sweep, &ratio| {
         let engine = ExecutionEngine::new(cluster.clone()).with_frequency_ratio(ratio);
-        let measurements: Vec<Measurement> = engine
-            .run_suite(&Workload::fire_suite(), cluster.total_cores())
-            .into_iter()
-            .map(|r| r.measurement())
-            .collect();
-        let hpl = measurements.iter().find(|m| m.id() == "hpl").expect("hpl in suite");
-        ee_pairs.push((ratio, hpl.energy_efficiency() / 1e6));
-        tgi_pairs.push((ratio, tgi_of(reference, &measurements, Weighting::Arithmetic)?));
-    }
+        sweep.system_at(engine, cluster.total_cores())
+    });
+    let table = sweep.run(reference)?;
+    let (ee_pairs, tgi_pairs): (Vec<_>, Vec<_>) = ratios
+        .iter()
+        .enumerate()
+        .map(|(row, &ratio)| {
+            let ee = hpl(&sweep.measurements(row, 0)).energy_efficiency() / 1e6;
+            ((ratio, ee), (ratio, table.value(row, 0, 0, 0)))
+        })
+        .unzip();
     Ok(FigureData {
         id: "ext-dvfs".into(),
         title: "DVFS sweep: HPL efficiency and TGI vs CPU clock".into(),

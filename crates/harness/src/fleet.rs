@@ -1,10 +1,12 @@
 //! The sweep engine: (system × cores × suite × weighting × mean) TGI
 //! studies.
 //!
-//! Every row of a [`FleetSweep`] is one (system, cores) point:
+//! Every row of a [`FleetSweep`] is one (engine, cores) point:
 //! [`FleetSweep::system`] adds a machine at full scale, as the Green500
-//! runs it, and [`FleetSweep::system_at`] adds it at any core count — so
-//! the paper's Fire core-count study (§IV, Figures 5–6), a cluster
+//! runs it, and [`FleetSweep::system_at`] adds any [`ExecutionEngine`] —
+//! noisy, clocked down, or plain — at any core count. So the paper's Fire
+//! core-count study (§IV, Figures 2–6 and Table II, via
+//! [`crate::FireSweep`]), its noise and DVFS studies, a cluster
 //! comparison, and a synthetic Green500 of thousands of generated machines
 //! are all the same engine with different rows. The hot-path guarantees:
 //!
@@ -110,16 +112,17 @@ impl FleetSweep {
     /// Appends one system, running at its full core count.
     pub fn system(self, spec: ClusterSpec) -> Self {
         let cores = spec.total_cores();
-        self.system_at(spec, cores)
+        self.system_at(ExecutionEngine::new(spec), cores)
     }
 
-    /// Appends one system running every suite on `cores` processes. Add
-    /// the same spec at several core counts for a scaling study; each
-    /// call is one row. [`FleetSweep::run`] rejects a core count of 0 or
-    /// one above the spec's total.
-    pub fn system_at(mut self, spec: ClusterSpec, cores: usize) -> Self {
-        self.systems
-            .push(FleetSystem { engine: MemoizedEngine::new(ExecutionEngine::new(spec)), cores });
+    /// Appends one row: `engine` running every suite on `cores` processes.
+    /// The engine carries the row's settings — run-to-run noise, DVFS
+    /// clock, thermal model — so a noise or frequency study is one row per
+    /// setting, and a scaling study adds the same engine at several core
+    /// counts. [`FleetSweep::run`] rejects a core count of 0 or one above
+    /// the cluster's total.
+    pub fn system_at(mut self, engine: ExecutionEngine, cores: usize) -> Self {
+        self.systems.push(FleetSystem { engine: MemoizedEngine::new(engine), cores });
         self
     }
 
@@ -638,7 +641,9 @@ mod tests {
         let fire = FIRE_CORE_COUNTS.iter().map(|&c| (ClusterSpec::fire(), c));
         let gpu = [64, 128].map(|c| (ClusterSpec::fire_gpu(), c));
         fire.chain(gpu)
-            .fold(FleetSweep::new(), |sweep, (spec, cores)| sweep.system_at(spec, cores))
+            .fold(FleetSweep::new(), |sweep, (spec, cores)| {
+                sweep.system_at(ExecutionEngine::new(spec), cores)
+            })
             .suite("fire", Workload::fire_suite())
             .paper_axes()
     }
@@ -661,20 +666,56 @@ mod tests {
         }
     }
 
+    /// TGI bits of `engine` at every paper core count under one weighting
+    /// and the arithmetic mean, from an unmemoized suite run and the
+    /// builder — an oracle that shares no code with the fleet engine.
+    fn builder_series(
+        engine: &ExecutionEngine,
+        reference: &ReferenceSystem,
+        weighting: &Weighting,
+    ) -> Vec<u64> {
+        FIRE_CORE_COUNTS
+            .iter()
+            .map(|&cores| {
+                let runs = engine.run_suite(&Workload::fire_suite(), cores);
+                Tgi::builder()
+                    .reference(reference.clone())
+                    .weighting(weighting.clone())
+                    .mean(MeanKind::Arithmetic)
+                    .measurements(runs.iter().map(|r| r.measurement()))
+                    .compute()
+                    .unwrap()
+                    .value()
+                    .to_bits()
+            })
+            .collect()
+    }
+
     #[test]
     fn fire_rows_match_the_paper_sweep_bitwise() {
-        // The oracle tying the fleet engine to the paper path: Fire rows at
-        // the paper's core counts are Figures 5/6 and Table II's TGI values.
+        // The oracle tying the fleet engine to the paper's numbers: Fire
+        // rows at the paper's core counts — clean in a mixed fleet and in
+        // the paper sweep, and noisy at σ = 1% — are the TGI values of
+        // Figures 5/6 and Table II, computed without the engine.
         let reference = system_g_reference();
-        let table = multi_scale_sweep().run(&reference).unwrap();
-        let paper = FireSweep::run();
-        let mean = table.means().iter().position(|&m| m == MeanKind::Arithmetic).unwrap();
-        for (w, weighting) in table.weightings().iter().enumerate() {
-            let expected = paper.tgi_values(&reference, weighting, MeanKind::Arithmetic).unwrap();
-            let series = table.series("Fire", 0, w, mean).unwrap();
-            assert_eq!(series.xs(), FIRE_CORE_COUNTS.map(|c| c as f64).to_vec());
-            for (point, want) in series.points.iter().zip(&expected) {
-                assert_eq!(point.y.to_bits(), want.to_bits(), "{weighting} at {} cores", point.x);
+        let clean = ExecutionEngine::new(ClusterSpec::fire());
+        let mut studies = vec![
+            (clean.clone(), multi_scale_sweep().run(&reference).unwrap()),
+            (clean, FireSweep::run().fleet().run(&reference).unwrap()),
+        ];
+        for seed in 1..=3 {
+            let noisy = ExecutionEngine::new(ClusterSpec::fire()).with_run_noise(0.01, seed);
+            let table = FireSweep::run_noisy(0.01, seed).fleet().run(&reference).unwrap();
+            studies.push((noisy, table));
+        }
+        for (engine, table) in &studies {
+            let mean = table.means().iter().position(|&m| m == MeanKind::Arithmetic).unwrap();
+            for (w, weighting) in table.weightings().iter().enumerate() {
+                let expected = builder_series(engine, &reference, weighting);
+                let series = table.series("Fire", 0, w, mean).unwrap();
+                assert_eq!(series.xs(), FIRE_CORE_COUNTS.map(|c| c as f64).to_vec());
+                let got: Vec<u64> = series.ys().iter().map(|y| y.to_bits()).collect();
+                assert_eq!(got, expected, "{weighting}");
             }
         }
     }
@@ -777,7 +818,7 @@ mod tests {
         ));
         for cores in [0, 256] {
             let sweep = FleetSweep::new()
-                .system_at(ClusterSpec::fire(), cores)
+                .system_at(ExecutionEngine::new(ClusterSpec::fire()), cores)
                 .suite("fire", Workload::fire_suite())
                 .paper_axes();
             for result in [sweep.run(&reference), sweep.run_sequential(&reference)] {

@@ -12,12 +12,12 @@
 //! | Table I | [`experiments::table1_reference_performance`] | SystemG performance & power per benchmark |
 //! | Table II | [`experiments::table2_pcc`] | PCC between per-benchmark EE and TGI per weighting |
 //!
-//! [`sweep`] runs the underlying Fire core-count sweep once and shares it
-//! across figures; [`report`] renders figures/tables as text and CSV.
-//! [`fleet`] is the one engine for everything larger: a (system × cores ×
-//! suite × weighting × mean) study evaluated in parallel over memoized
-//! cluster simulations, whose table's views are the cluster comparisons,
-//! scaling series and Green500-style lists of [`extensions`].
+//! [`fleet`] is the one engine: a (system × cores × suite × weighting ×
+//! mean) study evaluated in parallel over memoized cluster simulations.
+//! [`sweep`]'s Fire core-count sweep is one such study, run once and
+//! shared across the figures; the cluster comparisons, DVFS and noise
+//! studies and Green500-style lists of [`extensions`] are others.
+//! [`report`] renders figures/tables as text and CSV.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,13 +2,14 @@
 //!
 //! §IV-B: "Each point in Figure 5 represents TGI calculated while executing
 //! HPL, STREAM and IOzone using a particular number of cores in the
-//! cluster." The sweep runs the three fixed-work benchmarks at each core
-//! count and retains every measurement, so all downstream artifacts share
-//! one set of runs (as the paper's did).
+//! cluster." The sweep is a [`FleetSweep`] with one Fire row per core count
+//! under the paper's axes: the figures read its memoized measurements and
+//! its [`crate::FleetTable`] columns, so all downstream artifacts share one
+//! set of runs (as the paper's did).
 
+use crate::fleet::FleetSweep;
 use cluster_sim::{ClusterSpec, ExecutionEngine, Workload};
-use tgi_core::evaluator::{EvalScratch, TgiEvaluator};
-use tgi_core::{MeanKind, Measurement, ReferenceSystem, Weighting};
+use tgi_core::Measurement;
 
 /// The paper's Fire sweep: 16…128 cores in steps of 16 (one core-per-node
 /// granularity step per point on the 8-node cluster).
@@ -23,38 +24,43 @@ pub struct SweepPoint {
     pub measurements: Vec<Measurement>,
 }
 
-/// The complete Fire sweep.
-#[derive(Debug, Clone)]
+/// The complete Fire sweep: a [`FleetSweep`] of Fire at
+/// [`FIRE_CORE_COUNTS`] (row `i` runs `FIRE_CORE_COUNTS[i]` cores) with one
+/// `"fire"` suite and the paper's weighting × mean axes.
+#[derive(Debug)]
 pub struct FireSweep {
+    fleet: FleetSweep,
     points: Vec<SweepPoint>,
 }
 
 impl FireSweep {
     /// Runs the sweep on the Fire cluster with the paper's workload set.
     pub fn run() -> Self {
-        Self::run_on(ExecutionEngine::new(ClusterSpec::fire()))
+        Self::over(ExecutionEngine::new(ClusterSpec::fire()))
     }
 
     /// Runs the paper's sweep with run-to-run performance noise (relative
     /// σ, deterministic per seed) — for robustness studies of the
     /// correlation results.
     pub fn run_noisy(sigma: f64, seed: u64) -> Self {
-        Self::run_on(ExecutionEngine::new(ClusterSpec::fire()).with_run_noise(sigma, seed))
+        Self::over(ExecutionEngine::new(ClusterSpec::fire()).with_run_noise(sigma, seed))
     }
 
-    fn run_on(engine: ExecutionEngine) -> Self {
+    fn over(engine: ExecutionEngine) -> Self {
+        let fleet = FIRE_CORE_COUNTS
+            .iter()
+            .fold(FleetSweep::new(), |sweep, &cores| sweep.system_at(engine.clone(), cores))
+            .suite("fire", Workload::fire_suite())
+            .paper_axes();
         let points = FIRE_CORE_COUNTS
             .iter()
-            .map(|&c| SweepPoint {
-                cores: c,
-                measurements: engine
-                    .run_suite(&Workload::fire_suite(), c)
-                    .into_iter()
-                    .map(|r| r.measurement())
-                    .collect(),
+            .enumerate()
+            .map(|(row, &cores)| SweepPoint {
+                cores,
+                measurements: fleet.measurements(row, 0).to_vec(),
             })
             .collect();
-        FireSweep { points }
+        FireSweep { fleet, points }
     }
 
     /// The sweep points in core order.
@@ -62,35 +68,10 @@ impl FireSweep {
         &self.points
     }
 
-    /// The energy-efficiency series for one benchmark, as
-    /// `(cores, EE in canonical units per watt)` pairs.
-    pub fn efficiency_series(&self, benchmark: &str) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .filter_map(|p| {
-                p.measurements
-                    .iter()
-                    .find(|m| m.id() == benchmark)
-                    .map(|m| (p.cores as f64, m.energy_efficiency()))
-            })
-            .collect()
-    }
-
-    /// TGI at every sweep point under one (weighting, mean) cell. One
-    /// [`TgiEvaluator`] serves the whole series — the reference is resolved
-    /// once — and values are bit-identical to the `Tgi::builder` path.
-    pub fn tgi_values(
-        &self,
-        reference: &ReferenceSystem,
-        weighting: &Weighting,
-        mean: MeanKind,
-    ) -> Result<Vec<f64>, tgi_core::TgiError> {
-        let evaluator = TgiEvaluator::new(reference);
-        let mut scratch = EvalScratch::default();
-        self.points
-            .iter()
-            .map(|p| evaluator.evaluate_into(&p.measurements, weighting, mean, &mut scratch))
-            .collect()
+    /// The fleet engine the sweep runs on. Its simulations are warm, so
+    /// [`FleetSweep::measurements`] and [`FleetSweep::run`] only score.
+    pub fn fleet(&self) -> &FleetSweep {
+        &self.fleet
     }
 }
 
@@ -102,6 +83,7 @@ mod tests {
     fn sweep_covers_all_core_counts() {
         let sweep = FireSweep::run();
         assert_eq!(sweep.points().len(), 8);
+        assert_eq!(sweep.fleet().len(), 8);
         let cores: Vec<usize> = sweep.points().iter().map(|p| p.cores).collect();
         assert_eq!(cores, FIRE_CORE_COUNTS.to_vec());
         for p in sweep.points() {
@@ -112,11 +94,14 @@ mod tests {
     #[test]
     fn efficiency_series_complete_and_positive() {
         let sweep = FireSweep::run();
-        for b in ["hpl", "stream", "iozone"] {
-            let series = sweep.efficiency_series(b);
-            assert_eq!(series.len(), 8, "{b}");
-            assert!(series.iter().all(|&(_, ee)| ee > 0.0), "{b}");
+        let simulated = sweep.fleet().memo_stats().1;
+        for (row, point) in sweep.points().iter().enumerate() {
+            let cached = sweep.fleet().measurements(row, 0);
+            assert_eq!(*cached, point.measurements, "row {row}");
+            let ids: Vec<&str> = cached.iter().map(|m| m.id()).collect();
+            assert_eq!(ids, ["hpl", "stream", "iozone"]);
+            assert!(cached.iter().all(|m| m.energy_efficiency() > 0.0), "row {row}");
         }
-        assert!(sweep.efficiency_series("nonexistent").is_empty());
+        assert_eq!(sweep.fleet().memo_stats().1, simulated, "reads never re-simulate");
     }
 }

@@ -80,3 +80,27 @@ fn experiments_missing_flag_value_exits_2_with_usage() {
         assert!(stderr.contains("usage: tgi-experiments"), "{flag}: {stderr}");
     }
 }
+
+#[test]
+fn experiments_reproduce_the_pinned_paper_artifacts_byte_for_byte() {
+    // The fixtures are the stdout and `--json` bundle of
+    // `tgi-experiments --json <f> all list extensions`: every figure,
+    // table, list and extension must print and serialize identically.
+    // Regenerate them only for an intended change of the paper output.
+    let json =
+        std::env::temp_dir().join(format!("tgi_paper_artifacts_{}.json", std::process::id()));
+    let out = experiments()
+        .arg("--json")
+        .arg(&json)
+        .args(["all", "list", "extensions"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let bundle = std::fs::read(&json).expect("bundle written");
+    std::fs::remove_file(&json).expect("cleanup");
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let want_stdout = std::fs::read(fixtures.join("paper_artifacts.stdout")).expect("fixture");
+    let want_bundle = std::fs::read(fixtures.join("paper_artifacts.json")).expect("fixture");
+    assert!(out.stdout == want_stdout, "stdout differs:\n{}", String::from_utf8_lossy(&out.stdout));
+    assert!(bundle == want_bundle, "bundle differs:\n{}", String::from_utf8_lossy(&bundle));
+}

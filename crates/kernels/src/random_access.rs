@@ -36,12 +36,20 @@ pub struct GupsConfig {
 
 impl GupsConfig {
     /// HPCC-style config: table of `2^log2` words, 4× updates.
+    ///
+    /// # Panics
+    /// Panics unless [`GupsConfig::fits`] holds for `log2_table_size`.
     pub fn new(log2_table_size: u32) -> Self {
-        GupsConfig {
-            log2_table_size,
-            updates: 4 * (1u64 << log2_table_size),
-            seed: 0x2545_F491_4F6C_DD1D,
-        }
+        assert!(Self::fits(log2_table_size), "a 2^{log2_table_size}-word GUPS table overflows");
+        GupsConfig { log2_table_size, updates: 4 << log2_table_size, seed: 0x2545_F491_4F6C_DD1D }
+    }
+
+    /// Whether a `2^log2`-word table's byte size fits `usize` and its
+    /// `4 << log2` update count fits `u64`: the largest size is 2^60 words
+    /// on a 64-bit target, far beyond any real memory.
+    pub fn fits(log2_table_size: u32) -> bool {
+        table_bytes(log2_table_size).is_some()
+            && 1u64.checked_shl(log2_table_size).and_then(|n| n.checked_mul(4)).is_some()
     }
 
     /// Table size in words.
@@ -63,6 +71,40 @@ pub struct GupsResult {
     pub passed: bool,
 }
 
+/// A GUPS table the process cannot allocate: its byte size overflows
+/// `usize`, or the allocator refuses it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableAllocError {
+    /// log₂ of the requested table size in 64-bit words.
+    pub log2_table_size: u32,
+}
+
+impl std::fmt::Display for TableAllocError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cannot allocate a 2^{}-word GUPS table", self.log2_table_size)
+    }
+}
+
+impl std::error::Error for TableAllocError {}
+
+/// Bytes of a `2^log2`-word table, `None` when that overflows `usize`.
+fn table_bytes(log2_table_size: u32) -> Option<usize> {
+    1usize.checked_shl(log2_table_size)?.checked_mul(std::mem::size_of::<u64>())
+}
+
+/// A table of `2^log2` words initialised by `init(index)`, reserved with
+/// `try_reserve_exact` so a table too large for the address space is an
+/// error, not an abort.
+fn try_table<T>(config: &GupsConfig, init: impl Fn(u64) -> T) -> Result<Vec<T>, TableAllocError> {
+    let error = TableAllocError { log2_table_size: config.log2_table_size };
+    table_bytes(config.log2_table_size).ok_or(error)?;
+    let len = config.table_size();
+    let mut table = Vec::new();
+    table.try_reserve_exact(len).map_err(|_| error)?;
+    table.extend((0..len as u64).map(init));
+    Ok(table)
+}
+
 /// HPCC's allowed error fraction for the racy parallel variant.
 pub const MAX_ERROR_FRACTION: f64 = 0.01;
 
@@ -73,7 +115,7 @@ fn chunk_seed(seed: u64, chunk: u64) -> u64 {
 }
 
 /// Runs the GUPS benchmark with the process-wide dispatched ISA.
-pub fn run(config: GupsConfig) -> GupsResult {
+pub fn run(config: GupsConfig) -> Result<GupsResult, TableAllocError> {
     run_with_isa(simd::active(), config)
 }
 
@@ -81,15 +123,17 @@ pub fn run(config: GupsConfig) -> GupsResult {
 /// untimed sequential verification phase. The update stream is generated in
 /// 128-value batches by the `isa` path's SplitMix64 — every ISA produces the
 /// identical bit stream, so verification replays it exactly.
-pub fn run_with_isa(isa: Isa, config: GupsConfig) -> GupsResult {
+///
+/// Errors, before any update runs, if the table or its verification copy
+/// cannot be allocated.
+pub fn run_with_isa(isa: Isa, config: GupsConfig) -> Result<GupsResult, TableAllocError> {
     assert!(config.log2_table_size >= 4, "table must have at least 16 words");
     assert!(config.updates > 0, "update count must be positive");
-    let size = config.table_size();
-    let mask = (size - 1) as u64;
-
     // Atomic table lets threads race safely (Relaxed ordering: HPCC permits
     // lost updates; we only need the *final values* to be well-defined).
-    let table: Vec<AtomicU64> = (0..size as u64).map(AtomicU64::new).collect();
+    let table: Vec<AtomicU64> = try_table(&config, AtomicU64::new)?;
+    let size = table.len();
+    let mask = (size - 1) as u64;
 
     // Partition the update stream into per-thread chunks, each with its own
     // deterministic sub-seed.
@@ -119,7 +163,7 @@ pub fn run_with_isa(isa: Isa, config: GupsConfig) -> GupsResult {
     // Verification: replay the same stream sequentially on a fresh table;
     // with atomic XOR updates the result must match exactly, so the error
     // fraction doubles as a determinism check.
-    let mut check: Vec<u64> = (0..size as u64).collect();
+    let mut check: Vec<u64> = try_table(&config, |i| i)?;
     for c in 0..chunks {
         let mut state = chunk_seed(config.seed, c);
         let mut left = per_chunk + if c < remainder { 1 } else { 0 };
@@ -137,12 +181,12 @@ pub fn run_with_isa(isa: Isa, config: GupsConfig) -> GupsResult {
     let errors = table.iter().zip(&check).filter(|(t, c)| t.load(Ordering::Relaxed) != **c).count();
     let error_fraction = errors as f64 / size as f64;
 
-    GupsResult {
+    Ok(GupsResult {
         gups: config.updates as f64 / seconds / 1e9,
         seconds,
         error_fraction,
         passed: error_fraction <= MAX_ERROR_FRACTION,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -151,7 +195,7 @@ mod tests {
 
     #[test]
     fn small_run_passes_verification() {
-        let r = run(GupsConfig::new(12));
+        let r = run(GupsConfig::new(12)).unwrap();
         assert!(r.passed, "error fraction {}", r.error_fraction);
         // Atomic XOR updates are exact, not just within the 1% budget.
         assert_eq!(r.error_fraction, 0.0);
@@ -168,8 +212,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = run(GupsConfig::new(10));
-        let b = run(GupsConfig::new(10));
+        let a = run(GupsConfig::new(10)).unwrap();
+        let b = run(GupsConfig::new(10)).unwrap();
         // Timing differs but verification state is identical.
         assert_eq!(a.error_fraction, b.error_fraction);
         assert!(a.passed && b.passed);
@@ -194,7 +238,7 @@ mod tests {
         // Not a multiple of the batch size, so the partial-batch path runs.
         c.updates = 3 * STREAM_BATCH as u64 + 17;
         for isa in simd::supported() {
-            let r = run_with_isa(isa, c);
+            let r = run_with_isa(isa, c).unwrap();
             assert!(r.passed, "{isa}: error fraction {}", r.error_fraction);
             assert_eq!(r.error_fraction, 0.0, "{isa}: atomic XOR replay must be exact");
         }
@@ -204,14 +248,14 @@ mod tests {
     fn custom_update_count_respected() {
         let mut c = GupsConfig::new(10);
         c.updates = 1000;
-        let r = run(c);
+        let r = run(c).unwrap();
         assert!(r.passed);
     }
 
     #[test]
     #[should_panic(expected = "at least 16")]
     fn tiny_table_panics() {
-        run(GupsConfig::new(2));
+        let _ = run(GupsConfig::new(2));
     }
 
     #[test]
@@ -219,6 +263,26 @@ mod tests {
     fn zero_updates_panics() {
         let mut c = GupsConfig::new(10);
         c.updates = 0;
-        run(c);
+        let _ = run(c);
+    }
+
+    #[test]
+    fn sizes_fit_until_the_table_bytes_or_update_count_overflow() {
+        assert!(GupsConfig::fits(4) && GupsConfig::fits(59));
+        for log2 in [61, 62, 64, 200] {
+            assert!(!GupsConfig::fits(log2), "log2 {log2}");
+        }
+    }
+
+    #[test]
+    fn unallocatable_table_is_an_error_not_an_abort() {
+        // 2^59 words are 2^62 bytes: larger than any address space, so the
+        // reservation fails without touching memory.
+        let mut c = GupsConfig::new(59);
+        c.updates = 1;
+        assert_eq!(run(c), Err(TableAllocError { log2_table_size: 59 }));
+        // A hand-built config past `fits` is refused the same way.
+        c.log2_table_size = 64;
+        assert_eq!(run(c), Err(TableAllocError { log2_table_size: 64 }));
     }
 }

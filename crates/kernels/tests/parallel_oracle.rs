@@ -157,7 +157,8 @@ fn stream_validates_at_every_thread_count() {
 #[test]
 fn gups_verification_is_exact_at_every_thread_count() {
     for threads in THREAD_COUNTS {
-        let r = with_threads(threads, || random_access::run(GupsConfig::new(10)));
+        let r = with_threads(threads, || random_access::run(GupsConfig::new(10)))
+            .expect("a 2^10-word table allocates");
         assert!(r.passed, "{threads} threads: verification failed");
         assert_eq!(
             r.error_fraction, 0.0,

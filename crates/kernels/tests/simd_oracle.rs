@@ -145,7 +145,8 @@ fn stream_validates_on_every_supported_isa_and_thread_count() {
 fn gups_replay_is_exact_on_every_supported_isa_and_thread_count() {
     for isa in simd::supported() {
         for threads in THREAD_COUNTS {
-            let r = with_threads(threads, || random_access::run_with_isa(isa, GupsConfig::new(10)));
+            let r = with_threads(threads, || random_access::run_with_isa(isa, GupsConfig::new(10)))
+                .expect("a 2^10-word table allocates");
             assert!(r.passed, "{isa} at {threads} threads");
             assert_eq!(r.error_fraction, 0.0, "{isa} at {threads} threads");
         }

@@ -12,6 +12,7 @@ use crate::native::{
     NativePtrans, NativeStream,
 };
 use crate::suite::BenchmarkSuite;
+use hpc_kernels::random_access::GupsConfig;
 use serde::{Deserialize, Serialize};
 
 /// The most ranks a `distributed_hpl` or `comm` entry may ask for: the
@@ -104,6 +105,10 @@ impl BenchmarkSpec {
             BenchmarkSpec::Gups { log2_size } if log2_size < 4 => {
                 reject("gups", format!("log2_size {log2_size} is below 4 (a 16-word table)"))
             }
+            BenchmarkSpec::Gups { log2_size } if !GupsConfig::fits(log2_size) => reject(
+                "gups",
+                format!("log2_size {log2_size} overflows the table's bytes or update count"),
+            ),
             BenchmarkSpec::Comm { ranks } if !ranks_ok(ranks, 2) => {
                 reject("comm", format!("ranks {ranks} is outside 2..={MAX_RANKS}"))
             }
@@ -296,6 +301,14 @@ mod tests {
     #[test]
     fn gups_table_must_have_sixteen_words() {
         assert!(rejection(r#"{"kind": "gups", "log2_size": 3}"#).contains("log2_size 3"));
+    }
+
+    #[test]
+    fn gups_sizes_that_overflow_are_rejected() {
+        for log2 in [61, 64] {
+            let e = rejection(&format!(r#"{{"kind": "gups", "log2_size": {log2}}}"#));
+            assert!(e.contains(&format!("log2_size {log2} overflows")), "{e}");
+        }
     }
 
     #[test]

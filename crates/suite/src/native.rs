@@ -338,6 +338,7 @@ impl Benchmark for NativeGups {
         let (result, meter) = metered(&self.model, UtilizationSample::memory_bound(0.8), || {
             random_access::run(config)
         });
+        let result = result.map_err(|e| SuiteError::Kernel(e.to_string()))?;
         if !result.passed {
             return Err(SuiteError::ValidationFailed {
                 benchmark: "gups".into(),
@@ -498,6 +499,16 @@ mod tests {
         let m = NativeGups::new(12).run().unwrap();
         assert_eq!(m.id(), "gups");
         assert_eq!(*m.performance().unit(), tgi_core::PerfUnit::Gups);
+    }
+
+    #[test]
+    fn native_gups_reports_an_unallocatable_table_as_a_kernel_error() {
+        // 2^59 words are 2^62 bytes, more than any address space: the
+        // reservation fails at once and no memory is touched.
+        match NativeGups::new(59).run() {
+            Err(SuiteError::Kernel(detail)) => assert!(detail.contains("2^59"), "{detail}"),
+            other => panic!("expected a kernel error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and `results/metrics.prom` (Prometheus text exposition), and prints
 //! the end-of-run span/metric summary.
 
-use tgi::cluster::{ClusterSpec, Workload};
+use tgi::cluster::{ClusterSpec, ExecutionEngine, Workload};
 use tgi::harness::{system_g_reference, FleetSweep};
 use tgi::suite::{BenchmarkSuite, SimulatedBenchmark, SuiteRunner};
 
@@ -35,7 +35,9 @@ fn main() {
     // counters move.
     let sweep = [32, 64, 128]
         .into_iter()
-        .fold(FleetSweep::new(), |sweep, cores| sweep.system_at(ClusterSpec::fire(), cores))
+        .fold(FleetSweep::new(), |sweep, cores| {
+            sweep.system_at(ExecutionEngine::new(ClusterSpec::fire()), cores)
+        })
         .suite("fire", Workload::fire_suite())
         .paper_axes();
     let table = sweep.run(&system_g_reference()).expect("sweep evaluates");

@@ -12,7 +12,7 @@
 //! run in parallel, and every cell is bit-identical to the equivalent
 //! `Tgi::builder` call.
 
-use tgi::cluster::{ClusterSpec, Workload};
+use tgi::cluster::{ClusterSpec, ExecutionEngine, Workload};
 use tgi::harness::sweep::FIRE_CORE_COUNTS;
 use tgi::harness::{system_g_reference, FleetSweep};
 
@@ -20,7 +20,7 @@ fn main() {
     let mut sweep = FleetSweep::new();
     for spec in [ClusterSpec::fire(), ClusterSpec::fire_gpu()] {
         for cores in FIRE_CORE_COUNTS {
-            sweep = sweep.system_at(spec.clone(), cores);
+            sweep = sweep.system_at(ExecutionEngine::new(spec.clone()), cores);
         }
     }
     let sweep = sweep.suite("fire", Workload::fire_suite()).paper_axes();

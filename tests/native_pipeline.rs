@@ -1,13 +1,18 @@
 //! Integration: real kernels → sampled power → measurements → TGI.
 //!
 //! Exercises the full native path of the stack on this machine with
-//! test-sized workloads.
+//! test-sized workloads. The tests take one file-level lock, so no test
+//! times its kernels while a sibling competes for the same cores — the
+//! self-TGI check is a ratio of single-shot timings.
 
+use std::sync::Mutex;
 use tgi::prelude::*;
 use tgi::suite::native::{
     NativeDgemm, NativeFft, NativeGups, NativeHpl, NativeIozone, NativePtrans, NativeStream,
 };
 use tgi::suite::{Benchmark, BenchmarkSuite};
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn small_suite() -> BenchmarkSuite {
     let mut stream = NativeStream::new(1 << 15);
@@ -19,6 +24,7 @@ fn small_suite() -> BenchmarkSuite {
 
 #[test]
 fn native_suite_produces_three_valid_measurements() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let measurements = small_suite().run_all().expect("suite runs");
     assert_eq!(measurements.len(), 3);
     let ids: Vec<&str> = measurements.iter().map(|m| m.id()).collect();
@@ -33,6 +39,7 @@ fn native_suite_produces_three_valid_measurements() {
 
 #[test]
 fn native_run_promotes_to_reference_and_scores_one_against_itself() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A machine measured against its own suite run scores TGI ≈ 1 — not
     // exactly 1, because the two runs sample power independently.
     let reference = small_suite().run_as_reference("this-machine").expect("runs");
@@ -51,6 +58,7 @@ fn native_run_promotes_to_reference_and_scores_one_against_itself() {
 
 #[test]
 fn extension_benchmarks_integrate_with_tgi() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // §II: TGI is not limited to three benchmarks. Build a 7-test suite
     // (like HPCC's seven) and compute TGI over all of them.
     let mut stream = NativeStream::new(1 << 15);
@@ -83,6 +91,7 @@ fn extension_benchmarks_integrate_with_tgi() {
 
 #[test]
 fn benchmark_subsystem_labels_cover_cpu_memory_io() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let suite = small_suite();
     let _ = suite.ids();
     let subsystems: Vec<&str> = vec![
@@ -95,6 +104,7 @@ fn benchmark_subsystem_labels_cover_cpu_memory_io() {
 
 #[test]
 fn validation_failures_surface_as_errors() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A mis-configured I/O benchmark (record > file) errors rather than
     // producing a bogus measurement.
     let mut bad = NativeIozone::new(1 << 10);

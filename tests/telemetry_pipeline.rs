@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use rayon::prelude::*;
 use serde::Value;
-use tgi::cluster::{ClusterSpec, Workload};
+use tgi::cluster::{ClusterSpec, ExecutionEngine, Workload};
 use tgi::core::Measurement;
 use tgi::harness::{system_g_reference, FleetSweep};
 use tgi::suite::{Benchmark, BenchmarkSuite, SuiteError, SuiteRunner};
@@ -55,8 +55,8 @@ fn run_instrumented_pipeline() -> (Vec<tgi::telemetry::Event>, tgi::telemetry::M
     // 2. Fire core-count sweep run twice: the second pass is answered from
     //    the memo.
     let sweep = FleetSweep::new()
-        .system_at(ClusterSpec::fire(), 32)
-        .system_at(ClusterSpec::fire(), 64)
+        .system_at(ExecutionEngine::new(ClusterSpec::fire()), 32)
+        .system_at(ExecutionEngine::new(ClusterSpec::fire()), 64)
         .suite("fire", Workload::fire_suite())
         .paper_axes();
     let reference = system_g_reference();
