@@ -11,13 +11,23 @@
 //! while the decode counters prove each window query touched at most its
 //! two boundary sub-blocks: at most 2 decoded units and 2 × 4,096
 //! decoded samples, however large the chunks.
+//!
+//! The `codec` records time the two per-byte and per-sample costs of a
+//! cold sub-block read — the CRC over its stream and the decode — on a
+//! simulated Watts Up? PRO log of a node through benchmark phases. That
+//! stream takes about 3.6 B/sample, ten times the cadenced stream above,
+//! which is what the store holds for real meter output and where the
+//! checksum's cost shows.
 
-use power_model::PowerTrace;
+use power_model::{
+    NodePowerModel, PowerMeter, PowerTrace, UtilizationProfile, UtilizationSample, WattsUpPro,
+};
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
-use tgi_bench::{Lcg, Ledger};
+use tgi_bench::{median_of, Lcg, Ledger};
 use tgi_trace_store::chunk::SUB_BLOCK_SAMPLES;
-use tgi_trace_store::{StoreConfig, TraceStore};
+use tgi_trace_store::{codec, crc, StoreConfig, TraceStore};
 
 /// Samples ingested: (full, smoke).
 const SAMPLES: (usize, usize) = (100_000_000, 1_000_000);
@@ -47,6 +57,75 @@ fn fill_batch(
         times.push(t0 + i as f64);
         watts.push(*level);
     }
+}
+
+/// A meter-model log of `n` 1 Hz readings, encoded as the store encodes
+/// it: `(stream bytes, bit length, samples)` per sub-block.
+fn meter_sub_blocks(n: usize) -> Vec<(Vec<u8>, usize, usize)> {
+    let mut rng = Lcg(0x3E7E);
+    let mut profile = UtilizationProfile::new();
+    while profile.duration_s() < n as f64 {
+        let load = match (rng.next_unit() * 4.0) as usize {
+            0 => UtilizationSample::cpu_bound(0.85 + 0.15 * rng.next_unit()),
+            1 => UtilizationSample::memory_bound(0.7 + 0.3 * rng.next_unit()),
+            2 => UtilizationSample::io_bound(0.6 + 0.4 * rng.next_unit()),
+            _ => UtilizationSample::IDLE,
+        };
+        profile.push((600.0 + 3000.0 * rng.next_unit()).round(), load);
+    }
+    let model = NodePowerModel::fire_node();
+    let trace = WattsUpPro::new(0x3E7E)
+        .record(&|t| model.wall_power(profile.at(t)), n.saturating_sub(1) as f64);
+    trace
+        .times()
+        .chunks(SUB_BLOCK_SAMPLES)
+        .zip(trace.watts().chunks(SUB_BLOCK_SAMPLES))
+        .map(|(ts, ws)| {
+            let mut enc = codec::Encoder::new();
+            for (&t, &w) in ts.iter().zip(ws) {
+                enc.push(t, w);
+            }
+            let (bytes, bit_len) = enc.finish();
+            (bytes, bit_len, ts.len())
+        })
+        .collect()
+}
+
+/// Times the CRC and the decode of a cold sub-block read over a meter
+/// stream, each as the median of repeated passes.
+fn codec_records(ledger: &mut Ledger) {
+    let blocks = meter_sub_blocks(ledger.pick((1 << 18, 1 << 16)));
+    let bytes: usize = blocks.iter().map(|b| b.0.len()).sum();
+    let samples: usize = blocks.iter().map(|b| b.2).sum();
+    let passes = 20;
+    let crc_ns = median_of(7, || {
+        let start = Instant::now();
+        for _ in 0..passes {
+            for (stream, _, _) in &blocks {
+                black_box(crc::crc32(black_box(stream)));
+            }
+        }
+        start.elapsed().as_nanos() as f64 / (passes * bytes) as f64
+    });
+    let decode_ns = median_of(7, || {
+        let start = Instant::now();
+        for _ in 0..passes {
+            for (stream, bit_len, count) in &blocks {
+                let mut sum = 0.0;
+                codec::decode_each(stream, *bit_len, *count, |t, w| sum += t + w)
+                    .expect("meter stream decodes");
+                black_box(sum);
+            }
+        }
+        start.elapsed().as_nanos() as f64 / (passes * samples) as f64
+    });
+    ledger.lower("codec", "crc32_ns_per_byte", "ns", crc_ns);
+    ledger.lower("codec", "decode_ns_per_sample", "ns", decode_ns);
+    eprintln!(
+        "  codec: meter stream {:.2} B/sample, crc32 {crc_ns:.2} ns/byte, \
+         decode {decode_ns:.1} ns/sample",
+        bytes as f64 / samples as f64
+    );
 }
 
 struct ScratchDir(PathBuf);
@@ -194,6 +273,7 @@ fn main() {
     assert!(total_sink.is_finite());
     assert_eq!(store.decompressions(), 0, "energy_total decompressed a chunk");
     ledger.lower("cold_query", "footer_only_total_energy_ns", "ns", footer_ns);
+    codec_records(&mut ledger);
     eprintln!(
         "  cold energy_between: {cold_us:.1} us/query (≤{max_decomp} units, \
          ≤{max_decoded} samples), {windows_bitwise_equal}/{queries} bitwise equal, \

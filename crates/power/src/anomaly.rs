@@ -439,14 +439,38 @@ impl AnomalyDetector {
 /// `times` non-decreasing (as produced by [`PowerTrace`]).
 pub fn scan_columns(times: &[f64], watts: &[f64], config: AnomalyConfig) -> Vec<AnomalyEvent> {
     assert_eq!(times.len(), watts.len(), "column lengths differ");
-    let mut detector = AnomalyDetector::new(config);
-    let mut out = Vec::new();
+    let mut scan = Scan::new(config);
     for (&t, &w) in times.iter().zip(watts) {
-        detector.push(t, w, &mut out);
+        scan.push(t, w);
     }
-    detector.finish(&mut out);
-    out.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap_or(std::cmp::Ordering::Equal));
-    out
+    scan.finish()
+}
+
+/// One post-hoc scan: a fresh detector fed samples in time order, and
+/// the events it emits — the loop behind [`scan_columns`] and the stored
+/// trace's streaming [`TraceQuery::scan_anomalies`].
+pub(crate) struct Scan {
+    detector: AnomalyDetector,
+    events: Vec<AnomalyEvent>,
+}
+
+impl Scan {
+    pub(crate) fn new(config: AnomalyConfig) -> Self {
+        Scan { detector: AnomalyDetector::new(config), events: Vec::new() }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, t: f64, watts: f64) {
+        self.detector.push(t, watts, &mut self.events);
+    }
+
+    /// Closes open intervals and returns every event in time order.
+    pub(crate) fn finish(mut self) -> Vec<AnomalyEvent> {
+        self.detector.finish(&mut self.events);
+        self.events
+            .sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap_or(std::cmp::Ordering::Equal));
+        self.events
+    }
 }
 
 /// Scans an in-memory trace; see [`scan_columns`].
@@ -455,8 +479,8 @@ pub fn scan(trace: &PowerTrace, config: AnomalyConfig) -> Vec<AnomalyEvent> {
 }
 
 /// Scans a window of a store-backed trace (whole trace when unbounded),
-/// decoding only the covered sub-blocks; see
-/// [`TraceQuery::scan_anomalies`].
+/// streaming the covered sub-blocks' samples straight into the detector;
+/// see [`TraceQuery::scan_anomalies`].
 pub fn scan_stored(
     trace: &StoreBackedTrace,
     config: AnomalyConfig,

@@ -9,12 +9,17 @@
 //!   lossless at the bit-pattern level).
 //! * [`StoreBackedTrace`] implements [`TraceQuery`] over an open store —
 //!   `energy`, `energy_between`, `energy_and_average_between`, `window`,
-//!   the provided `average_power` and `scan_anomalies` — answering from
+//!   `scan_anomalies` and the provided `average_power` — answering from
 //!   chunk footers and sub-block indexes, decoding at most the window's
-//!   two boundary sub-blocks (`window` decodes the sub-blocks it covers),
-//!   bit-identical to the in-memory prefix index over the same samples.
-//!   Point and extreme reads (`power_at`, peak, min) live on the
-//!   underlying [`TraceStore`].
+//!   two boundary sub-blocks, bit-identical to the in-memory prefix index
+//!   over the same samples. `window` and `scan_anomalies` decode the
+//!   sub-blocks they cover once each, through the store's one streaming
+//!   walk ([`TraceStore::for_each_in`]): the walk's samples and their
+//!   neighbours are clipped to the window as they are decoded, so the
+//!   interpolated end samples need no second lookup, and a scan feeds
+//!   the detector without building the window in memory. Point and
+//!   extreme reads (`power_at`, peak, min) live on the underlying
+//!   [`TraceStore`].
 //! * `BackgroundSampler::start_into` (in [`crate::sampler`]) records
 //!   straight into a `StoreBackedTrace`, so long captures never hold the
 //!   full trace in memory.
@@ -23,7 +28,8 @@
 //! may touch disk and hit torn or corrupt payloads; the in-memory
 //! implementation is always `Ok`.
 
-use crate::trace::{PowerTrace, TraceQuery};
+use crate::anomaly::{AnomalyConfig, AnomalyEvent, Scan};
+use crate::trace::{Clip, PowerTrace, TraceQuery};
 use std::path::Path;
 use tgi_core::{Joules, Watts};
 use tgi_trace_store::{clamp_window, StoreConfig, StoreError, TraceStore};
@@ -135,13 +141,19 @@ impl StoreBackedTrace {
     /// # Panics
     /// Panics if either bound is NaN.
     pub fn window(&self, t0: f64, t1: f64) -> Result<PowerTrace, StoreError> {
+        let mut out = PowerTrace::new();
+        self.clipped(t0, t1, |t, w| out.push_unvalidated(t, w))?;
+        Ok(out)
+    }
+
+    /// Streams the samples of `window(t0, t1)` to `emit` in time order,
+    /// from one walk over the sub-blocks the window covers.
+    fn clipped(&self, t0: f64, t1: f64, emit: impl FnMut(f64, f64)) -> Result<(), StoreError> {
         let Some((a, b)) = clamp_window(self.time_bounds(), t0, t1) else {
-            return Ok(PowerTrace::new());
+            return Ok(());
         };
-        let (times, watts) = self.store.samples_in(a, b)?;
-        PowerTrace::clipped(a, b, &times, &watts, |t| {
-            Ok(self.store.power_at(t)?.expect("t is in the span"))
-        })
+        let mut clip = Clip::new(a, b, emit);
+        self.store.for_each_in(a, b, |t, w, place| clip.feed((t, w), place))
     }
 
     /// Materializes the full trace into memory — sample columns and the
@@ -180,6 +192,22 @@ impl TraceQuery for StoreBackedTrace {
 
     fn window(&self, t0: f64, t1: f64) -> Result<PowerTrace, StoreError> {
         StoreBackedTrace::window(self, t0, t1)
+    }
+
+    /// The provided scan's answer, without materializing the window: the
+    /// clipped samples go straight from the decoder into the detector.
+    fn scan_anomalies(
+        &self,
+        config: AnomalyConfig,
+        from: Option<f64>,
+        to: Option<f64>,
+    ) -> Result<Vec<AnomalyEvent>, StoreError> {
+        let Some((first, last)) = self.time_bounds() else {
+            return Ok(Vec::new());
+        };
+        let mut scan = Scan::new(config);
+        self.clipped(from.unwrap_or(first), to.unwrap_or(last), |t, w| scan.push(t, w))?;
+        Ok(scan.finish())
     }
 }
 

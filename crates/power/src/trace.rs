@@ -31,7 +31,7 @@
 use crate::anomaly::{AnomalyConfig, AnomalyEvent};
 use serde::{DeError, Deserialize, Serialize, Value};
 use tgi_core::{Joules, Seconds, Watts};
-use tgi_trace_store::{check_sample, clamp_window, StoreError};
+use tgi_trace_store::{check_sample, clamp_window, Place, StoreError};
 
 /// The trace reads every consumer needs, answered by the in-memory
 /// [`PowerTrace`] and the store-backed
@@ -108,6 +108,72 @@ pub trait TraceQuery {
         let window = self.window(from.unwrap_or(first), to.unwrap_or(last))?;
         Ok(crate::anomaly::scan(&window, config))
     }
+}
+
+/// Turns the samples of a window `[a, b]` (already clamped to the span)
+/// and their neighbours — the last sample before `a`, the first after `b`
+/// — into the window's samples: the stored ones, opened and closed with a
+/// sample interpolated exactly as `power_at` would where `a` or `b` falls
+/// strictly inside a segment. Every window, in memory or stored, and the
+/// stored anomaly scan clip through this, so they agree bit for bit.
+pub(crate) struct Clip<F> {
+    a: f64,
+    b: f64,
+    /// The newest stored sample fed so far: where the segment an
+    /// interpolated end lies on starts.
+    prev: Option<(f64, f64)>,
+    /// Time of the last sample emitted.
+    end: Option<f64>,
+    emit: F,
+}
+
+impl<F: FnMut(f64, f64)> Clip<F> {
+    pub(crate) fn new(a: f64, b: f64, emit: F) -> Self {
+        Clip { a, b, prev: None, end: None, emit }
+    }
+
+    /// Feeds the next sample, in time order, with its place in the window.
+    #[inline]
+    pub(crate) fn feed(&mut self, (t, w): (f64, f64), place: Place) {
+        match place {
+            Place::Before => self.prev = Some((t, w)),
+            Place::Inside => {
+                if self.end.is_none() && t > self.a {
+                    self.open((t, w));
+                }
+                (self.emit)(t, w);
+                self.end = Some(t);
+                self.prev = Some((t, w));
+            }
+            Place::After => {
+                if self.end.is_none() {
+                    self.open((t, w));
+                }
+                if let (Some(end), Some(prev)) = (self.end, self.prev) {
+                    if end < self.b {
+                        (self.emit)(self.b, interpolate(prev, (t, w), self.b));
+                        self.end = Some(self.b);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Emits the interpolated sample at `a`, which lies strictly between
+    /// the previous sample and `next`.
+    fn open(&mut self, next: (f64, f64)) {
+        if let Some(prev) = self.prev {
+            (self.emit)(self.a, interpolate(prev, next, self.a));
+            self.end = Some(self.a);
+        }
+    }
+}
+
+/// Power at `t` on the segment from `(t0, w0)` to `(t1, w1)` — the
+/// arithmetic of [`PowerTrace::power_at`].
+fn interpolate((t0, w0): (f64, f64), (t1, w1): (f64, f64), t: f64) -> f64 {
+    let frac = (t - t0) / (t1 - t0);
+    w0 + (w1 - w0) * frac
 }
 
 /// Unwraps a [`TraceQuery`] answer from an in-memory trace, which never
@@ -412,32 +478,19 @@ impl PowerTrace {
         };
         let lo = self.times.partition_point(|&x| x < a);
         let hi = self.times.partition_point(|&x| x <= b);
-        in_memory(PowerTrace::clipped(a, b, &self.times[lo..hi], &self.watts[lo..hi], |t| {
-            Ok(self.power_at(t).expect("t is in the span").value())
-        }))
-    }
-
-    /// The window `[a, b]` (already clamped to the span) over the stored
-    /// samples inside it, opening and closing with a sample interpolated
-    /// by `power_at` where `a` or `b` falls strictly inside a segment.
-    pub(crate) fn clipped(
-        a: f64,
-        b: f64,
-        times: &[f64],
-        watts: &[f64],
-        power_at: impl Fn(f64) -> Result<f64, StoreError>,
-    ) -> Result<PowerTrace, StoreError> {
-        let mut out = PowerTrace::with_capacity(times.len() + 2);
-        if times.first().is_none_or(|&t| t > a) {
-            out.append(a, power_at(a)?);
+        let mut out = PowerTrace::with_capacity(hi - lo + 2);
+        let mut clip = Clip::new(a, b, |t, w| out.append(t, w));
+        let sample = |i: usize| (self.times[i], self.watts[i]);
+        if let Some(i) = lo.checked_sub(1) {
+            clip.feed(sample(i), Place::Before);
         }
-        for (&t, &w) in times.iter().zip(watts) {
-            out.append(t, w);
+        for i in lo..hi {
+            clip.feed(sample(i), Place::Inside);
         }
-        if out.time_bounds().is_none_or(|(_, end)| end < b) {
-            out.append(b, power_at(b)?);
+        if hi < self.len() {
+            clip.feed(sample(hi), Place::After);
         }
-        Ok(out)
+        out
     }
 
     /// Concatenates another trace, shifting its timestamps to start at this
@@ -816,6 +869,49 @@ mod tests {
             prop_assert!(e <= hi + 1e-6);
             // average power equals energy / duration by construction
             prop_assert!((t.average_power().value() - e / dur).abs() < 1e-9);
+        }
+
+        /// A window is exactly its stored samples in `[a, b]`, opened and
+        /// closed by `power_at` where an end falls strictly inside a
+        /// segment — bit for bit, over duplicate timestamps, zero-width
+        /// windows and windows reaching past the span.
+        #[test]
+        fn prop_window_is_stored_samples_clipped_by_power_at(
+            steps in proptest::collection::vec((0u8..4, 0.0..900.0f64), 1..40),
+            (u0, u1) in (-0.2..1.2f64, -0.2..1.2f64),
+            snap in 0u8..4,
+        ) {
+            let mut t = PowerTrace::new();
+            let mut time = 0.0;
+            for &(dt, w) in &steps {
+                time += f64::from(dt) * 0.75;
+                t.push(time, Watts::new(w));
+            }
+            let (first, last) = t.time_bounds().unwrap();
+            // Bit k of `snap` puts end k exactly on a stored sample.
+            let at = |u: f64, k: u8| match snap >> k & 1 {
+                0 => first + u * (last - first),
+                _ => t.times()[(u.clamp(0.0, 1.0) * (t.len() - 1) as f64) as usize],
+            };
+            let (t0, t1) = (at(u0.min(u1), 0), at(u0.max(u1), 1));
+            let mut want = PowerTrace::new();
+            if let Some((a, b)) = clamp_window(t.time_bounds(), t0, t1) {
+                let inside: Vec<_> = t.iter().filter(|s| a <= s.t && s.t <= b).collect();
+                if inside.first().is_none_or(|s| s.t > a) {
+                    want.push(a, t.power_at(a).unwrap());
+                }
+                for s in inside {
+                    want.push(s.t, Watts::new(s.watts));
+                }
+                if want.time_bounds().is_none_or(|(_, end)| end < b) {
+                    want.push(b, t.power_at(b).unwrap());
+                }
+            }
+            let got = t.window(t0, t1);
+            let bits = |x: &PowerTrace| -> Vec<(u64, u64)> {
+                x.iter().map(|s| (s.t.to_bits(), s.watts.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
         }
 
         /// Doubling every power value doubles the energy (linearity).

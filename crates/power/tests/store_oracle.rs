@@ -6,11 +6,11 @@
 //! each energy window touched at most its two boundary chunks.
 
 use power_model::persist::StoreBackedTrace;
-use power_model::{PowerTrace, TraceQuery};
-use std::path::PathBuf;
+use power_model::{anomaly, AnomalyConfig, PowerTrace, TraceQuery};
+use std::path::{Path, PathBuf};
 use tgi_core::{Joules, Watts};
 use tgi_trace_store::chunk::SUB_BLOCK_SAMPLES;
-use tgi_trace_store::StoreConfig;
+use tgi_trace_store::{StoreConfig, SEGMENT_FILE, WAL_FILE};
 
 struct ScratchDir(PathBuf);
 
@@ -293,4 +293,128 @@ fn fused_read_decodes_each_boundary_sub_block_once() {
         (backed.energy_between(a, b).unwrap(), backed.average_power_between(a, b).unwrap());
     assert_eq!(store.decompressions(), 4, "separate reads");
     assert_eq!(fused, separate);
+}
+
+/// Asserts the stored scan of every `(from, to)` equals the in-memory
+/// scan of the oracle's window, and returns how many events they found.
+fn assert_scans_match(
+    backed: &StoreBackedTrace,
+    trace: &PowerTrace,
+    windows: &[(Option<f64>, Option<f64>)],
+) -> usize {
+    let config = AnomalyConfig::default();
+    let (first, last) = trace.time_bounds().unwrap();
+    let mut events = 0;
+    for &(from, to) in windows {
+        let stored = backed.scan_anomalies(config, from, to).unwrap();
+        let memory =
+            anomaly::scan(&trace.window(from.unwrap_or(first), to.unwrap_or(last)), config);
+        assert_eq!(format!("{stored:?}"), format!("{memory:?}"), "scan({from:?}, {to:?})");
+        events += stored.len();
+    }
+    events
+}
+
+#[test]
+fn stored_scans_match_in_memory_scans() {
+    let scratch = ScratchDir::new("scan");
+    let (trace, backed, edges) = sub_block_trace(&scratch);
+    let times = trace.times();
+    let (first, last) = trace.time_bounds().unwrap();
+    // On stored samples (sub-block, chunk and duplicate edges), between
+    // samples (the jittered trace's times are not all integers), and off
+    // either end of the span.
+    let mut probes = vec![first - 3.0, last + 3.0];
+    for &i in &edges {
+        probes.extend([times[i], times[i] - 0.3, times[i] + 0.3]);
+    }
+    probes.sort_by(f64::total_cmp);
+    let mut windows: Vec<(Option<f64>, Option<f64>)> = vec![(None, None)];
+    for (i, &a) in probes.iter().enumerate() {
+        // Zero-width, short and nested windows from every probe.
+        windows.push((Some(a), Some(a)));
+        windows.extend(probes.get(i + 1..i + 3).into_iter().flatten().map(|&b| (Some(a), Some(b))));
+        windows.push((Some(a), Some(probes[probes.len() - 1 - i])));
+        windows.extend([(Some(a), None), (None, Some(a))]);
+    }
+    // Wholly inside the active chunk, wholly outside the span.
+    windows.extend([
+        (Some(times[30_100] + 0.5), Some(times[31_500] - 0.5)),
+        (Some(last + 1.0), Some(last + 9.0)),
+        (Some(first - 9.0), Some(first - 1.0)),
+    ]);
+    let events = assert_scans_match(&backed, &trace, &windows);
+    assert!(events > 0, "the meter-like trace raises anomalies to compare");
+
+    // A scan strictly inside one sub-block decodes that one unit once:
+    // the window's interpolated ends come from the same decode.
+    let store = backed.store();
+    let (a, b) = (times[1_000] + 0.5, times[3_000] + 0.5);
+    assert!(a != a.floor() && b != b.floor(), "both ends fall between samples");
+    store.reset_decompressions();
+    backed.scan_anomalies(AnomalyConfig::default(), Some(a), Some(b)).unwrap();
+    assert_eq!(store.decompressions(), 1, "scan inside one sub-block");
+    store.reset_decompressions();
+    assert_eq!(backed.window(a, b).unwrap(), trace.window(a, b));
+    assert_eq!(store.decompressions(), 1, "window inside one sub-block");
+    // The active chunk and the space outside the span decode nothing.
+    store.reset_decompressions();
+    let active = (times[30_100] + 0.5, times[31_500] - 0.5);
+    backed.scan_anomalies(AnomalyConfig::default(), Some(active.0), Some(active.1)).unwrap();
+    backed.scan_anomalies(AnomalyConfig::default(), Some(last + 1.0), None).unwrap();
+    assert_eq!(store.decompressions(), 0, "active-chunk and out-of-span scans");
+}
+
+/// The stream the store's committed v1 fixture holds
+/// (`crates/store/tests/fixtures/v1/`, generated and documented by
+/// `fixture_columns` in `crates/store/tests/v1_compat.rs`).
+fn v1_fixture_trace() -> PowerTrace {
+    let mut state = 0x7431_7631_u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let (mut t, mut level) = (1_000.0f64, 180.0f64);
+    let mut trace = PowerTrace::new();
+    for i in 0..10_300 {
+        let u = next();
+        if i > 0 {
+            t += if u < 0.02 {
+                0.0
+            } else if u < 0.07 {
+                1.0 + (next() - 0.5) * 0.5
+            } else {
+                1.0
+            };
+        }
+        let v = next();
+        if v < 0.03 {
+            level = (800.0 + 3000.0 * next()).round() / 10.0;
+        }
+        trace.push(t, Watts::new(if v > 0.99 { level + next() * 5.0 } else { level }));
+    }
+    trace
+}
+
+#[test]
+fn stored_scans_of_the_v1_fixture_match_in_memory_scans() {
+    let scratch = ScratchDir::new("scan_v1");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures/v1");
+    std::fs::create_dir_all(&scratch.0).unwrap();
+    for file in [SEGMENT_FILE, WAL_FILE] {
+        std::fs::copy(fixture.join(file), scratch.0.join(file)).unwrap();
+    }
+    let config = StoreConfig { chunk_samples: 5_000, retain_seconds: None };
+    let backed = StoreBackedTrace::open(&scratch.0, config).unwrap();
+    let trace = v1_fixture_trace();
+    assert_eq!(backed.to_trace().unwrap(), trace, "the fixture holds the documented stream");
+    let times = trace.times();
+    let mut windows = vec![(None, None)];
+    for i in [0, 2_500, 4_999, 5_000, 9_999, 10_000, 10_299] {
+        let t = times[i];
+        windows.extend([(Some(t), Some(t + 400.0)), (Some(t - 0.3), Some(t + 0.3))]);
+        windows.extend([(Some(t + 0.3), Some(t + 300.7)), (Some(t - 700.2), Some(t))]);
+    }
+    let events = assert_scans_match(&backed, &trace, &windows);
+    assert!(events > 0, "the fixture raises anomalies to compare");
 }

@@ -87,20 +87,26 @@ pub struct BitReader<'a> {
     len: usize,
 }
 
+// The reads are `#[inline]` so a decoder instantiated in another crate
+// (`codec::decode_each` is generic over its sink) inlines them as the
+// store's own read path does.
 impl<'a> BitReader<'a> {
     /// A cursor over `len` valid bits of `bytes`.
     /// A `len` beyond the bytes given is clamped to them, so a lying bit
     /// length reads as a truncated stream rather than out of bounds.
+    #[inline]
     pub fn new(bytes: &'a [u8], len: usize) -> Self {
         BitReader { bytes, pos: 0, len: len.min(bytes.len() * 8) }
     }
 
     /// Bits left to read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.len.saturating_sub(self.pos)
     }
 
     /// Reads one bit; `None` past the end.
+    #[inline]
     pub fn read_bit(&mut self) -> Option<bool> {
         if self.pos >= self.len {
             return None;
@@ -114,6 +120,7 @@ impl<'a> BitReader<'a> {
     /// Reads `n` bits (1..=64), most significant first; `None` if fewer
     /// remain. The field is cut out of one big-endian load of the (at
     /// most nine) bytes it spans.
+    #[inline]
     pub fn read_bits(&mut self, n: u8) -> Option<u64> {
         debug_assert!((1..=64).contains(&n), "read_bits width {n}");
         if self.remaining() < n as usize {

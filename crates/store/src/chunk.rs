@@ -22,7 +22,9 @@
 //! the footer, so both versions go through the same read path.
 //!
 //! Opening a segment scans blocks sequentially — header, *seek over* the
-//! payload, footer, index — so cold sample data is never read. A torn
+//! payload, footer, index — so cold sample data is never read. A query
+//! later reads exactly one sub-block's stream, located by its index
+//! entry, with one positional read (see `store`). A torn
 //! tail (crash during a seal) fails its magic/length/CRC checks, or its
 //! footer breaks the trace's time order, and the scan reports the last
 //! valid offset; the store truncates there and re-seals from the WAL.
@@ -339,19 +341,6 @@ pub fn scan_segment<F: Read + Seek>(file: &mut F) -> io::Result<(Vec<ChunkMeta>,
     Ok((chunks, offset))
 }
 
-/// Reads `len` bytes at `offset` (one sub-block's stream).
-pub(crate) fn read_bytes<F: Read + Seek>(
-    file: &mut F,
-    offset: u64,
-    len: u64,
-) -> io::Result<Vec<u8>> {
-    file.seek(SeekFrom::Start(offset))?;
-    let len = usize::try_from(len).map_err(|_| io::Error::other("read length overflows"))?;
-    let mut bytes = vec![0u8; len];
-    file.read_exact(&mut bytes)?;
-    Ok(bytes)
-}
-
 /// Appends a v2 block and returns the new file length. The caller fsyncs.
 pub fn append_block<F: Write + Seek>(
     file: &mut F,
@@ -444,8 +433,8 @@ mod tests {
         assert_eq!(chunks.len(), 2);
         assert_eq!(valid_len, clean_len);
         assert_eq!(chunks[0].payload_len as usize, p1.len());
-        let payload = read_bytes(&mut file, chunks[1].payload_offset, p2.len() as u64).unwrap();
-        assert_eq!(payload, p2);
+        let at = chunks[1].payload_offset as usize;
+        assert_eq!(&file.get_ref()[at..at + p2.len()], p2.as_slice());
     }
 
     #[test]

@@ -194,9 +194,27 @@ pub fn decode(
     bit_len: usize,
     count: usize,
 ) -> Result<(Vec<f64>, Vec<f64>), DecodeError> {
-    let mut br = BitReader::new(payload, bit_len);
     let mut times = Vec::with_capacity(count);
     let mut watts = Vec::with_capacity(count);
+    decode_each(payload, bit_len, count, |t, w| {
+        times.push(t);
+        watts.push(w);
+    })?;
+    Ok((times, watts))
+}
+
+/// Decodes a payload of exactly `count` samples, handing each one to
+/// `sink` in order as soon as it has passed the trace-invariant checks —
+/// the streaming form of [`decode`], for readers that fold samples into
+/// something other than columns. On `Err` the sink has seen a prefix of
+/// the stream's valid samples.
+pub fn decode_each(
+    payload: &[u8],
+    bit_len: usize,
+    count: usize,
+    mut sink: impl FnMut(f64, f64),
+) -> Result<(), DecodeError> {
+    let mut br = BitReader::new(payload, bit_len);
     let mut prev_t_bits = 0u64;
     let mut prev_delta = 0u64;
     let mut prev_w_bits = 0u64;
@@ -239,18 +257,18 @@ pub fn decode(
         };
         let t = f64::from_bits(t_bits);
         let w = f64::from_bits(w_bits);
-        let ordered = times.last().map(|&last: &f64| t >= last).unwrap_or(true);
+        let ordered = i == 0 || t >= f64::from_bits(prev_t_bits);
         if !t.is_finite() || t < 0.0 || !w.is_finite() || w < 0.0 || !ordered {
             return Err(DecodeError::InvalidSample { index: i });
         }
         prev_t_bits = t_bits;
         prev_w_bits = w_bits;
-        times.push(t);
-        watts.push(w);
+        sink(t, w);
     }
-    Ok((times, watts))
+    Ok(())
 }
 
+#[inline]
 fn read_dod(br: &mut BitReader<'_>) -> Result<i128, DecodeError> {
     if !br.read_bit().ok_or(DecodeError::Truncated)? {
         return Ok(0);
@@ -274,6 +292,143 @@ fn read_dod(br: &mut BitReader<'_>) -> Result<i128, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The column-building decoder [`decode_each`] replaced, kept as the
+    /// reference the streaming one must match on every input.
+    fn ref_decode(
+        payload: &[u8],
+        bit_len: usize,
+        count: usize,
+    ) -> Result<(Vec<f64>, Vec<f64>), DecodeError> {
+        let mut br = BitReader::new(payload, bit_len);
+        let mut times = Vec::with_capacity(count);
+        let mut watts = Vec::with_capacity(count);
+        let mut prev_t_bits = 0u64;
+        let mut prev_delta = 0u64;
+        let mut prev_w_bits = 0u64;
+        let mut prev_leading = u8::MAX;
+        let mut prev_meaningful = 0u8;
+        for i in 0..count {
+            let (t_bits, w_bits) = if i == 0 {
+                let t = br.read_bits(64).ok_or(DecodeError::Truncated)?;
+                let w = br.read_bits(64).ok_or(DecodeError::Truncated)?;
+                (t, w)
+            } else {
+                let t_bits = {
+                    let dod = read_dod(&mut br)?;
+                    let delta = (prev_delta as i128 + dod) as u64;
+                    prev_delta = delta;
+                    prev_t_bits.wrapping_add(delta)
+                };
+                let w_bits = if !br.read_bit().ok_or(DecodeError::Truncated)? {
+                    prev_w_bits
+                } else if !br.read_bit().ok_or(DecodeError::Truncated)? {
+                    if prev_leading == u8::MAX {
+                        return Err(DecodeError::InvalidSample { index: i });
+                    }
+                    let prev_trailing = 64 - prev_leading - prev_meaningful;
+                    let window = br.read_bits(prev_meaningful).ok_or(DecodeError::Truncated)?;
+                    prev_w_bits ^ (window << prev_trailing)
+                } else {
+                    let leading = br.read_bits(6).ok_or(DecodeError::Truncated)? as u8;
+                    let meaningful = br.read_bits(6).ok_or(DecodeError::Truncated)? as u8 + 1;
+                    if leading + meaningful > 64 {
+                        return Err(DecodeError::InvalidSample { index: i });
+                    }
+                    let trailing = 64 - leading - meaningful;
+                    let window = br.read_bits(meaningful).ok_or(DecodeError::Truncated)?;
+                    prev_leading = leading;
+                    prev_meaningful = meaningful;
+                    prev_w_bits ^ (window << trailing)
+                };
+                (t_bits, w_bits)
+            };
+            let t = f64::from_bits(t_bits);
+            let w = f64::from_bits(w_bits);
+            let ordered = times.last().map(|&last: &f64| t >= last).unwrap_or(true);
+            if !t.is_finite() || t < 0.0 || !w.is_finite() || w < 0.0 || !ordered {
+                return Err(DecodeError::InvalidSample { index: i });
+            }
+            prev_t_bits = t_bits;
+            prev_w_bits = w_bits;
+            times.push(t);
+            watts.push(w);
+        }
+        Ok((times, watts))
+    }
+
+    /// Both decoders over one input: the same `to_bits` columns, or the
+    /// same error variant and index.
+    fn assert_decoders_agree(payload: &[u8], bit_len: usize, count: usize, what: &str) {
+        let bits = |cols: (Vec<f64>, Vec<f64>)| {
+            let t: Vec<u64> = cols.0.iter().map(|x| x.to_bits()).collect();
+            let w: Vec<u64> = cols.1.iter().map(|x| x.to_bits()).collect();
+            (t, w)
+        };
+        let got = decode(payload, bit_len, count).map(bits);
+        let want = ref_decode(payload, bit_len, count).map(bits);
+        assert_eq!(got, want, "{what}");
+    }
+
+    /// A seeded valid stream mixing what meters and hostile-but-valid
+    /// writers produce: a steady cadence, jitter, repeated timestamps,
+    /// large jumps, held and 0.1 W-quantized watts, and free values.
+    fn random_stream(seed: u64, n: usize) -> (Vec<u8>, usize) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut enc = Encoder::new();
+        let (mut t, mut w) = ((next() % 1_000_000) as f64, 250.0);
+        for _ in 0..n {
+            t += match next() % 8 {
+                0 => 0.0,
+                1 => (next() % 1000) as f64 * 1e-3,
+                2 => (next() % 100_000) as f64,
+                _ => 1.0,
+            };
+            w = match next() % 6 {
+                0 | 1 => w,
+                2 | 3 => ((next() % 45_000) as f64 / 10.0).round(),
+                4 => (next() % 45_000) as f64 / 10.0,
+                _ => f64::from_bits(next() >> 2) % 5000.0,
+            };
+            enc.push(t, w.abs());
+        }
+        enc.finish()
+    }
+
+    #[test]
+    fn streaming_decoder_matches_the_column_reference() {
+        for seed in 0..16u64 {
+            let n = 1 + (seed as usize * 37) % 120;
+            let (payload, bit_len) = random_stream(seed, n);
+            assert_decoders_agree(&payload, bit_len, n, &format!("seed {seed}: clean"));
+            // Claiming more samples than were written.
+            assert_decoders_agree(&payload, bit_len, n + 1, &format!("seed {seed}: count + 1"));
+            // Every truncation point.
+            for cut in 0..bit_len {
+                assert_decoders_agree(&payload, cut, n, &format!("seed {seed}: cut at bit {cut}"));
+            }
+            // Random single and double payload bit flips, bypassing any
+            // checksum.
+            let mut state = seed ^ 0xF1F1_F1F1;
+            for flip in 0..200 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let mut damaged = payload.clone();
+                let at = (state >> 33) as usize % bit_len;
+                damaged[at / 8] ^= 0x80 >> (at % 8);
+                if flip % 2 == 1 {
+                    let at2 = (state >> 7) as usize % bit_len;
+                    damaged[at2 / 8] ^= 0x80 >> (at2 % 8);
+                }
+                assert_decoders_agree(&damaged, bit_len, n, &format!("seed {seed}: flip {flip}"));
+            }
+        }
+    }
 
     fn round_trip(samples: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>) {
         let mut enc = Encoder::new();

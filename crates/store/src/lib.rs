@@ -27,7 +27,10 @@
 //! * **Store** ([`store`]): [`TraceStore`] ties them together — validated
 //!   appends, footer-then-index binary-search queries that decode at most
 //!   the two boundary sub-blocks of a window (at most 2 × 4,096 samples,
-//!   whatever the chunk size), and retention/merge compaction.
+//!   whatever the chunk size), one streaming walk behind every windowed
+//!   read, and retention/merge compaction. A cold sub-block read is one
+//!   positional read, a slicing-by-8 CRC ([`crc`]) and one fused
+//!   decode-validate-rechain pass.
 //!
 //! The store maintains the same running trapezoid accumulation chain as
 //! the in-memory `PowerTrace` prefix index, snapshotted into every
@@ -46,6 +49,6 @@ pub mod store;
 pub mod wal;
 
 pub use store::{
-    check_sample, clamp_window, CompactionStats, StoreConfig, StoreError, TraceStore, SEGMENT_FILE,
-    WAL_FILE,
+    check_sample, clamp_window, CompactionStats, Place, StoreConfig, StoreError, TraceStore,
+    SEGMENT_FILE, WAL_FILE,
 };

@@ -18,9 +18,19 @@
 //! exactly that sub-block. `energy_between` therefore decodes at most its
 //! two boundary sub-blocks — at most `2 × SUB_BLOCK_SAMPLES` samples —
 //! regardless of store or chunk size: O(log n) search plus
-//! O(`SUB_BLOCK_SAMPLES`) work. Every decode goes through one function
-//! that checks the sub-block's CRC, the decoded samples' validity, and
-//! the rebuilt energy chain against the index and footer.
+//! O(`SUB_BLOCK_SAMPLES`) work.
+//!
+//! **The read path.** Every decode goes through one function that reads
+//! the sub-block's stream with one positional read (no seek and no lock,
+//! so concurrent readers of one store never serialize), checks its CRC,
+//! then decodes, validates and rebuilds the energy chain in a single
+//! pass, handing each sample straight to its caller — no columns are
+//! built unless the caller builds them. After the pass the first sample
+//! is checked against the index and the rebuilt chain against the next
+//! entry or the footer. Windowed reads ([`TraceStore::for_each_in`])
+//! stream the sub-blocks a window overlaps through that pass, together
+//! with the samples just outside the window, so a caller can interpolate
+//! the window's ends without decoding a boundary sub-block twice.
 
 use crate::chunk::{self, ChunkMeta, SubBlock, BLOCK_HEADER_LEN, SUB_BLOCK_SAMPLES};
 use crate::codec::{self, Encoder};
@@ -28,9 +38,9 @@ use crate::crc::crc32;
 use crate::wal;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Segment file name inside a store directory.
 pub const SEGMENT_FILE: &str = "segment.tgs";
@@ -151,8 +161,57 @@ pub struct CompactionStats {
     pub bytes_after: u64,
 }
 
-/// Decoded sub-block columns: `(times, watts, cum)`.
-type Columns = (Vec<f64>, Vec<f64>, Vec<f64>);
+/// Where a sample handed out by [`TraceStore::for_each_in`] lies
+/// relative to the walked window `[a, b]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Place {
+    /// The last stored sample before `a`.
+    Before,
+    /// A stored sample with `a <= time <= b`.
+    Inside,
+    /// The first stored sample after `b`.
+    After,
+}
+
+/// The filter a window walk runs its candidate samples through: they
+/// arrive in time order, possibly starting well before `a`; it hands on
+/// the last one before `a`, every one inside, and the first one after
+/// `b`, then stops.
+struct Bracket {
+    a: f64,
+    b: f64,
+    before: Option<(f64, f64)>,
+    done: bool,
+}
+
+impl Bracket {
+    #[inline]
+    fn feed(&mut self, t: f64, w: f64, visit: &mut impl FnMut(f64, f64, Place)) {
+        if self.done {
+            return;
+        }
+        if t < self.a {
+            self.before = Some((t, w));
+            return;
+        }
+        if let Some((bt, bw)) = self.before.take() {
+            visit(bt, bw, Place::Before);
+        }
+        if t > self.b {
+            self.done = true;
+            visit(t, w, Place::After);
+        } else {
+            visit(t, w, Place::Inside);
+        }
+    }
+
+    /// Hands on a last sample before `a` that nothing followed.
+    fn finish(self, visit: &mut impl FnMut(f64, f64, Place)) {
+        if let Some((bt, bw)) = self.before {
+            visit(bt, bw, Place::Before);
+        }
+    }
+}
 
 /// One step of the running trapezoid accumulation chain from sample
 /// `(t0, w0)` to `(t1, w1)` — the exact arithmetic of the in-memory
@@ -186,8 +245,9 @@ struct Neighborhood {
 pub struct TraceStore {
     dir: PathBuf,
     config: StoreConfig,
-    /// Segment file handle; a mutex so `&self` queries can seek/read.
-    segment: Mutex<File>,
+    /// Segment file handle. Queries read it with positional reads
+    /// through `&self`; appends and compaction hold `&mut self`.
+    segment: File,
     segment_len: u64,
     wal_file: File,
     wal_len: u64,
@@ -257,7 +317,7 @@ impl TraceStore {
         let mut store = TraceStore {
             dir,
             config,
-            segment: Mutex::new(segment),
+            segment,
             segment_len,
             wal_file,
             wal_len,
@@ -286,7 +346,7 @@ impl TraceStore {
             }
         }
         if sealed {
-            store.segment.get_mut().expect("segment lock").sync_data()?;
+            store.segment.sync_data()?;
             store.reset_wal()?;
         }
         Ok(store)
@@ -344,7 +404,7 @@ impl TraceStore {
             }
         }
         if sealed {
-            self.segment.get_mut().expect("segment lock").sync_data()?;
+            self.segment.sync_data()?;
             self.reset_wal()?;
         }
         Ok(())
@@ -355,7 +415,7 @@ impl TraceStore {
     /// the un-synced suffix).
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.wal_file.sync_data()?;
-        self.segment.get_mut().expect("segment lock").sync_data()?;
+        self.segment.sync_data()?;
         Ok(())
     }
 
@@ -381,8 +441,7 @@ impl TraceStore {
     fn seal_active(&mut self) -> Result<(), StoreError> {
         debug_assert!(!self.active_t.is_empty(), "sealing an empty active chunk");
         let (mut meta, payload) = encode_chunk(&self.active_t, &self.active_w, &self.active_cum);
-        let file = self.segment.get_mut().expect("segment lock");
-        let new_len = chunk::append_block(file, self.segment_len, &meta, &payload)?;
+        let new_len = chunk::append_block(&mut self.segment, self.segment_len, &meta, &payload)?;
         meta.payload_offset = self.segment_len + BLOCK_HEADER_LEN as u64;
         self.sealed_count += meta.count;
         self.chunks.push(meta);
@@ -513,42 +572,54 @@ impl TraceStore {
     }
 
     /// Reads, checksums, decodes, and re-chains sub-block `k` of chunk
-    /// `c`, returning `(times, watts, cum)` columns — the store's one
-    /// decode path. The cum column is rebuilt from the index entry's
-    /// `cum_first` with the arithmetic the chain used at append time, and
-    /// must reach the next entry's snapshot (or the footer's `cum_last`
-    /// and last sample, for the final sub-block) bit-for-bit.
-    fn read_sub_block(&self, c: usize, k: usize) -> Result<Columns, StoreError> {
+    /// `c` in one pass — the store's one decode path. `bytes` is the
+    /// caller's reusable stream buffer. Each decoded sample is handed to
+    /// `visit` as `(time, watts, chain value)`, the chain rebuilt from the
+    /// index entry's `cum_first` with the arithmetic it used at append
+    /// time. Once the stream is decoded, its first sample must equal the
+    /// index entry, and the chain must reach the next entry's snapshot (or
+    /// the footer's `cum_last` and last sample, for the final sub-block)
+    /// bit-for-bit. `visit` sees a sub-block's samples before those two
+    /// checks, so on `Err` the caller discards whatever it built.
+    fn read_sub_block(
+        &self,
+        c: usize,
+        k: usize,
+        bytes: &mut Vec<u8>,
+        mut visit: impl FnMut(f64, f64, f64),
+    ) -> Result<(), StoreError> {
         let meta = &self.chunks[c];
         let index = self.index(c)?;
         let sb = &index[k];
         let corrupt =
             |what: &str| StoreError::Corrupt { detail: format!("chunk {c} sub-block {k}: {what}") };
-        let bytes = {
-            let mut file = self.segment.lock().expect("segment lock");
-            chunk::read_bytes(&mut *file, meta.payload_offset + sb.offset, sb.byte_len())?
-        };
+        let len = usize::try_from(sb.byte_len())
+            .map_err(|_| io::Error::other("sub-block length overflows"))?;
+        bytes.resize(len, 0);
+        self.segment.read_exact_at(bytes, meta.payload_offset + sb.offset)?;
         self.decompressions.fetch_add(1, Ordering::Relaxed);
         self.decoded_samples.fetch_add(sb.count, Ordering::Relaxed);
-        if crc32(&bytes) != sb.crc {
+        if crc32(bytes) != sb.crc {
             return Err(corrupt("checksum mismatch"));
         }
-        let (times, watts) = codec::decode(&bytes, sb.bit_len as usize, sb.count as usize)
-            .map_err(|e| corrupt(&e.to_string()))?;
-        if times[0].to_bits() != sb.first_t.to_bits() || watts[0].to_bits() != sb.first_w.to_bits()
-        {
+        // The chain runs in a register beside the decoder: the previous
+        // sample and chain value never round-trip through memory.
+        let mut first = None;
+        let (mut last, mut cum_last) = ((0.0, 0.0), sb.cum_first);
+        codec::decode_each(bytes, sb.bit_len as usize, sb.count as usize, |t, w| {
+            if first.is_none() {
+                first = Some((t, w));
+            } else {
+                cum_last = chain_step(cum_last, last, (t, w));
+            }
+            last = (t, w);
+            visit(t, w, cum_last);
+        })
+        .map_err(|e| corrupt(&e.to_string()))?;
+        let (t0, w0) = first.expect("an index entry counts at least one sample");
+        if t0.to_bits() != sb.first_t.to_bits() || w0.to_bits() != sb.first_w.to_bits() {
             return Err(corrupt("first sample disagrees with the index"));
         }
-        // The chain runs in a register: re-reading it from `cum` would put
-        // a store-to-load round trip on its one serial dependency.
-        let mut cum = Vec::with_capacity(times.len());
-        let mut cum_last = sb.cum_first;
-        cum.push(cum_last);
-        for (t, w) in times.windows(2).zip(watts.windows(2)) {
-            cum_last = chain_step(cum_last, (t[0], w[0]), (t[1], w[1]));
-            cum.push(cum_last);
-        }
-        let last = (times[times.len() - 1], watts[watts.len() - 1]);
         let chained = match index.get(k + 1) {
             Some(next) => {
                 last.0 <= next.first_t
@@ -564,7 +635,7 @@ impl TraceStore {
         if !chained {
             return Err(corrupt("rebuilt energy chain disagrees with the index and footer"));
         }
-        Ok((times, watts, cum))
+        Ok(())
     }
 
     /// Locates the greatest sample with `time <= t` and its successor.
@@ -579,7 +650,14 @@ impl TraceStore {
     /// even when the timestamp repeats into it (duplicates add zero-width
     /// trapezoids, leaving the chain bit-unchanged). `power_at` must not
     /// take that shortcut — it needs the *last* duplicate's watts.
-    fn locate(&self, t: f64, energy_only: bool) -> Result<Neighborhood, StoreError> {
+    ///
+    /// `bytes` is the caller's reusable stream buffer.
+    fn locate(
+        &self,
+        t: f64,
+        energy_only: bool,
+        bytes: &mut Vec<u8>,
+    ) -> Result<Neighborhood, StoreError> {
         // The last sample with time <= t lives in the active chunk iff the
         // active chunk's first sample is <= t (active samples follow every
         // sealed sample).
@@ -639,23 +717,32 @@ impl TraceStore {
             });
         }
         // Decode that one sub-block — the only payload this lookup
-        // touches. A neighborhood at its last sample continues into the
+        // touches — keeping the last sample at or before t and the one
+        // after it. The neighborhood starts at the index entry, which is
+        // at or before t and which a successful decode starts with. A
+        // neighborhood at the sub-block's last sample continues into the
         // next sub-block's first; t < last_t rules that out for the
         // chunk's final sub-block.
-        let (times, watts, cum) = self.read_sub_block(c, k)?;
-        let j = times.partition_point(|&x| x <= t) - 1;
-        let next = match times.get(j + 1) {
-            Some(&nt) => Some((nt, watts[j + 1])),
-            None => index.get(k + 1).map(|s| (s.first_t, s.first_w)),
-        };
-        Ok(Neighborhood { t_i: times[j], w_i: watts[j], cum_i: cum[j], next })
+        let mut hood =
+            Neighborhood { t_i: sb.first_t, w_i: sb.first_w, cum_i: sb.cum_first, next: None };
+        self.read_sub_block(c, k, bytes, |ts, ws, cs| {
+            if ts <= t {
+                (hood.t_i, hood.w_i, hood.cum_i) = (ts, ws, cs);
+            } else if hood.next.is_none() {
+                hood.next = Some((ts, ws));
+            }
+        })?;
+        if hood.next.is_none() {
+            hood.next = index.get(k + 1).map(|s| (s.first_t, s.first_w));
+        }
+        Ok(hood)
     }
 
     /// Cumulative trapezoidal energy from the (lifetime) trace start to
     /// time `t`. Requires a non-empty store and `first <= t <= last`; the
     /// public windowed queries clamp before calling.
-    fn cum_energy_at(&self, t: f64) -> Result<f64, StoreError> {
-        let n = self.locate(t, true)?;
+    fn cum_energy_at(&self, t: f64, bytes: &mut Vec<u8>) -> Result<f64, StoreError> {
+        let n = self.locate(t, true, bytes)?;
         if t <= n.t_i {
             return Ok(n.cum_i);
         }
@@ -677,7 +764,9 @@ impl TraceStore {
     pub fn energy_and_average_between(&self, t0: f64, t1: f64) -> Result<(f64, f64), StoreError> {
         match clamp_window(self.time_bounds(), t0, t1) {
             Some((a, b)) if a < b => {
-                let energy = self.cum_energy_at(b)? - self.cum_energy_at(a)?;
+                let mut bytes = Vec::new();
+                let energy =
+                    self.cum_energy_at(b, &mut bytes)? - self.cum_energy_at(a, &mut bytes)?;
                 Ok((energy, energy / (b - a)))
             }
             Some((a, _)) => Ok((0.0, self.power_at(a)?.unwrap_or(0.0))),
@@ -712,7 +801,7 @@ impl TraceStore {
         if t.is_nan() || t < first || t > last {
             return Ok(None);
         }
-        let n = self.locate(t, false)?;
+        let n = self.locate(t, false, &mut Vec::new())?;
         if t <= n.t_i {
             return Ok(Some(n.w_i));
         }
@@ -722,38 +811,75 @@ impl TraceStore {
         Ok(Some(n.w_i + (nw - n.w_i) * frac))
     }
 
-    /// All samples with `a <= time <= b`, as parallel columns in sample
-    /// order (the materialization behind windowed sub-traces; decodes
-    /// only the sub-blocks overlapping the range, proportional to the
-    /// output).
-    pub fn samples_in(&self, a: f64, b: f64) -> Result<(Vec<f64>, Vec<f64>), StoreError> {
-        let mut times = Vec::new();
-        let mut watts = Vec::new();
+    /// Walks `[a, b]` in sample order: hands `visit` every stored sample
+    /// with `a <= time <= b` as [`Place::Inside`], preceded by the last
+    /// sample before `a` ([`Place::Before`]) and followed by the first
+    /// after `b` ([`Place::After`]) when those exist — the neighbours a
+    /// reader interpolates the window's ends from. The one windowed read:
+    /// it decodes only the sub-blocks overlapping the window (a window
+    /// inside one sub-block decodes that one), through the same checked
+    /// pass as every lookup, and takes neighbours from those sub-blocks or
+    /// from resident footers and index entries. An empty window (`b < a`)
+    /// visits nothing. On `Err` the caller discards what it built.
+    pub fn for_each_in(
+        &self,
+        a: f64,
+        b: f64,
+        mut visit: impl FnMut(f64, f64, Place),
+    ) -> Result<(), StoreError> {
         if b < a {
-            return Ok((times, watts));
+            return Ok(());
         }
+        let mut walk = Bracket { a, b, before: None, done: false };
         // Chunks are in time order, so those ending before `a` are a
-        // prefix; within a chunk, sub-block k ends at or before the next
-        // one's first sample.
-        for c in self.chunks.partition_point(|m| m.last_t < a)..self.chunks.len() {
-            if self.chunks[c].first_t > b {
+        // prefix; the last of them ends on the last sample before `a`.
+        let c0 = self.chunks.partition_point(|m| m.last_t < a);
+        if let Some(prev) = c0.checked_sub(1).map(|c| &self.chunks[c]) {
+            walk.feed(prev.last_t, prev.last_w, &mut visit);
+        }
+        let mut bytes = Vec::new();
+        for (c, meta) in self.chunks.iter().enumerate().skip(c0) {
+            if meta.first_t > b {
+                walk.feed(meta.first_t, meta.first_w, &mut visit);
                 break;
             }
+            // Within a chunk, sub-block k ends at or before the next one's
+            // first sample, so `lo` is the last that can hold samples at
+            // or before `a` and `hi` the first wholly after `b`.
             let index = self.index(c)?;
             let lo = index.partition_point(|s| s.first_t < a).saturating_sub(1);
             let hi = index.partition_point(|s| s.first_t <= b);
             for k in lo..hi {
-                let (st, sw, _) = self.read_sub_block(c, k)?;
-                let from = st.partition_point(|&x| x < a);
-                let to = st.partition_point(|&x| x <= b);
-                times.extend_from_slice(&st[from..to]);
-                watts.extend_from_slice(&sw[from..to]);
+                self.read_sub_block(c, k, &mut bytes, |t, w, _| walk.feed(t, w, &mut visit))?;
+            }
+            if let Some(next) = index.get(hi) {
+                walk.feed(next.first_t, next.first_w, &mut visit);
+            }
+            if walk.done {
+                return Ok(());
             }
         }
-        let lo = self.active_t.partition_point(|&x| x < a);
-        let hi = self.active_t.partition_point(|&x| x <= b);
-        times.extend_from_slice(&self.active_t[lo..hi]);
-        watts.extend_from_slice(&self.active_w[lo..hi]);
+        let lo = self.active_t.partition_point(|&x| x < a).saturating_sub(1);
+        for (&t, &w) in self.active_t[lo..].iter().zip(&self.active_w[lo..]) {
+            walk.feed(t, w, &mut visit);
+            if walk.done {
+                return Ok(());
+            }
+        }
+        walk.finish(&mut visit);
+        Ok(())
+    }
+
+    /// All samples with `a <= time <= b`, as parallel columns in sample
+    /// order: the [`TraceStore::for_each_in`] walk, collected.
+    pub fn samples_in(&self, a: f64, b: f64) -> Result<(Vec<f64>, Vec<f64>), StoreError> {
+        let (mut times, mut watts) = (Vec::new(), Vec::new());
+        self.for_each_in(a, b, |t, w, place| {
+            if place == Place::Inside {
+                times.push(t);
+                watts.push(w);
+            }
+        })?;
         Ok((times, watts))
     }
 
@@ -774,7 +900,7 @@ impl TraceStore {
         let chunks_before = self.chunks.len();
         if !self.active_t.is_empty() {
             self.seal_active()?;
-            self.segment.get_mut().expect("segment lock").sync_data()?;
+            self.segment.sync_data()?;
         }
         // Retention: keep every chunk whose span reaches the horizon.
         let cutoff = match (self.config.retain_seconds, self.last) {
@@ -797,6 +923,7 @@ impl TraceStore {
         let mut new_chunks = Vec::new();
         let mut offset = 0u64;
         let mut c = first_kept;
+        let mut bytes = Vec::new();
         while c < self.chunks.len() {
             let (mut times, mut watts, mut cum) = (Vec::new(), Vec::new(), Vec::new());
             let mut group_count = 0u64;
@@ -805,10 +932,11 @@ impl TraceStore {
                     || group_count + self.chunks[c].count <= self.config.chunk_samples as u64)
             {
                 for k in 0..self.index(c)?.len() {
-                    let (ct, cw, cc) = self.read_sub_block(c, k)?;
-                    times.extend(ct);
-                    watts.extend(cw);
-                    cum.extend(cc);
+                    self.read_sub_block(c, k, &mut bytes, |t, w, chain| {
+                        times.push(t);
+                        watts.push(w);
+                        cum.push(chain);
+                    })?;
                 }
                 group_count += self.chunks[c].count;
                 c += 1;
@@ -821,9 +949,8 @@ impl TraceStore {
         }
         tmp.sync_all()?;
         std::fs::rename(&tmp_path, self.dir.join(SEGMENT_FILE))?;
-        self.segment = Mutex::new(
-            OpenOptions::new().read(true).write(true).open(self.dir.join(SEGMENT_FILE))?,
-        );
+        self.segment =
+            OpenOptions::new().read(true).write(true).open(self.dir.join(SEGMENT_FILE))?;
         self.segment_len = offset;
         self.chunks = new_chunks;
         self.sealed_count = self.chunks.iter().map(|m| m.count).sum();
@@ -1045,7 +1172,7 @@ mod tests {
         store.append_batch(&times, &watts).unwrap();
         // Probe chunk interiors, chunk edges, and the active tail.
         for &t in &[0.0, 0.25, 31.5, 31.75, 32.0, 63.9, 200.0, 390.1, 399.5] {
-            let a = store.cum_energy_at(t).unwrap();
+            let a = store.cum_energy_at(t, &mut Vec::new()).unwrap();
             let i = times.partition_point(|&x| x <= t) - 1;
             let expected = if t <= times[i] {
                 cum[i]
@@ -1119,7 +1246,7 @@ mod tests {
         for &t in &probes {
             let (want_cum, want_w) = reference_at(&times, &watts, &cum, t);
             store.reset_decompressions();
-            let got = store.cum_energy_at(t).unwrap();
+            let got = store.cum_energy_at(t, &mut Vec::new()).unwrap();
             assert_eq!(got.to_bits(), want_cum.to_bits(), "cum_energy_at({t})");
             assert!(store.decompressions() <= 1 && store.decoded_samples() <= 4096, "at {t}");
             let got = store.power_at(t).unwrap().unwrap();
