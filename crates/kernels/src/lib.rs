@@ -15,7 +15,6 @@
 //! * [`fft`] — radix-2 complex FFT (HPCC FFT analogue).
 //! * [`ptrans`] — parallel blocked matrix transpose (HPCC PTRANS analogue).
 //! * [`random_access`] — GUPS table-update kernel (HPCC RandomAccess).
-//! * [`comm`] — b_eff-style latency/bandwidth benchmark over channels.
 //! * [`mixed`] — f32 LU + f64 iterative refinement (the HPL-AI energy
 //!   technique), with honest convergence reporting.
 //!
@@ -40,7 +39,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod comm;
 pub mod complex;
 pub mod condest;
 pub mod fft;
@@ -56,7 +54,6 @@ pub mod simd;
 pub mod stream;
 pub mod timing;
 
-pub use comm::{CommConfig, CommResult};
 pub use complex::Complex64;
 pub use hpl::{HplConfig, HplResult};
 pub use iobench::{IoBenchConfig, IoBenchResult, IoOperation};

@@ -4,8 +4,9 @@
 //! Number of MPI Processes"). This crate provides the message-passing
 //! substrate so the suite can run *as* a distributed program: an MPI-like
 //! subset (point-to-point send/recv, barrier, broadcast, reductions,
-//! pairwise exchange) where ranks are threads and the fabric is crossbeam
-//! channels.
+//! pairwise exchange) where ranks are threads and the fabric is
+//! `std::sync::mpsc` channels. A send copies its payload, as an MPI send
+//! does, so a message's bytes are really moved.
 //!
 //! On top of it, [`hpl2d`] implements the distributed dense solver the
 //! paper describes for HPL (§IV-A): "The data is distributed on a
@@ -16,8 +17,6 @@
 //! broadcasts along rows/columns, and local GEMM updates — HPL's full
 //! communication pattern. A `1×Q` grid (column block-cyclic, every pivot
 //! search local) is one grid shape of the same solver.
-//!
-//! [`benchmarks`] adds the distributed STREAM and I/O drivers.
 //!
 //! ```
 //! use mini_mpi::World;
@@ -32,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod benchmarks;
 pub mod comm;
 pub mod hpl2d;
 

@@ -13,9 +13,8 @@ use crate::anomaly::{AnomalyConfig, AnomalyDetector, AnomalyEvent};
 use crate::node::NodePowerModel;
 use crate::trace::PowerTrace;
 use crate::utilization::UtilizationSample;
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tgi_core::Watts;
@@ -119,7 +118,9 @@ impl ModeledSource {
     /// Measures CPU utilization since the previous call, in `[0, 1]` of the
     /// whole machine.
     pub fn cpu_utilization(&self) -> f64 {
-        let mut st = self.state.lock();
+        // Every update below leaves the state valid, so a poisoned lock is
+        // still usable.
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let now_cpu = match process_cpu_seconds() {
             Some(v) => v,
             None => return 0.5, // non-Linux fallback: assume half load
@@ -204,7 +205,7 @@ mod sink {
 /// [`StoreBackedTrace`](crate::persist::StoreBackedTrace) for captures too
 /// long to hold in memory.
 pub struct BackgroundSampler<S = PowerTrace> {
-    stop: Sender<()>,
+    stop: SyncSender<()>,
     handle: JoinHandle<Result<(S, Vec<AnomalyEvent>), StoreError>>,
 }
 
@@ -249,7 +250,7 @@ impl<S: sink::SampleSink> BackgroundSampler<S> {
         watch: Option<AnomalyConfig>,
     ) -> Self {
         assert!(interval > Duration::ZERO, "sampling interval must be positive");
-        let (stop_tx, stop_rx) = bounded::<()>(1);
+        let (stop_tx, stop_rx) = sync_channel::<()>(1);
         let handle = std::thread::spawn(move || {
             let session_span = tgi_telemetry::span_cat("sampler.session", "power")
                 .field("interval_secs", interval.as_secs_f64());

@@ -7,9 +7,8 @@
 //! after [`BoundedQueue::close`], so graceful shutdown finishes every
 //! connection that was accepted before the signal.
 //!
-//! Std-only (`Mutex` + `Condvar`), matching the `compat/` shim idiom: the
-//! crossbeam shim's channel has no non-blocking send, and backpressure
-//! *requires* one.
+//! Std-only (`Mutex` + `Condvar`): every worker pops from the one queue,
+//! and a `std::sync::mpsc` receiver cannot be shared between them.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

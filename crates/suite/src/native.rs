@@ -11,12 +11,12 @@
 //! the metrics used in each benchmark nor by the number of benchmarks".
 
 use crate::benchmark::{Benchmark, BenchmarkOutput, SuiteError};
-use hpc_kernels::{comm, fft, gemm, hpl, iobench, ptrans, random_access, stream};
+use hpc_kernels::{fft, gemm, hpl, iobench, ptrans, random_access, stream};
 use power_model::sampler::{BackgroundSampler, ModeledSource};
 use power_model::utilization::UtilizationSample;
 use power_model::{NodePowerModel, PowerSource};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tgi_core::{Joules, Measurement, Perf, Seconds, Watts};
 
 /// Sampling cadence for native runs (finer than the 1 Hz wall meter so that
@@ -39,7 +39,7 @@ fn metered<T>(
 ) -> (T, Metered) {
     let source = Arc::new(ModeledSource::new(model.clone()).with_assumed(assumed));
     let sampler = BackgroundSampler::start(Arc::clone(&source) as _, SAMPLE_INTERVAL);
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let out = work();
     let elapsed = start.elapsed().as_secs_f64().max(1e-6);
     let trace = sampler.stop();
@@ -405,11 +405,74 @@ impl Benchmark for NativeDistributedHpl {
     }
 }
 
-/// Communication (b_eff-style) extension benchmark.
+/// Payload of one ring message, in `f64`s: 1 MiB, past the message sizes
+/// where b_eff's bandwidth is latency-bound.
+const RING_MESSAGE_LEN: usize = 1 << 17;
+
+/// Messages each rank sends around the ring.
+const RING_MESSAGES: usize = 64;
+
+/// What one ring run delivered.
+struct Ring {
+    /// Payload bytes the receivers verified.
+    bytes: usize,
+    /// The slowest rank's time from the opening barrier to its last receive.
+    seconds: f64,
+}
+
+impl Ring {
+    fn mbps(&self) -> f64 {
+        self.bytes as f64 / self.seconds / 1e6
+    }
+}
+
+/// b_eff's ring on `ranks` ranks: in each of `messages` steps every rank
+/// sends its own `message_len`-element buffer, stamped with its rank and
+/// the step, to its right neighbour and receives its left neighbour's.
+/// Each receiver checks every element against the sender's stamp.
+fn run_ring(ranks: usize, message_len: usize, messages: usize) -> Result<Ring, SuiteError> {
+    let runs = mini_mpi::World::run(ranks, |comm| {
+        let (rank, size) = (comm.rank(), comm.size());
+        let right = (rank + 1) % size;
+        let left = (rank + size - 1) % size;
+        let stamp = |rank: usize, step: usize| (step * size + rank) as f64;
+        let mut buffer = vec![0.0; message_len];
+        let mut bytes = 0;
+        let mut mismatch = None;
+        comm.barrier(0);
+        let start = Instant::now();
+        for step in 0..messages {
+            buffer.fill(stamp(rank, step));
+            comm.send_f64(right, step as u64, &buffer);
+            let got = comm.recv_f64(left, step as u64);
+            let expected = stamp(left, step);
+            if got.len() == message_len && got.iter().all(|&x| x == expected) {
+                bytes += message_len * size_of::<f64>();
+            } else if mismatch.is_none() {
+                // Keep stepping: a rank that left the ring early would
+                // strand its left neighbour's next send.
+                mismatch =
+                    Some(format!("rank {rank}'s message {step} from rank {left} is corrupt"));
+            }
+        }
+        (bytes, start.elapsed().as_secs_f64(), mismatch)
+    });
+    if let Some(detail) = runs.iter().find_map(|run| run.2.clone()) {
+        return Err(SuiteError::ValidationFailed { benchmark: "comm".into(), detail });
+    }
+    Ok(Ring {
+        bytes: runs.iter().map(|run| run.0).sum(),
+        seconds: runs.iter().map(|run| run.1).fold(1e-9, f64::max),
+    })
+}
+
+/// Communication (b_eff-style) extension benchmark: a ring over the
+/// mini-MPI runtime, whose sends copy their payloads as MPI's do. Reports
+/// the receivers' verified bytes over the slowest rank's time.
 #[derive(Debug, Clone)]
 pub struct NativeComm {
-    /// Kernel configuration.
-    pub config: comm::CommConfig,
+    /// Ranks in the ring.
+    pub ranks: usize,
     /// Node power model used by the sampler.
     pub model: NodePowerModel,
 }
@@ -417,10 +480,7 @@ pub struct NativeComm {
 impl NativeComm {
     /// A communication benchmark with `ranks` communicating threads.
     pub fn new(ranks: usize) -> Self {
-        NativeComm {
-            config: comm::CommConfig { ranks, ..Default::default() },
-            model: NodePowerModel::fire_node(),
-        }
+        NativeComm { ranks, model: NodePowerModel::fire_node() }
     }
 }
 
@@ -435,10 +495,11 @@ impl Benchmark for NativeComm {
         true
     }
     fn run_detailed(&self) -> Result<BenchmarkOutput, SuiteError> {
-        let config = self.config;
-        let (result, meter) =
-            metered(&self.model, UtilizationSample::new(0.3, 0.2, 0.0, 0.9), || comm::run(config));
-        to_output("comm", Perf::mbps(result.ring_mbps()), &meter)
+        let (ring, meter) =
+            metered(&self.model, UtilizationSample::new(0.3, 0.2, 0.0, 0.9), || {
+                run_ring(self.ranks, RING_MESSAGE_LEN, RING_MESSAGES)
+            });
+        to_output("comm", Perf::mbps(ring?.mbps()), &meter)
     }
 }
 
@@ -534,12 +595,32 @@ mod tests {
 
     #[test]
     fn native_comm_runs() {
-        let mut b = NativeComm::new(2);
-        b.config = hpc_kernels::comm::CommConfig::small();
+        let b = NativeComm::new(2);
         let m = b.run().unwrap();
         assert_eq!(m.id(), "comm");
         assert_eq!(b.subsystem(), "network");
         assert!(m.performance().as_mbps() > 0.0);
+    }
+
+    #[test]
+    fn ring_counts_the_bytes_its_receivers_verified() {
+        for (ranks, message_len, messages) in [(2, 1, 1), (3, 1000, 5), (4, 4096, 3)] {
+            let ring = run_ring(ranks, message_len, messages).unwrap();
+            assert_eq!(ring.bytes, ranks * messages * message_len * 8);
+            assert!(ring.seconds > 0.0);
+        }
+    }
+
+    #[test]
+    fn ring_rate_is_bounded_by_memory_bandwidth() {
+        // Every ring message is copied by its send and read by its check,
+        // so the ring cannot outrun STREAM Copy on the same bytes by much.
+        // A ring that counted bytes it never copied read ~90x Copy here.
+        const LEN: usize = 2 << 20; // 16 MiB messages
+        let ring = (0..3).map(|_| run_ring(2, LEN, 4).unwrap().mbps()).fold(0.0, f64::max);
+        let result = stream::run(stream::StreamConfig { array_size: LEN, ntimes: 3 });
+        let copy = result.timing(stream::StreamKernel::Copy).best_bytes_per_sec / 1e6;
+        assert!(ring <= 10.0 * copy, "ring {ring:.0} MB/s vs STREAM Copy {copy:.0} MB/s");
     }
 
     #[test]

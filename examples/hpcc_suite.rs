@@ -9,9 +9,10 @@
 //! TGI explicitly open-ended: "TGI is neither limited by the metrics used
 //! in each benchmark nor by the number of benchmarks." This example runs
 //! all seven native kernels — HPL, DGEMM, STREAM, PTRANS, RandomAccess,
-//! FFT, and the b_eff-style communication test — and aggregates them into
-//! one Green Index, with per-benchmark weights surfaced so the 7-way
-//! decomposition is visible.
+//! FFT, and the b_eff-style communication ring over the mini-MPI runtime
+//! (each message copied and verified, as an MPI send delivers it) — and
+//! aggregates them into one Green Index, with per-benchmark weights
+//! surfaced so the 7-way decomposition is visible.
 
 use tgi::prelude::*;
 use tgi::suite::{SuiteRunner, SuiteSpec};
