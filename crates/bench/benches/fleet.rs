@@ -1,5 +1,5 @@
 //! Synthetic Green500 fleet bench: Top500-scale fleet generation, the full
-//! (system × weighting × mean) fleet sweep, and the sharded single-flight
+//! (system × weighting × mean) fleet sweep, and the single-flight
 //! memoizer vs the old single-mutex design, written to the
 //! `BENCH_fleet.json` ledger (50 systems under `TGI_BENCH_SMOKE`).
 //!
@@ -14,11 +14,12 @@
 //!    ledger bound).
 //! 3. **memo** — N threads (1/4/16) race through the same cold key
 //!    sequence. The old design (one mutex, simulate outside the lock) lets
-//!    every racing thread re-simulate a missed key; the sharded
-//!    single-flight cache simulates each key exactly once and parks the
-//!    rest. The speedup is duplicate-work avoidance, so it holds on any
-//!    core count. The 16-thread speedup is bounded at ≥ 4× at the full
-//!    500-system size and ≥ 1× at smoke size.
+//!    every racing thread re-simulate a missed key; the single-flight
+//!    cache simulates each key exactly once and parks the rest. The
+//!    speedup is duplicate-work avoidance, so it holds on any core count.
+//!    The 16-thread speedup is bounded at ≥ 4× at the full 500-system
+//!    size and ≥ 1× at smoke size. (Its `sharded_*` record names predate
+//!    the one-map cache; they are kept so ledgers stay comparable.)
 
 use cluster_sim::{
     ClusterSpec, ExecutionEngine, FleetConfig, MemoizedEngine, SimulatedRun, Workload,
@@ -32,7 +33,7 @@ use tgi_harness::{system_g_reference, FleetSweep};
 
 /// Fleet size: (full, smoke).
 const SYSTEMS: (usize, usize) = (500, 50);
-/// Floor on the sharded memo's speedup over the single mutex at 16
+/// Floor on the single-flight memo's speedup over the single mutex at 16
 /// threads: (full, smoke).
 const MEMO_SPEEDUP_BAR: (f64, f64) = (4.0, 1.0);
 
@@ -147,7 +148,7 @@ fn main() {
         .deterministic();
     ledger.lower("sweep", "inflight_waits", "count", sweep.inflight_waits() as f64);
 
-    // --- 3. Sharded single-flight vs single-mutex memo under key races.
+    // --- 3. Single-flight vs single-mutex memo under key races.
     // Every thread walks the same cold (suite, cores) sequence — the shape
     // of concurrent clients scoring one fleet. The old design re-simulates
     // a racing key per thread; single-flight parks all but one. The suite
@@ -176,24 +177,24 @@ fn main() {
             &baseline.simulations,
         );
 
-        let sharded = MemoizedEngine::new(ExecutionEngine::new(ClusterSpec::fire()));
-        let shard_sims = AtomicUsize::new(0);
-        let (sharded_ms, _) = race_keys(
+        let memo = MemoizedEngine::new(ExecutionEngine::new(ClusterSpec::fire()));
+        let memo_sims = AtomicUsize::new(0);
+        let (memo_ms, _) = race_keys(
             threads,
             &keys,
             |cores| {
-                sharded.run_suite(&suite, cores);
+                memo.run_suite(&suite, cores);
             },
-            &shard_sims,
+            &memo_sims,
         );
-        let sharded_simulations = sharded.simulations();
-        assert_eq!(sharded_simulations, keys.len(), "one simulation per distinct key");
+        let memo_simulations = memo.simulations();
+        assert_eq!(memo_simulations, keys.len(), "one simulation per distinct key");
 
-        let speedup = single_mutex_ms / sharded_ms;
+        let speedup = single_mutex_ms / memo_ms;
         eprintln!(
             "  memo {threads:>2} threads: single-mutex {single_mutex_ms:.1} ms \
-             ({single_mutex_simulations} sims), sharded {sharded_ms:.1} ms \
-             ({sharded_simulations} sims) — {speedup:.1}x"
+             ({single_mutex_simulations} sims), single-flight {memo_ms:.1} ms \
+             ({memo_simulations} sims) — {speedup:.1}x"
         );
         let layer = format!("memo.{threads}t");
         ledger.lower(&layer, "single_mutex_ms", "ms", single_mutex_ms);
@@ -203,9 +204,9 @@ fn main() {
             "count",
             single_mutex_simulations.saturating_sub(keys.len()) as f64,
         );
-        ledger.lower(&layer, "sharded_ms", "ms", sharded_ms);
+        ledger.lower(&layer, "sharded_ms", "ms", memo_ms);
         ledger
-            .lower(&layer, "sharded_duplicates", "count", sharded.duplicate_simulations() as f64)
+            .lower(&layer, "sharded_duplicates", "count", memo.duplicate_simulations() as f64)
             .bound(0.0)
             .deterministic();
         let speedup = ledger.higher(&layer, "speedup", "x", speedup);

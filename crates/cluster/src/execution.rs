@@ -363,14 +363,6 @@ impl SuiteKey {
     fn items(&self) -> impl Iterator<Item = &(u8, u64)> {
         self.inline[..self.len.min(KEY_INLINE)].iter().chain(self.spill.iter())
     }
-
-    /// Shard selector: a deterministic (per-process) hash of the key.
-    fn shard(&self) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish() as usize & (MEMO_SHARDS - 1)
-    }
 }
 
 impl PartialEq for SuiteKey {
@@ -394,7 +386,7 @@ impl std::hash::Hash for SuiteKey {
 /// One cached simulation: the runs plus their ready-made measurements, so
 /// sweeps that only need [`tgi_core::Measurement`]s (the TGI hot path)
 /// never re-derive them — warm lookups are allocation-free.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CachedSuite {
     runs: Arc<Vec<SimulatedRun>>,
     measurements: Arc<Vec<Measurement>>,
@@ -415,13 +407,6 @@ struct SuiteEntry {
     ready: Condvar,
 }
 
-/// Number of cache shards — a fixed power of two so the shard index is a
-/// mask of the key hash. 64 shards keep the collision probability of a
-/// 16-thread sweep's *lock* acquisitions low without bloating the struct.
-const MEMO_SHARDS: usize = 64;
-
-type Shard = Mutex<HashMap<SuiteKey, Arc<SuiteEntry>>>;
-
 /// An [`ExecutionEngine`] that memoizes [`ExecutionEngine::run_suite`] per
 /// (workload set, process count).
 ///
@@ -431,22 +416,22 @@ type Shard = Mutex<HashMap<SuiteKey, Arc<SuiteEntry>>>;
 /// cluster-sim. Results are shared via `Arc` and one `MemoizedEngine` can
 /// serve many threads (`&self` everywhere).
 ///
-/// Internally the cache is **sharded** (64 shards selected by
-/// the key hash) so concurrent hits on different keys contend on different
-/// locks, and **single-flight**: a missed key is simulated exactly once —
-/// the first thread to miss installs an in-flight slot and simulates
-/// *outside* every lock, while later threads for the same key block on that
-/// slot's condvar (counted by [`MemoizedEngine::inflight_waits`]) instead
-/// of re-simulating or contending on the map. A panicking simulation
-/// poisons its slot, wakes all waiters (which propagate a panic), and
-/// removes the key so later calls can retry.
+/// Internally the cache is one map behind one mutex, held only to find or
+/// insert a key's slot, and **single-flight**: a missed key is simulated
+/// exactly once — the first thread to miss installs an in-flight slot and
+/// simulates *outside* the map lock, while later threads for the same key
+/// block on that slot's own condvar (counted by
+/// [`MemoizedEngine::inflight_waits`]) instead of re-simulating or holding
+/// the map. A panicking simulation poisons its slot, wakes all waiters
+/// (which propagate a panic), and removes the key so later calls can
+/// retry.
 ///
-/// Statistics are relaxed atomics read without touching any shard lock, so
+/// Statistics are relaxed atomics read without touching the map lock, so
 /// stats scraping (telemetry, benches) never contends with simulation.
 #[derive(Debug)]
 pub struct MemoizedEngine {
     engine: ExecutionEngine,
-    shards: [Shard; MEMO_SHARDS],
+    cache: Mutex<HashMap<SuiteKey, Arc<SuiteEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inflight_waits: AtomicU64,
@@ -459,7 +444,7 @@ impl MemoizedEngine {
     pub fn new(engine: ExecutionEngine) -> Self {
         MemoizedEngine {
             engine,
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            cache: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inflight_waits: AtomicU64::new(0),
@@ -476,9 +461,8 @@ impl MemoizedEngine {
     /// Looks up (or simulates, single-flight) the suite for `key`.
     fn lookup(&self, workloads: &[Workload], processes: usize) -> CachedSuite {
         let key = SuiteKey::new(workloads, processes);
-        let shard = &self.shards[key.shard()];
         let (entry, owner) = {
-            let mut map = shard.lock().expect("suite cache shard poisoned");
+            let mut map = self.cache.lock().expect("suite cache poisoned");
             match map.get(&key) {
                 Some(entry) => (Arc::clone(entry), false),
                 None => {
@@ -497,47 +481,31 @@ impl MemoizedEngine {
             if tgi_telemetry::enabled() {
                 tgi_telemetry::counter!("tgi_memo_misses_total").inc();
             }
-            return self.simulate_into(&key, shard, &entry, workloads, processes);
+            return self.simulate_into(&key, &entry, workloads, processes);
         }
 
         let mut state = entry.state.lock().expect("suite entry poisoned");
+        if matches!(*state, SuiteState::InFlight) {
+            self.inflight_waits.fetch_add(1, Ordering::Relaxed);
+            if tgi_telemetry::enabled() {
+                tgi_telemetry::counter!("tgi_memo_inflight_waits_total").inc();
+            }
+            state = entry
+                .ready
+                .wait_while(state, |s| matches!(s, SuiteState::InFlight))
+                .expect("suite entry poisoned");
+        }
         match &*state {
+            // Cached, or served by the in-flight simulation this thread
+            // waited on: a hit either way — this thread never simulated.
             SuiteState::Ready(cached) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 if tgi_telemetry::enabled() {
                     tgi_telemetry::counter!("tgi_memo_hits_total").inc();
                 }
-                return CachedSuite {
-                    runs: Arc::clone(&cached.runs),
-                    measurements: Arc::clone(&cached.measurements),
-                };
+                cached.clone()
             }
-            SuiteState::InFlight => {
-                self.inflight_waits.fetch_add(1, Ordering::Relaxed);
-                if tgi_telemetry::enabled() {
-                    tgi_telemetry::counter!("tgi_memo_inflight_waits_total").inc();
-                }
-            }
-            SuiteState::Poisoned => panic!("suite simulation panicked in another thread"),
-        }
-        loop {
-            state = entry.ready.wait(state).expect("suite entry poisoned");
-            match &*state {
-                SuiteState::Ready(cached) => {
-                    // Served by the in-flight simulation: a hit — this
-                    // thread never simulated.
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    if tgi_telemetry::enabled() {
-                        tgi_telemetry::counter!("tgi_memo_hits_total").inc();
-                    }
-                    return CachedSuite {
-                        runs: Arc::clone(&cached.runs),
-                        measurements: Arc::clone(&cached.measurements),
-                    };
-                }
-                SuiteState::InFlight => continue,
-                SuiteState::Poisoned => panic!("suite simulation panicked in another thread"),
-            }
+            _ => panic!("suite simulation panicked in another thread"),
         }
     }
 
@@ -546,7 +514,6 @@ impl MemoizedEngine {
     fn simulate_into(
         &self,
         key: &SuiteKey,
-        shard: &Shard,
         entry: &Arc<SuiteEntry>,
         workloads: &[Workload],
         processes: usize,
@@ -555,7 +522,7 @@ impl MemoizedEngine {
         /// every waiter, and drop the key so later calls can retry.
         struct Unpoison<'a> {
             key: &'a SuiteKey,
-            shard: &'a Shard,
+            cache: &'a Mutex<HashMap<SuiteKey, Arc<SuiteEntry>>>,
             entry: &'a Arc<SuiteEntry>,
             armed: bool,
         }
@@ -568,13 +535,13 @@ impl MemoizedEngine {
                     *state = SuiteState::Poisoned;
                 }
                 self.entry.ready.notify_all();
-                if let Ok(mut map) = self.shard.lock() {
+                if let Ok(mut map) = self.cache.lock() {
                     map.remove(self.key);
                 }
             }
         }
 
-        let mut guard = Unpoison { key, shard, entry, armed: true };
+        let mut guard = Unpoison { key, cache: &self.cache, entry, armed: true };
         self.simulations.fetch_add(1, Ordering::Relaxed);
         let sim_span = tgi_telemetry::span_cat("sim.run_suite", "cluster")
             .field("workloads", workloads.len())
@@ -584,14 +551,11 @@ impl MemoizedEngine {
         sim_span.end();
         guard.armed = false;
 
-        let result =
-            CachedSuite { runs: Arc::clone(&runs), measurements: Arc::clone(&measurements) };
-        let mut state = entry.state.lock().expect("suite entry poisoned");
-        *state = SuiteState::Ready(CachedSuite { runs, measurements });
-        drop(state);
+        let cached = CachedSuite { runs, measurements };
+        *entry.state.lock().expect("suite entry poisoned") = SuiteState::Ready(cached.clone());
         self.completed.fetch_add(1, Ordering::Relaxed);
         entry.ready.notify_all();
-        result
+        cached
     }
 
     /// Runs the suite at one process count, returning the cached runs when
@@ -883,6 +847,36 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_misses_on_many_keys_simulate_each_once() {
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        let cores: Vec<usize> = (1..=16).map(|i| 8 * i).collect();
+        let memo = Arc::new(MemoizedEngine::new(fire_engine()));
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (memo, barrier, cores) =
+                    (Arc::clone(&memo), Arc::clone(&barrier), cores.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    // Each thread starts at a different key, so misses on
+                    // distinct keys and waits on in-flight ones interleave.
+                    for &c in cores.iter().cycle().skip(2 * t).take(cores.len()) {
+                        memo.run_suite(&Workload::fire_suite(), c);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(memo.simulations(), cores.len());
+        assert_eq!(memo.duplicate_simulations(), 0);
+        assert_eq!(memo.misses(), cores.len());
+        assert_eq!(memo.hits() + memo.misses(), THREADS * cores.len());
+    }
+
+    #[test]
     fn panicking_simulation_clears_its_slot_for_retry() {
         let memo = MemoizedEngine::new(fire_engine());
         let suite = Workload::fire_suite();
@@ -906,13 +900,15 @@ mod tests {
 
     #[test]
     fn long_suites_spill_but_key_uniformly() {
+        use std::hash::BuildHasher;
         // More workloads than the inline key capacity: lookups still match.
         let suite: Vec<Workload> =
             (0..KEY_INLINE + 3).map(|i| Workload::Hpl { n: 10_000 + 1_000 * i }).collect();
         let a = SuiteKey::new(&suite, 64);
         let b = SuiteKey::new(&suite, 64);
         assert_eq!(a, b);
-        assert_eq!(a.shard(), b.shard());
+        let state = std::collections::hash_map::RandomState::new();
+        assert_eq!(state.hash_one(&a), state.hash_one(&b));
         // Differing only in a spilled slot is a different key.
         let mut other = suite.clone();
         other[KEY_INLINE + 1] = Workload::Hpl { n: 99_999 };

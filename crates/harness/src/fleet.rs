@@ -11,7 +11,7 @@
 //! are all the same engine with different rows. The hot-path guarantees:
 //!
 //! * **Single-flight memoized simulation** — every row wraps its engine
-//!   in [`cluster_sim::MemoizedEngine`], whose sharded cache guarantees a
+//!   in [`cluster_sim::MemoizedEngine`], whose one-map cache guarantees a
 //!   missed (suite, cores) key is simulated exactly once, no matter how
 //!   many workers race on it ([`FleetSweep::duplicate_simulations`] stays
 //!   0, hard-asserted by the fleet bench).
@@ -596,24 +596,45 @@ impl FleetTable {
     /// Long-format CSV: one `system,nodes,cores,pue,suite,weighting,mean,tgi`
     /// row per cell, labels escaped per RFC 4180.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("system,nodes,cores,pue,suite,weighting,mean,tgi\n");
-        for (s, system) in self.systems.iter().enumerate() {
-            let system = csv_field(system);
-            for (su, suite) in self.suites.iter().enumerate() {
-                let suite = csv_field(suite);
-                for (w, weighting) in self.weightings.iter().enumerate() {
-                    for (m, mean) in self.means.iter().enumerate() {
-                        out.push_str(&format!(
-                            "{system},{},{},{},{suite},{},{},{}\n",
-                            self.nodes[s],
-                            self.cores[s],
-                            self.pues[s],
-                            weighting.label().replace(' ', "_"),
-                            mean.label(),
-                            self.value(s, su, w, m)
-                        ));
-                    }
-                }
+        use std::fmt::Write;
+        const HEADER: &str = "system,nodes,cores,pue,suite,weighting,mean,tgi\n";
+        /// Room reserved per `tgi` value and newline; a longer one regrows.
+        const TGI_LEN: usize = 24;
+        // A point's rows share its `system,…,suite,` prefix and every point
+        // shares the `weighting,mean,` labels: render each once.
+        let prefixes: Vec<String> = self
+            .systems
+            .iter()
+            .enumerate()
+            .flat_map(|(s, system)| {
+                let (system, nodes, cores, pue) =
+                    (csv_field(system), self.nodes[s], self.cores[s], self.pues[s]);
+                self.suites.iter().map(move |suite| {
+                    format!("{system},{nodes},{cores},{pue},{},", csv_field(suite))
+                })
+            })
+            .collect();
+        let labels: Vec<String> = self
+            .weightings
+            .iter()
+            .flat_map(|w| {
+                let w = w.label().replace(' ', "_");
+                self.means.iter().map(move |m| format!("{w},{},", m.label()))
+            })
+            .collect();
+        let width = |fields: &[String]| fields.iter().map(String::len).sum::<usize>();
+        let mut out = String::with_capacity(
+            HEADER.len()
+                + width(&prefixes) * labels.len()
+                + prefixes.len() * width(&labels)
+                + self.values.len() * TGI_LEN,
+        );
+        out.push_str(HEADER);
+        for (prefix, tgis) in prefixes.iter().zip(self.values.chunks(labels.len().max(1))) {
+            for (label, tgi) in labels.iter().zip(tgis) {
+                out.push_str(prefix);
+                out.push_str(label);
+                writeln!(out, "{tgi}").expect("writing to a String cannot fail");
             }
         }
         out
@@ -848,6 +869,26 @@ mod tests {
         assert_eq!(csv.lines().count(), 1 + table.len());
         let row = csv.lines().nth(1).unwrap();
         assert!(row.starts_with("\"g500, \"\"alpha\"\"\",8,128,1,fire,"), "row: {row}");
+    }
+
+    /// Pins the writer's bytes — PUE formatting, RFC 4180 escaping, label
+    /// spelling and `tgi` digits — for a 21-row sweep with sampled PUEs and
+    /// one name that needs quoting.
+    #[test]
+    fn csv_matches_pinned_fixture_byte_for_byte() {
+        let table = FleetSweep::new()
+            .fleet(FleetConfig::new(42).systems(20).generate())
+            .system(ClusterSpec { name: "g500, \"alpha\"".into(), ..ClusterSpec::fire() })
+            .suite("fire", Workload::fire_suite())
+            .paper_axes()
+            .run(&system_g_reference())
+            .unwrap();
+        let csv = table.to_csv();
+        let pinned = include_str!("../tests/fixtures/fleet_seed42.csv");
+        for (i, (got, want)) in csv.lines().zip(pinned.lines()).enumerate() {
+            assert_eq!(got, want, "CSV line {} differs from the fixture", i + 1);
+        }
+        assert_eq!(csv, pinned);
     }
 
     #[test]

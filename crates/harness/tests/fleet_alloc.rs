@@ -8,13 +8,16 @@
 //! with per-chunk reused buffers, so a warm 500-system sweep's hot path is
 //! allocation-free.
 //!
+//! It also checks that a cold simulated run's allocation count does not
+//! grow with its trace length: the meter sizes its trace before sampling.
+//!
 //! Single `#[test]` on purpose — concurrent tests would bump the global
 //! counter and produce false positives.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cluster_sim::{ExecutionEngine, FleetConfig, MemoizedEngine, Workload};
+use cluster_sim::{ClusterSpec, ExecutionEngine, FleetConfig, MemoizedEngine, Workload};
 use tgi_core::evaluator::{EvalScratch, TgiEvaluator};
 use tgi_core::{MeanKind, Weighting};
 use tgi_harness::experiments::system_g_reference;
@@ -44,8 +47,35 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Fewest allocations `f` made over a few attempts: a stray allocation on
+/// the libtest harness thread lands in one attempt, not in all of them.
+fn min_allocs(mut f: impl FnMut()) -> usize {
+    (0..3)
+        .map(|_| {
+            let before = ALLOCS.load(Ordering::SeqCst);
+            f();
+            ALLOCS.load(Ordering::SeqCst) - before
+        })
+        .min()
+        .expect("at least one attempt")
+}
+
 #[test]
 fn warm_fleet_point_does_not_allocate() {
+    // A cold run allocates the same whatever its trace length: HPL on
+    // Fire at two sizes, hundreds versus thousands of 1 Hz samples, both
+    // under the engine's 8,192-sample cap so neither takes the stride path.
+    let fire = ExecutionEngine::new(ClusterSpec::fire());
+    let cold_run = |n: usize, samples: std::ops::Range<usize>| {
+        let mut len = 0;
+        let allocs = min_allocs(|| len = fire.run(Workload::Hpl { n }, 128).trace.len());
+        assert!(samples.contains(&len), "HPL n = {n} metered {len} samples");
+        allocs
+    };
+    let short = cold_run(30_000, 100..1_000);
+    let long = cold_run(80_000, 2_000..8_192);
+    assert_eq!(short, long, "a longer trace must not cost more allocations");
+
     let fleet = FleetConfig::new(42).systems(4).generate();
     let systems: Vec<(MemoizedEngine, usize)> = fleet
         .into_iter()

@@ -63,6 +63,12 @@ pub trait PowerMeter {
     fn record(&mut self, ground_truth: &dyn Fn(f64) -> Watts, duration_s: f64) -> PowerTrace;
 }
 
+/// The number of samples a `record` loop over `0..=steps` pushes, so its
+/// trace is allocated once at full length; saturates rather than wrapping.
+fn samples(steps: u64) -> usize {
+    usize::try_from(steps).unwrap_or(usize::MAX).saturating_add(1)
+}
+
 /// Simulated Watts Up? PRO ES.
 #[derive(Debug, Clone)]
 pub struct WattsUpPro {
@@ -134,9 +140,9 @@ impl PowerMeter for WattsUpPro {
 
     fn record(&mut self, ground_truth: &dyn Fn(f64) -> Watts, duration_s: f64) -> PowerTrace {
         assert!(duration_s >= 0.0 && duration_s.is_finite(), "duration must be non-negative");
-        let mut trace = PowerTrace::new();
         let dt = self.spec.sample_interval_s;
         let steps = (duration_s / dt).floor() as u64;
+        let mut trace = PowerTrace::with_capacity(samples(steps));
         for k in 0..=steps {
             let t = k as f64 * dt;
             let true_w = ground_truth(t).value();
@@ -171,9 +177,9 @@ impl PowerMeter for IdealMeter {
     }
 
     fn record(&mut self, ground_truth: &dyn Fn(f64) -> Watts, duration_s: f64) -> PowerTrace {
-        let mut trace = PowerTrace::new();
         let dt = self.spec.sample_interval_s;
         let steps = (duration_s / dt).floor() as u64;
+        let mut trace = PowerTrace::with_capacity(samples(steps));
         for k in 0..=steps {
             let t = k as f64 * dt;
             trace.push(t, ground_truth(t));
@@ -185,6 +191,13 @@ impl PowerMeter for IdealMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sample_count_saturates_instead_of_wrapping() {
+        assert_eq!(samples(0), 1);
+        assert_eq!(samples(135), 136);
+        assert_eq!(samples(u64::MAX), usize::MAX);
+    }
 
     #[test]
     fn spec_matches_datasheet() {
