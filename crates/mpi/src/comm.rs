@@ -1,31 +1,27 @@
 //! The communicator: point-to-point messaging and collectives.
 //!
-//! Semantics follow MPI where it matters for the algorithms built on top:
+//! Every message is a `Vec<f64>`; index data (pivot rows, max-loc
+//! owners) travels as exact `f64`s. Semantics follow MPI where it matters
+//! for the algorithms built on top:
 //!
-//! * messages between a fixed (source, destination) pair are
-//!   non-overtaking (channel FIFO order);
-//! * `recv` matches on (source, tag), buffering out-of-order arrivals;
-//! * collectives are "called by every rank" operations; each call site
-//!   must use a tag distinct from concurrently outstanding traffic.
+//! * `recv` matches on (source, tag) and buffers other arrivals;
+//! * messages are non-overtaking (MPI-4.0 §3.5): of the messages from one
+//!   source that match a `recv`, the one sent first is received first,
+//!   whether it was buffered or not;
+//! * a collective runs over a rank group (the world is `0..size`), and
+//!   every member calls it in the same order, with the group listed
+//!   identically and the same generation. Collectives that may be
+//!   outstanding at once need disjoint groups or distinct generations.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-/// Message payloads: the two element types the distributed kernels need.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
-    /// Double-precision data (matrix panels, vectors).
-    F64(Vec<f64>),
-    /// Index data (pivot vectors, counts).
-    Usize(Vec<usize>),
-}
-
 #[derive(Debug)]
 struct Envelope {
     src: usize,
     tag: u64,
-    payload: Payload,
+    data: Vec<f64>,
 }
 
 /// One rank's endpoint in the world.
@@ -34,7 +30,7 @@ pub struct Communicator {
     size: usize,
     senders: Vec<Sender<Envelope>>,
     inbox: Receiver<Envelope>,
-    /// Out-of-order arrivals waiting for a matching `recv`.
+    /// Arrivals waiting for a matching `recv`, in arrival order.
     pending: Vec<Envelope>,
     /// The first rank whose program panicked, or `NO_PANIC`; shared by
     /// the world so [`World::run`] can re-raise the cause, not an echo.
@@ -51,6 +47,17 @@ const ABORT: u64 = u64::MAX;
 /// `first_panic` while every rank is still running normally.
 const NO_PANIC: usize = usize::MAX;
 
+/// Collective operations, in the low byte of an internal tag. A fold's
+/// fan-out uses `FOLD | 1`.
+const BROADCAST: u64 = 2;
+const FOLD: u64 = 6;
+const EXCHANGE: u64 = 8;
+
+/// The internal tag of operation `op` in collective `generation`.
+fn internal_tag(generation: u64, op: u64) -> u64 {
+    INTERNAL | (generation << 8) | op
+}
+
 impl Communicator {
     /// This rank's id in `0..size`.
     pub fn rank(&self) -> usize {
@@ -62,32 +69,34 @@ impl Communicator {
         self.size
     }
 
-    /// Sends `payload` to `dst` with a user tag.
+    /// Sends a copy of `data` to `dst` with a user tag.
     ///
     /// # Panics
     /// Panics if `dst` is out of range, if the tag intrudes on the internal
     /// tag space, or if the destination has already exited.
-    pub fn send(&self, dst: usize, tag: u64, payload: Payload) {
+    pub fn send(&self, dst: usize, tag: u64, data: &[f64]) {
         assert!(dst < self.size, "destination rank {dst} out of range");
         assert!(tag < INTERNAL, "tag {tag} collides with internal tag space");
-        self.send_raw(dst, tag, payload);
+        self.send_raw(dst, tag, data.to_vec());
     }
 
-    fn send_raw(&self, dst: usize, tag: u64, payload: Payload) {
+    fn send_raw(&self, dst: usize, tag: u64, data: Vec<f64>) {
         self.senders[dst]
-            .send(Envelope { src: self.rank, tag, payload })
+            .send(Envelope { src: self.rank, tag, data })
             .expect("destination rank exited before receiving");
     }
 
     /// Receives the next message from `src` with `tag`, blocking.
-    pub fn recv(&mut self, src: usize, tag: u64) -> Payload {
+    pub fn recv(&mut self, src: usize, tag: u64) -> Vec<f64> {
         assert!(tag < INTERNAL, "tag {tag} collides with internal tag space");
         self.recv_raw(src, tag)
     }
 
-    fn recv_raw(&mut self, src: usize, tag: u64) -> Payload {
+    fn recv_raw(&mut self, src: usize, tag: u64) -> Vec<f64> {
         if let Some(pos) = self.pending.iter().position(|e| e.src == src && e.tag == tag) {
-            return self.pending.swap_remove(pos).payload;
+            // `remove` keeps the rest in arrival order, so a later match
+            // on the same (source, tag) still gets the earliest message.
+            return self.pending.remove(pos).data;
         }
         loop {
             let env = self.inbox.recv().expect("world torn down while a rank was still receiving");
@@ -95,247 +104,118 @@ impl Communicator {
                 panic!("rank {} panicked while rank {} waited on rank {src}", env.src, self.rank);
             }
             if env.src == src && env.tag == tag {
-                return env.payload;
+                return env.data;
             }
             self.pending.push(env);
         }
     }
 
-    /// `send` for `f64` slices.
-    pub fn send_f64(&self, dst: usize, tag: u64, data: &[f64]) {
-        self.send(dst, tag, Payload::F64(data.to_vec()));
+    fn assert_member(&self, group: &[usize]) {
+        assert!(group.contains(&self.rank), "rank {} is not in the group {group:?}", self.rank);
     }
 
-    /// `recv` for `f64` data.
+    /// Synchronizes `group`: no member leaves before every member has
+    /// entered.
+    pub fn barrier(&mut self, group: &[usize], generation: u64) {
+        self.fold(group, generation, Vec::new(), |_, _| {});
+    }
+
+    /// Broadcasts the root's data to every member of `group` and returns
+    /// it. Only `root` passes `Some`, and it gets its own buffer back.
     ///
     /// # Panics
-    /// Panics if the matching message carries index data instead.
-    pub fn recv_f64(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        match self.recv(src, tag) {
-            Payload::F64(v) => v,
-            other => panic!("expected F64 payload from {src} tag {tag}, got {other:?}"),
-        }
-    }
-
-    // --- Collectives. Each call consumes one internal tag generation.    ---
-    // All ranks must call collectives in the same order (MPI's rule).
-
-    /// Synchronizes all ranks: no rank leaves before every rank has entered.
-    pub fn barrier(&mut self, generation: u64) {
-        let tag = INTERNAL | (generation << 8);
-        // Gather-to-0 then broadcast: linear fan-in/out is fine in-process.
-        if self.rank == 0 {
-            for src in 1..self.size {
-                let _ = self.recv_raw(src, tag);
-            }
-            for dst in 1..self.size {
-                self.send_raw(dst, tag | 1, Payload::Usize(vec![]));
-            }
-        } else {
-            self.send_raw(0, tag, Payload::Usize(vec![]));
-            let _ = self.recv_raw(0, tag | 1);
-        }
-    }
-
-    /// Broadcasts `data` from `root` to every rank; returns the data.
-    pub fn broadcast_f64(
-        &mut self,
-        root: usize,
-        generation: u64,
-        data: Option<&[f64]>,
-    ) -> Vec<f64> {
-        let tag = INTERNAL | (generation << 8) | 2;
-        if self.rank == root {
-            let data = data.expect("root must supply the broadcast data");
-            for dst in 0..self.size {
-                if dst != root {
-                    self.send_raw(dst, tag, Payload::F64(data.to_vec()));
-                }
-            }
-            data.to_vec()
-        } else {
-            match self.recv_raw(root, tag) {
-                Payload::F64(v) => v,
-                other => panic!("broadcast payload mismatch: {other:?}"),
-            }
-        }
-    }
-
-    /// Broadcasts index data from `root`.
-    pub fn broadcast_usize(
-        &mut self,
-        root: usize,
-        generation: u64,
-        data: Option<&[usize]>,
-    ) -> Vec<usize> {
-        let tag = INTERNAL | (generation << 8) | 3;
-        if self.rank == root {
-            let data = data.expect("root must supply the broadcast data");
-            for dst in 0..self.size {
-                if dst != root {
-                    self.send_raw(dst, tag, Payload::Usize(data.to_vec()));
-                }
-            }
-            data.to_vec()
-        } else {
-            match self.recv_raw(root, tag) {
-                Payload::Usize(v) => v,
-                other => panic!("broadcast payload mismatch: {other:?}"),
-            }
-        }
-    }
-
-    /// Element-wise sum across all ranks; every rank gets the result.
-    pub fn allreduce_sum(&mut self, local: &[f64]) -> Vec<f64> {
-        let tag = INTERNAL | (1 << 40);
-        if self.rank == 0 {
-            let mut acc = local.to_vec();
-            for src in 1..self.size {
-                match self.recv_raw(src, tag) {
-                    Payload::F64(v) => {
-                        assert_eq!(v.len(), acc.len(), "allreduce length mismatch");
-                        for (a, b) in acc.iter_mut().zip(v) {
-                            *a += b;
-                        }
-                    }
-                    other => panic!("allreduce payload mismatch: {other:?}"),
-                }
-            }
-            for dst in 1..self.size {
-                self.send_raw(dst, tag | 1, Payload::F64(acc.clone()));
-            }
-            acc
-        } else {
-            self.send_raw(0, tag, Payload::F64(local.to_vec()));
-            match self.recv_raw(0, tag | 1) {
-                Payload::F64(v) => v,
-                other => panic!("allreduce payload mismatch: {other:?}"),
-            }
-        }
-    }
-
-    /// Max-with-location reduction: every rank gets `(max value, rank that
-    /// held it, index the holder reported)`. Ties break to the lower rank,
-    /// which keeps the result deterministic.
-    pub fn allreduce_max_loc(&mut self, value: f64, index: usize) -> (f64, usize, usize) {
-        let tag = INTERNAL | (1 << 41);
-        if self.rank == 0 {
-            let mut best = (value, 0usize, index);
-            for src in 1..self.size {
-                match self.recv_raw(src, tag) {
-                    Payload::F64(v) => {
-                        let (val, idx) = (v[0], v[1] as usize);
-                        if val > best.0 {
-                            best = (val, src, idx);
-                        }
-                    }
-                    other => panic!("maxloc payload mismatch: {other:?}"),
-                }
-            }
-            let msg = vec![best.0, best.1 as f64, best.2 as f64];
-            for dst in 1..self.size {
-                self.send_raw(dst, tag | 1, Payload::F64(msg.clone()));
-            }
-            best
-        } else {
-            self.send_raw(0, tag, Payload::F64(vec![value, index as f64]));
-            match self.recv_raw(0, tag | 1) {
-                Payload::F64(v) => (v[0], v[1] as usize, v[2] as usize),
-                other => panic!("maxloc payload mismatch: {other:?}"),
-            }
-        }
-    }
-
-    // --- Group collectives: the same operations over a subset of ranks. ---
-    // `group` must list the participating ranks identically (same order) on
-    // every participant, and every member must call the operation with the
-    // same generation. Groups operating concurrently must be disjoint.
-
-    fn group_pos(&self, group: &[usize]) -> usize {
-        group.iter().position(|&r| r == self.rank).expect("caller must be a member of the group")
-    }
-
-    /// Broadcast within a group from `root` (a world rank inside `group`).
-    pub fn broadcast_f64_among(
+    /// Panics if `root` is not in `group` (every member would otherwise
+    /// wait forever on a root that never sends), if the caller is not in
+    /// it, or if the root passes `None`.
+    pub fn broadcast(
         &mut self,
         group: &[usize],
         root: usize,
         generation: u64,
-        data: Option<&[f64]>,
+        data: Option<Vec<f64>>,
     ) -> Vec<f64> {
-        debug_assert!(group.contains(&root), "root must be in the group");
-        let _ = self.group_pos(group);
-        let tag = INTERNAL | (generation << 8) | 5;
-        if self.rank == root {
-            let data = data.expect("root must supply the broadcast data");
-            for &dst in group {
-                if dst != root {
-                    self.send_raw(dst, tag, Payload::F64(data.to_vec()));
-                }
-            }
-            data.to_vec()
-        } else {
-            match self.recv_raw(root, tag) {
-                Payload::F64(v) => v,
-                other => panic!("group broadcast payload mismatch: {other:?}"),
-            }
+        assert!(group.contains(&root), "broadcast root {root} is not in the group {group:?}");
+        self.assert_member(group);
+        let tag = internal_tag(generation, BROADCAST);
+        if self.rank != root {
+            return self.recv_raw(root, tag);
         }
+        let data = data.expect("root must supply the broadcast data");
+        for &dst in group.iter().filter(|&&dst| dst != root) {
+            self.send_raw(dst, tag, data.clone());
+        }
+        data
     }
 
-    /// Max-with-location reduction within a group; every member gets
-    /// `(max value, world rank holding it, holder's index)`.
-    pub fn allreduce_max_loc_among(
+    /// Element-wise sum over `group`, added up in group order; every member
+    /// gets the result.
+    pub fn allreduce_sum(&mut self, group: &[usize], generation: u64, local: &[f64]) -> Vec<f64> {
+        self.fold(group, generation, local.to_vec(), |acc, contribution| {
+            assert_eq!(contribution.len(), acc.len(), "allreduce length mismatch");
+            for (a, b) in acc.iter_mut().zip(contribution) {
+                *a += b;
+            }
+        })
+    }
+
+    /// Max-with-location reduction over `group`: every member gets
+    /// `(max value, world rank holding it, index the holder reported)`.
+    /// Ties break to the earlier group member, which keeps the result
+    /// deterministic.
+    pub fn allreduce_max_loc(
         &mut self,
         group: &[usize],
         generation: u64,
         value: f64,
         index: usize,
     ) -> (f64, usize, usize) {
-        let _ = self.group_pos(group);
-        let tag = INTERNAL | (generation << 8) | 6;
-        let head = group[0];
-        if self.rank == head {
-            let mut best = (value, self.rank, index);
-            for &src in &group[1..] {
-                match self.recv_raw(src, tag) {
-                    Payload::F64(v) => {
-                        let (val, idx) = (v[0], v[1] as usize);
-                        // Tie-break to the lower *group position* for
-                        // determinism; positions are processed in order.
-                        if val > best.0 {
-                            best = (val, src, idx);
-                        }
-                    }
-                    other => panic!("group maxloc payload mismatch: {other:?}"),
-                }
+        let mine = vec![value, self.rank as f64, index as f64];
+        let best = self.fold(group, generation, mine, |best, contribution| {
+            if contribution[0] > best[0] {
+                *best = contribution;
             }
-            let msg = vec![best.0, best.1 as f64, best.2 as f64];
-            for &dst in &group[1..] {
-                self.send_raw(dst, tag | 1, Payload::F64(msg.clone()));
-            }
-            best
-        } else {
-            self.send_raw(head, tag, Payload::F64(vec![value, index as f64]));
-            match self.recv_raw(head, tag | 1) {
-                Payload::F64(v) => (v[0], v[1] as usize, v[2] as usize),
-                other => panic!("group maxloc payload mismatch: {other:?}"),
-            }
-        }
+        });
+        (best[0], best[1] as usize, best[2] as usize)
     }
 
-    /// Pairwise exchange: both ranks send and receive one `f64` buffer.
-    /// Both sides must use the same generation; a rank may exchange with
-    /// itself (returns its own data).
-    pub fn exchange_f64(&mut self, peer: usize, generation: u64, data: &[f64]) -> Vec<f64> {
+    /// The shape of every reduction: `group[0]` folds each other member's
+    /// contribution into its own, in group order, and sends every member
+    /// the result. A linear fan-in and fan-out is fine in-process.
+    fn fold(
+        &mut self,
+        group: &[usize],
+        generation: u64,
+        mine: Vec<f64>,
+        mut combine: impl FnMut(&mut Vec<f64>, Vec<f64>),
+    ) -> Vec<f64> {
+        self.assert_member(group);
+        let tag = internal_tag(generation, FOLD);
+        let head = group[0];
+        if self.rank != head {
+            self.send_raw(head, tag, mine);
+            return self.recv_raw(head, tag | 1);
+        }
+        let mut acc = mine;
+        for &src in &group[1..] {
+            let contribution = self.recv_raw(src, tag);
+            combine(&mut acc, contribution);
+        }
+        for &dst in &group[1..] {
+            self.send_raw(dst, tag | 1, acc.clone());
+        }
+        acc
+    }
+
+    /// Pairwise exchange: both ranks send and receive one buffer. Both
+    /// sides must use the same generation; a rank may exchange with itself
+    /// (returns its own data).
+    pub fn exchange(&mut self, peer: usize, generation: u64, data: &[f64]) -> Vec<f64> {
         if peer == self.rank {
             return data.to_vec();
         }
-        let tag = INTERNAL | (generation << 8) | 8;
-        self.send_raw(peer, tag, Payload::F64(data.to_vec()));
-        match self.recv_raw(peer, tag) {
-            Payload::F64(v) => v,
-            other => panic!("exchange payload mismatch: {other:?}"),
-        }
+        let tag = internal_tag(generation, EXCHANGE);
+        self.send_raw(peer, tag, data.to_vec());
+        self.recv_raw(peer, tag)
     }
 }
 
@@ -354,11 +234,7 @@ impl Drop for Communicator {
             for (dst, sender) in self.senders.iter().enumerate() {
                 if dst != self.rank {
                     // A peer that already exited has nothing to abandon.
-                    let _ = sender.send(Envelope {
-                        src: self.rank,
-                        tag: ABORT,
-                        payload: Payload::Usize(vec![]),
-                    });
+                    let _ = sender.send(Envelope { src: self.rank, tag: ABORT, data: Vec::new() });
                 }
             }
         }
@@ -427,12 +303,41 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn world(comm: &Communicator) -> Vec<usize> {
+        (0..comm.size()).collect()
+    }
+
+    /// Runs `program` on `size` ranks in a watchdog thread and returns the
+    /// message the world panicked with. Fails if the world returns
+    /// normally, or has not finished 30 s later.
+    fn panic_within_deadline<F>(size: usize, program: F) -> String
+    where
+        F: Fn(&mut Communicator) + Send + Sync + 'static,
+    {
+        const DEADLINE: Duration = Duration::from_secs(30);
+        let (done_tx, done_rx) = channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                World::run(size, &program)
+            }));
+            let _ = done_tx.send(outcome.map_err(|payload| {
+                let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+                text.or_else(|| payload.downcast_ref::<String>().cloned()).unwrap_or_default()
+            }));
+        });
+        match done_rx.recv_timeout(DEADLINE) {
+            Ok(Err(message)) => message,
+            Ok(Ok(_)) => panic!("the world returned although a rank panicked"),
+            Err(_) => panic!("a rank was still blocked {DEADLINE:?} after the run began"),
+        }
+    }
+
     #[test]
     fn single_rank_world() {
         let out = World::run(1, |comm| {
             assert_eq!(comm.rank(), 0);
             assert_eq!(comm.size(), 1);
-            comm.allreduce_sum(&[5.0])[0]
+            comm.allreduce_sum(&[0], 0, &[5.0])[0]
         });
         assert_eq!(out, vec![5.0]);
     }
@@ -442,8 +347,8 @@ mod tests {
         let out = World::run(4, |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send_f64(next, 7, &[comm.rank() as f64]);
-            comm.recv_f64(prev, 7)[0]
+            comm.send(next, 7, &[comm.rank() as f64]);
+            comm.recv(prev, 7)[0]
         });
         assert_eq!(out, vec![3.0, 0.0, 1.0, 2.0]);
     }
@@ -457,8 +362,8 @@ mod tests {
             let mut received = Vec::new();
             for step in 0..8u64 {
                 let stamp = (step * 2 + comm.rank() as u64) as f64;
-                comm.send_f64(peer, step, &vec![stamp; 1000]);
-                let got = comm.recv_f64(peer, step);
+                comm.send(peer, step, &vec![stamp; 1000]);
+                let got = comm.recv(peer, step);
                 assert_eq!(got.len(), 1000);
                 assert!(got.iter().all(|&x| x == got[0]));
                 received.push(got[0]);
@@ -476,13 +381,13 @@ mod tests {
         let out = World::run(2, |comm| {
             if comm.rank() == 0 {
                 // Send tag 2 first, then tag 1.
-                comm.send_f64(1, 2, &[2.0]);
-                comm.send_f64(1, 1, &[1.0]);
+                comm.send(1, 2, &[2.0]);
+                comm.send(1, 1, &[1.0]);
                 0.0
             } else {
                 // Receive tag 1 first: the tag-2 message must be buffered.
-                let a = comm.recv_f64(0, 1)[0];
-                let b = comm.recv_f64(0, 2)[0];
+                let a = comm.recv(0, 1)[0];
+                let b = comm.recv(0, 2)[0];
                 a * 10.0 + b
             }
         });
@@ -490,15 +395,33 @@ mod tests {
     }
 
     #[test]
+    fn buffered_matches_keep_send_order() {
+        // Receiving tag 9 first buffers everything sent before it; the
+        // buffered tag-3 messages must still come out in send order.
+        let out = World::run(2, |comm| {
+            if comm.rank() == 0 {
+                for (tag, value) in [(3, 0.0), (3, 1.0), (4, 9.0), (3, 2.0), (9, 7.0)] {
+                    comm.send(1, tag, &[value]);
+                }
+                Vec::new()
+            } else {
+                assert_eq!(comm.recv(0, 9), vec![7.0]);
+                (0..3).map(|_| comm.recv(0, 3)[0]).collect()
+            }
+        });
+        assert_eq!(out[1], vec![0.0, 1.0, 2.0]);
+    }
+
+    #[test]
     fn fifo_between_same_pair_and_tag() {
         let out = World::run(2, |comm| {
             if comm.rank() == 0 {
                 for i in 0..16 {
-                    comm.send_f64(1, 3, &[i as f64]);
+                    comm.send(1, 3, &[i as f64]);
                 }
                 Vec::new()
             } else {
-                (0..16).map(|_| comm.recv_f64(0, 3)[0]).collect::<Vec<f64>>()
+                (0..16).map(|_| comm.recv(0, 3)[0]).collect::<Vec<f64>>()
             }
         });
         let expected: Vec<f64> = (0..16).map(|i| i as f64).collect();
@@ -509,7 +432,7 @@ mod tests {
     fn allreduce_sum_vector() {
         let out = World::run(5, |comm| {
             let local = vec![comm.rank() as f64, 1.0];
-            comm.allreduce_sum(&local)
+            comm.allreduce_sum(&world(comm), 0, &local)
         });
         for r in out {
             assert_eq!(r, vec![10.0, 5.0]);
@@ -521,7 +444,7 @@ mod tests {
         let out = World::run(6, |comm| {
             // Rank 4 holds the largest value, at local index rank*10.
             let value = if comm.rank() == 4 { 100.0 } else { comm.rank() as f64 };
-            comm.allreduce_max_loc(value, comm.rank() * 10)
+            comm.allreduce_max_loc(&world(comm), 0, value, comm.rank() * 10)
         });
         for (v, owner, idx) in out {
             assert_eq!(v, 100.0);
@@ -532,7 +455,7 @@ mod tests {
 
     #[test]
     fn allreduce_max_loc_ties_break_low_rank() {
-        let out = World::run(4, |comm| comm.allreduce_max_loc(1.0, comm.rank()));
+        let out = World::run(4, |comm| comm.allreduce_max_loc(&world(comm), 0, 1.0, comm.rank()));
         for (_, owner, idx) in out {
             assert_eq!(owner, 0);
             assert_eq!(idx, 0);
@@ -542,8 +465,8 @@ mod tests {
     #[test]
     fn broadcast_from_nonzero_root() {
         let out = World::run(4, |comm| {
-            let data = if comm.rank() == 2 { Some(&[9.0, 8.0][..]) } else { None };
-            comm.broadcast_f64(2, 0, data)
+            let data = if comm.rank() == 2 { Some(vec![9.0, 8.0]) } else { None };
+            comm.broadcast(&world(comm), 2, 0, data)
         });
         for r in out {
             assert_eq!(r, vec![9.0, 8.0]);
@@ -551,14 +474,29 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_usize_round_trip() {
+    fn broadcast_pivots_round_trip() {
+        // Pivot rows travel as f64s and come back as the same indices.
+        let pivots = [1usize, 2, 3, (1 << 53) - 1];
         let out = World::run(3, |comm| {
-            let data = if comm.rank() == 0 { Some(&[1usize, 2, 3][..]) } else { None };
-            comm.broadcast_usize(0, 1, data)
+            let data = (comm.rank() == 0).then(|| pivots.iter().map(|&p| p as f64).collect());
+            let got = comm.broadcast(&world(comm), 0, 1, data);
+            got.into_iter().map(|p| p as usize).collect::<Vec<usize>>()
         });
         for r in out {
-            assert_eq!(r, vec![1, 2, 3]);
+            assert_eq!(r, pivots);
         }
+    }
+
+    #[test]
+    fn a_broadcast_root_outside_its_group_fails_closed() {
+        // Ranks 0 and 1 name rank 2, which is not in their group and never
+        // sends, as the root. They must fail at once, not wait on it.
+        let message = panic_within_deadline(3, |comm| {
+            if comm.rank() < 2 {
+                comm.broadcast(&[0, 1], 2, 0, None);
+            }
+        });
+        assert_eq!(message, "broadcast root 2 is not in the group [0, 1]");
     }
 
     #[test]
@@ -568,7 +506,7 @@ mod tests {
             let group: Vec<usize> = if comm.rank() < 2 { vec![0, 1] } else { vec![2, 3] };
             let root = group[0];
             let data = if comm.rank() == root { Some(vec![root as f64 * 10.0]) } else { None };
-            comm.broadcast_f64_among(&group, root, 0, data.as_deref())
+            comm.broadcast(&group, root, 0, data)
         });
         assert_eq!(out[0], vec![0.0]);
         assert_eq!(out[1], vec![0.0]);
@@ -581,7 +519,7 @@ mod tests {
         let out = World::run(6, |comm| {
             // Groups by parity: {0,2,4} and {1,3,5}.
             let group: Vec<usize> = (0..6).filter(|r| r % 2 == comm.rank() % 2).collect();
-            comm.allreduce_max_loc_among(&group, 0, comm.rank() as f64, 7)
+            comm.allreduce_max_loc(&group, 0, comm.rank() as f64, 7)
         });
         // Even group max is rank 4; odd group max is rank 5.
         assert_eq!(out[0], (4.0, 4, 7));
@@ -593,7 +531,7 @@ mod tests {
     fn exchange_swaps_buffers() {
         let out = World::run(2, |comm| {
             let mine = vec![comm.rank() as f64; 3];
-            comm.exchange_f64(1 - comm.rank(), 0, &mine)
+            comm.exchange(1 - comm.rank(), 0, &mine)
         });
         assert_eq!(out[0], vec![1.0, 1.0, 1.0]);
         assert_eq!(out[1], vec![0.0, 0.0, 0.0]);
@@ -601,7 +539,7 @@ mod tests {
 
     #[test]
     fn exchange_with_self_is_identity() {
-        let out = World::run(1, |comm| comm.exchange_f64(0, 0, &[42.0]));
+        let out = World::run(1, |comm| comm.exchange(0, 0, &[42.0]));
         assert_eq!(out[0], vec![42.0]);
     }
 
@@ -610,11 +548,12 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
         World::run(8, |comm| {
+            let world = world(comm);
             counter.fetch_add(1, Ordering::SeqCst);
-            comm.barrier(0);
+            comm.barrier(&world, 0);
             // After the barrier, every rank must observe all 8 increments.
             assert_eq!(counter.load(Ordering::SeqCst), 8);
-            comm.barrier(1);
+            comm.barrier(&world, 1);
         });
     }
 
@@ -622,26 +561,13 @@ mod tests {
     fn a_panicking_rank_aborts_a_peer_blocked_on_it() {
         // Rank 1 waits on a message rank 0 never sends. The run must end
         // with rank 0's own panic well within the deadline, not hang.
-        const DEADLINE: Duration = Duration::from_secs(30);
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let outcome = std::panic::catch_unwind(|| {
-                World::run(2, |comm| {
-                    if comm.rank() == 0 {
-                        panic!("rank 0 fails first");
-                    }
-                    comm.recv_f64(0, 1);
-                })
-            });
-            let _ = done_tx.send(outcome.map_err(|payload| {
-                payload.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default()
-            }));
+        let message = panic_within_deadline(2, |comm| {
+            if comm.rank() == 0 {
+                panic!("rank 0 fails first");
+            }
+            comm.recv(0, 1);
         });
-        match done_rx.recv_timeout(DEADLINE) {
-            Ok(Err(message)) => assert_eq!(message, "rank 0 fails first"),
-            Ok(Ok(_)) => panic!("the world returned although rank 0 panicked"),
-            Err(_) => panic!("rank 1 still blocked {DEADLINE:?} after rank 0 panicked"),
-        }
+        assert_eq!(message, "rank 0 fails first");
     }
 
     #[test]
@@ -662,7 +588,7 @@ mod tests {
     fn send_to_invalid_rank_panics() {
         World::run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send_f64(5, 0, &[1.0]);
+                comm.send(5, 0, &[1.0]);
             }
         });
     }
@@ -672,9 +598,9 @@ mod tests {
     fn reserved_tag_rejected() {
         World::run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send_f64(1, u64::MAX, &[1.0]);
+                comm.send(1, u64::MAX, &[1.0]);
             } else {
-                let _ = comm.recv_f64(0, u64::MAX);
+                let _ = comm.recv(0, u64::MAX);
             }
         });
     }

@@ -160,6 +160,7 @@ fn factor(comm: &mut Communicator, grid: &Grid, local: &mut [f64]) -> Vec<usize>
     let ld = grid.rows.len();
     let ncols = grid.cols.len();
     let blocks = n.div_ceil(nb);
+    let world: Vec<usize> = (0..comm.size()).collect();
     let mut piv = vec![0usize; n];
 
     for k in 0..blocks {
@@ -191,12 +192,8 @@ fn factor(comm: &mut Communicator, grid: &Grid, local: &mut [f64]) -> Vec<usize>
                         best_row = grid.rows[from + lr];
                     }
                 }
-                let (val, _owner, gpiv) = comm.allreduce_max_loc_among(
-                    &col_group,
-                    gen + j as u64 * 4,
-                    best_val,
-                    best_row,
-                );
+                let (val, _owner, gpiv) =
+                    comm.allreduce_max_loc(&col_group, gen + j as u64 * 4, best_val, best_row);
                 assert!(val > 0.0, "2D HPL hit a singular panel at step {gj}");
                 block_piv[j] = gpiv;
 
@@ -209,12 +206,8 @@ fn factor(comm: &mut Communicator, grid: &Grid, local: &mut [f64]) -> Vec<usize>
                     let lr = grid.local_row(gj);
                     panel_cols.iter().map(|&lc| local[lc * ld + lr]).collect::<Vec<f64>>()
                 });
-                let row_seg = comm.broadcast_f64_among(
-                    &col_group,
-                    prow_owner,
-                    gen + j as u64 * 4 + 2,
-                    row_seg.as_deref(),
-                );
+                let row_seg =
+                    comm.broadcast(&col_group, prow_owner, gen + j as u64 * 4 + 2, row_seg);
 
                 // Eliminate below the pivot: scale the pivot column's
                 // suffix, then update each later panel column's suffix.
@@ -241,11 +234,13 @@ fn factor(comm: &mut Communicator, grid: &Grid, local: &mut [f64]) -> Vec<usize>
         //      row sends its rows from k0 down: L11 over L21 on the diagonal
         //      process row pr_k, L21 alone elsewhere. ----
         let head = col_group[0];
-        let block_piv = comm.broadcast_usize(
-            head,
-            gen + 500,
-            if comm.rank() == head { Some(&block_piv) } else { None },
-        );
+        let block_piv =
+            (comm.rank() == head).then(|| block_piv.iter().map(|&p| p as f64).collect());
+        let block_piv: Vec<usize> = comm
+            .broadcast(&world, head, gen + 500, block_piv)
+            .iter()
+            .map(|&p| p as usize)
+            .collect();
         piv[k0..k0 + kb].copy_from_slice(&block_piv);
 
         let last = k0 + kb >= n;
@@ -262,7 +257,7 @@ fn factor(comm: &mut Communicator, grid: &Grid, local: &mut [f64]) -> Vec<usize>
                 }
                 buf
             });
-            comm.broadcast_f64_among(&grid.row_group(grid.pr), root, gen + 600, data.as_deref())
+            comm.broadcast(&grid.row_group(grid.pr), root, gen + 600, data)
         };
 
         // ---- Phase 3: apply the swaps outside the panel. ----
@@ -300,12 +295,8 @@ fn factor(comm: &mut Communicator, grid: &Grid, local: &mut [f64]) -> Vec<usize>
             }
             u12
         });
-        let u12 = comm.broadcast_f64_among(
-            &grid.col_group(grid.pc),
-            grid.rank_of(pr_k, grid.pc),
-            gen + 601,
-            u12.as_deref(),
-        );
+        let u12 =
+            comm.broadcast(&grid.col_group(grid.pc), grid.rank_of(pr_k, grid.pc), gen + 601, u12);
 
         // A22_local -= L21_local · U12_local, one contiguous column suffix
         // at a time: my rows below the panel start at local row `tr0`.
@@ -391,7 +382,7 @@ fn interchange(
         let lr = grid.local_row(my_row);
         let row: Vec<f64> = local_cols.iter().map(|&lc| local[lc * ld + lr]).collect();
         let peer = grid.rank_of(peer_pr, grid.pc);
-        let theirs = comm.exchange_f64(peer, generation + j as u64, &row);
+        let theirs = comm.exchange(peer, generation + j as u64, &row);
         debug_assert_eq!(theirs.len(), row.len());
         for (&lc, v) in local_cols.iter().zip(theirs) {
             local[lc * ld + lr] = v;
@@ -411,6 +402,7 @@ fn solve(
     let (n, nb) = (grid.n, grid.nb);
     let ld = grid.rows.len();
     let blocks = n.div_ceil(nb);
+    let world: Vec<usize> = (0..comm.size()).collect();
     let mut y = b.to_vec();
     for (kk, &p) in piv.iter().enumerate() {
         y.swap(kk, p);
@@ -443,7 +435,7 @@ fn solve(
         } else {
             None
         };
-        let z = comm.broadcast_f64(diag_owner, gen, z.as_deref());
+        let z = comm.broadcast(&world, diag_owner, gen, z);
         y[k0..k0 + kb].copy_from_slice(&z);
 
         // Delta for rows below, contributed by the panel's process column.
@@ -461,7 +453,7 @@ fn solve(
                 }
             }
         }
-        let delta = comm.allreduce_sum(&delta);
+        let delta = comm.allreduce_sum(&world, gen + 1, &delta);
         for (yi, d) in y.iter_mut().zip(&delta) {
             *yi -= d;
         }
@@ -496,7 +488,7 @@ fn solve(
         } else {
             None
         };
-        let xb = comm.broadcast_f64(diag_owner, gen, xb.as_deref());
+        let xb = comm.broadcast(&world, diag_owner, gen, xb);
         x[k0..k0 + kb].copy_from_slice(&xb);
 
         let mut delta = vec![0.0f64; n];
@@ -513,7 +505,7 @@ fn solve(
                 }
             }
         }
-        let delta = comm.allreduce_sum(&delta);
+        let delta = comm.allreduce_sum(&world, gen + 1, &delta);
         for (xi, d) in x.iter_mut().zip(&delta) {
             *xi -= d;
         }

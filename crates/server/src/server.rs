@@ -8,7 +8,9 @@
 //!
 //! Each worker owns a full keep-alive session: it parses requests off the
 //! connection, dispatches into [`ServerState::handle`], and writes
-//! responses until the client closes, errors, or the server drains.
+//! responses until the client closes, errors, or the server drains. An
+//! idle session checks for a drain every `IDLE_POLL`, so shutdown does
+//! not wait out a quiet keep-alive peer.
 //! Shutdown flips the drain flag, closes the queue, pokes the acceptor
 //! awake with a loopback connect, and joins every thread — every request
 //! accepted before the signal completes.
@@ -16,7 +18,7 @@
 use crate::http::{read_request, HttpError, Response};
 use crate::queue::{BoundedQueue, PushError};
 use crate::state::{ServerConfig, ServerState};
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +27,12 @@ use std::time::{Duration, Instant};
 
 /// Per-connection socket timeout: a stalled peer cannot pin a worker
 /// forever, it surfaces as an I/O error and the session closes.
+/// It also caps how long a keep-alive session may sit idle.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How often an idle keep-alive session checks whether the server is
+/// draining while it waits for the next request.
+const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// A running server. Dropping it (or calling [`Server::shutdown`]) drains
 /// in-flight connections and joins every thread.
@@ -239,7 +246,7 @@ fn worker_loop(state: &ServerState, queue: &BoundedQueue<TcpStream>, stats: &Ser
 
 /// Runs one keep-alive session to completion.
 fn serve_connection(state: &ServerState, stream: TcpStream, stats: &ServerStats) {
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+    // `await_request` sets the read timeout.
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     // Request/response ping-pong with small frames: Nagle + delayed ACK
     // would add ~40ms to every exchange.
@@ -249,7 +256,7 @@ fn serve_connection(state: &ServerState, stream: TcpStream, stats: &ServerStats)
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    loop {
+    while await_request(&mut reader, state) {
         let request = match read_request(&mut reader, state.max_body_bytes()) {
             Ok(r) => r,
             Err(HttpError::Closed) => return,
@@ -264,21 +271,20 @@ fn serve_connection(state: &ServerState, stream: TcpStream, stats: &ServerStats)
         let started = Instant::now();
         // `recording()` covers the flight recorder too: request spans land
         // in its ring even when no collector is installed.
-        let mut response = if tgi_telemetry::recording() {
+        let (endpoint, mut response) = if tgi_telemetry::recording() {
             let span = tgi_telemetry::span_cat("server.request", "server")
                 .field("method", request.method.as_str())
                 .field("path", request.path.as_str());
-            let response = state.handle(&request);
-            span.field("status", i64::from(response.status)).end();
-            response
+            let routed = state.route(&request);
+            span.field("status", i64::from(routed.1.status)).end();
+            routed
         } else {
-            state.handle(&request)
+            state.route(&request)
         };
         // Latency lands in the per-endpoint SLO tracker (a log-linear
         // quantile sketch — this replaced the old fixed-bucket
         // `server_request_seconds` histogram, whose widest bucket hid
         // everything between 100ms and 1s).
-        let endpoint = crate::slo::classify(&request.method, &request.path);
         state.slo().record(endpoint, started.elapsed().as_secs_f64());
         if tgi_telemetry::enabled() {
             tgi_telemetry::counter!("server_requests_total").inc();
@@ -291,4 +297,31 @@ fn serve_connection(state: &ServerState, stream: TcpStream, stats: &ServerStats)
             return;
         }
     }
+}
+
+/// Waits for the next request's first byte in [`IDLE_POLL`] slices.
+/// Returns `false` when the session should end instead: the peer closed
+/// or failed, the server is draining, or the peer sent nothing for
+/// [`SOCKET_TIMEOUT`]. A request already begun reads under the full
+/// `SOCKET_TIMEOUT` again.
+fn await_request(reader: &mut BufReader<TcpStream>, state: &ServerState) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
+    }
+    let _ = reader.get_ref().set_read_timeout(Some(IDLE_POLL));
+    let idle_since = Instant::now();
+    let ready = loop {
+        match reader.fill_buf() {
+            Ok(bytes) => break !bytes.is_empty(),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if state.draining() || idle_since.elapsed() >= SOCKET_TIMEOUT {
+                    break false;
+                }
+            }
+            Err(_) => break false,
+        }
+    };
+    let _ = reader.get_ref().set_read_timeout(Some(SOCKET_TIMEOUT));
+    ready
 }

@@ -85,25 +85,6 @@ impl Endpoint {
     }
 }
 
-/// Classifies a parsed request into its endpoint class. Mirrors the
-/// router in [`crate::ServerState::handle`]; anything the router would
-/// 404 or 405 lands in [`Endpoint::Other`].
-pub fn classify(method: &str, path: &str) -> Endpoint {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (method, segments.as_slice()) {
-        ("GET", ["healthz"]) => Endpoint::Healthz,
-        ("GET", ["metrics"]) => Endpoint::Metrics,
-        ("GET", ["traces"]) => Endpoint::ListTraces,
-        ("POST", ["traces", _]) => Endpoint::Ingest,
-        ("GET", ["traces", _, "energy"]) => Endpoint::Energy,
-        ("GET", ["traces", _, "anomalies"]) => Endpoint::Anomalies,
-        ("GET", ["fleet", "summary"]) => Endpoint::FleetSummary,
-        ("POST", ["evaluate"]) => Endpoint::Evaluate,
-        ("GET", ["debug", "flight"]) => Endpoint::DebugFlight,
-        _ => Endpoint::Other,
-    }
-}
-
 /// One wall-clock second of good/bad counts.
 #[derive(Debug, Clone, Copy, Default)]
 struct SecondCell {
@@ -350,21 +331,6 @@ fn epoch_seconds() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classify_mirrors_the_router() {
-        assert_eq!(classify("GET", "/healthz"), Endpoint::Healthz);
-        assert_eq!(classify("GET", "/metrics"), Endpoint::Metrics);
-        assert_eq!(classify("GET", "/traces"), Endpoint::ListTraces);
-        assert_eq!(classify("POST", "/traces/node-7"), Endpoint::Ingest);
-        assert_eq!(classify("GET", "/traces/node-7/energy"), Endpoint::Energy);
-        assert_eq!(classify("GET", "/traces/node-7/anomalies"), Endpoint::Anomalies);
-        assert_eq!(classify("GET", "/fleet/summary"), Endpoint::FleetSummary);
-        assert_eq!(classify("POST", "/evaluate"), Endpoint::Evaluate);
-        assert_eq!(classify("GET", "/debug/flight"), Endpoint::DebugFlight);
-        assert_eq!(classify("DELETE", "/traces/node-7"), Endpoint::Other);
-        assert_eq!(classify("GET", "/nope"), Endpoint::Other);
-    }
 
     #[test]
     fn burn_rate_windows_are_wall_clock_scoped() {

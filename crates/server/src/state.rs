@@ -15,7 +15,7 @@
 //! nothing in this module panics on user input.
 
 use crate::http::{Request, Response};
-use crate::slo::SloTracker;
+use crate::slo::{Endpoint, SloTracker};
 use power_model::fleet::TraceSet;
 use power_model::{
     AnomalyConfig, AnomalyCounts, AnomalyDetector, AnomalyEvent, PowerTrace, StoreBackedTrace,
@@ -394,24 +394,34 @@ impl ServerState {
 
     /// Routes one parsed request to its handler.
     pub fn handle(&self, request: &Request) -> Response {
+        self.route(request).1
+    }
+
+    /// Routes one parsed request to its handler, and names the endpoint
+    /// class the SLO tracker records it under. Whatever the router answers
+    /// with a 404 or 405 is [`Endpoint::Other`].
+    pub(crate) fn route(&self, request: &Request) -> (Endpoint, Response) {
         let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
         match (request.method.as_str(), segments.as_slice()) {
-            ("GET", ["healthz"]) => self.healthz(),
-            ("GET", ["metrics"]) => self.metrics(),
-            ("GET", ["traces"]) => self.list_traces(),
-            ("POST", ["traces", node]) => self.ingest(node, &request.body),
-            ("GET", ["traces", node, "energy"]) => self.energy(node, request),
-            ("GET", ["traces", node, "anomalies"]) => self.anomalies(node, request),
-            ("GET", ["fleet", "summary"]) => self.fleet_summary(),
-            ("POST", ["evaluate"]) => self.evaluate(&request.body),
-            ("GET", ["debug", "flight"]) => self.debug_flight(),
+            ("GET", ["healthz"]) => (Endpoint::Healthz, self.healthz()),
+            ("GET", ["metrics"]) => (Endpoint::Metrics, self.metrics()),
+            ("GET", ["traces"]) => (Endpoint::ListTraces, self.list_traces()),
+            ("POST", ["traces", node]) => (Endpoint::Ingest, self.ingest(node, &request.body)),
+            ("GET", ["traces", node, "energy"]) => (Endpoint::Energy, self.energy(node, request)),
+            ("GET", ["traces", node, "anomalies"]) => {
+                (Endpoint::Anomalies, self.anomalies(node, request))
+            }
+            ("GET", ["fleet", "summary"]) => (Endpoint::FleetSummary, self.fleet_summary()),
+            ("POST", ["evaluate"]) => (Endpoint::Evaluate, self.evaluate(&request.body)),
+            ("GET", ["debug", "flight"]) => (Endpoint::DebugFlight, self.debug_flight()),
             // Known paths with the wrong verb get a 405, not a 404.
             (_, ["healthz"] | ["metrics"] | ["traces"] | ["evaluate"] | ["fleet", "summary"])
             | (_, ["traces", _] | ["traces", _, "energy"] | ["traces", _, "anomalies"])
-            | (_, ["debug", "flight"]) => {
-                Response::error(405, &format!("method {} not allowed here", request.method))
-            }
-            _ => Response::error(404, &format!("no route for {}", request.path)),
+            | (_, ["debug", "flight"]) => (
+                Endpoint::Other,
+                Response::error(405, &format!("method {} not allowed here", request.method)),
+            ),
+            _ => (Endpoint::Other, Response::error(404, &format!("no route for {}", request.path))),
         }
     }
 
@@ -850,4 +860,40 @@ fn parse_evaluate_request(
         }
     };
     Ok((measurements, weighting, mean))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn router_names_the_endpoint_of_every_route() {
+        let state = ServerState::new(
+            &ServerConfig::default(),
+            tgi_harness::experiments::system_g_reference(),
+        )
+        .expect("in-memory state");
+        let route = |method: &str, path: &str| {
+            let request = Request {
+                method: method.to_string(),
+                path: path.to_string(),
+                query: Vec::new(),
+                headers: Vec::new(),
+                body: Vec::new(),
+            };
+            let (endpoint, response) = state.route(&request);
+            (endpoint, response.status)
+        };
+        assert_eq!(route("GET", "/healthz").0, Endpoint::Healthz);
+        assert_eq!(route("GET", "/metrics").0, Endpoint::Metrics);
+        assert_eq!(route("GET", "/traces").0, Endpoint::ListTraces);
+        assert_eq!(route("POST", "/traces/node-7").0, Endpoint::Ingest);
+        assert_eq!(route("GET", "/traces/node-7/energy").0, Endpoint::Energy);
+        assert_eq!(route("GET", "/traces/node-7/anomalies").0, Endpoint::Anomalies);
+        assert_eq!(route("GET", "/fleet/summary").0, Endpoint::FleetSummary);
+        assert_eq!(route("POST", "/evaluate").0, Endpoint::Evaluate);
+        assert_eq!(route("GET", "/debug/flight").0, Endpoint::DebugFlight);
+        assert_eq!(route("DELETE", "/traces/node-7"), (Endpoint::Other, 405));
+        assert_eq!(route("GET", "/nope"), (Endpoint::Other, 404));
+    }
 }

@@ -2,7 +2,7 @@
 //! [`tgi_server::Client`] driving it, and in-memory oracles checking that
 //! what went over the wire matches what the library computes directly.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tgi_server::{Client, Server, ServerConfig};
 
 fn start_server() -> Server {
@@ -312,6 +312,19 @@ fn graceful_shutdown_completes_in_flight_sessions() {
         let mut buffer = Vec::new();
         let _ = std::io::Read::read_to_end(&mut stream, &mut buffer);
     }
+}
+
+#[test]
+fn shutdown_does_not_wait_out_an_idle_keep_alive_client() {
+    let mut server = start_server();
+    let mut client = connect(&server);
+    assert_eq!(client.request("GET", "/healthz", "").expect("healthz").status, 200);
+    // The client keeps its connection open and sends nothing more.
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown waited {took:?} on an idle client");
+    drop(client);
 }
 
 /// Pulls `"key":<number>` out of a flat JSON body (enough for tests).

@@ -439,12 +439,12 @@ fn run_ring(ranks: usize, message_len: usize, messages: usize) -> Result<Ring, S
         let mut buffer = vec![0.0; message_len];
         let mut bytes = 0;
         let mut mismatch = None;
-        comm.barrier(0);
+        comm.barrier(&(0..size).collect::<Vec<_>>(), 0);
         let start = Instant::now();
         for step in 0..messages {
             buffer.fill(stamp(rank, step));
-            comm.send_f64(right, step as u64, &buffer);
-            let got = comm.recv_f64(left, step as u64);
+            comm.send(right, step as u64, &buffer);
+            let got = comm.recv(left, step as u64);
             let expected = stamp(left, step);
             if got.len() == message_len && got.iter().all(|&x| x == expected) {
                 bytes += message_len * size_of::<f64>();
