@@ -6,8 +6,8 @@
 //! Three sections, each with hard correctness gates before any number is
 //! trusted:
 //!
-//! 1. **generation** — seeded fleet sampling, sequential vs the rayon
-//!    shim; the two fleets must be identical.
+//! 1. **generation** — seeded fleet sampling in a 1-thread pool vs the
+//!    default pool; the two fleets must be identical.
 //! 2. **sweep** — `FleetSweep::run` over the full paper axes grid; the
 //!    parallel table must be bitwise equal to `run_sequential`, and the
 //!    single-flight duplicate-simulation count must be exactly 0 (a
@@ -100,13 +100,14 @@ fn main() {
     let n_threads = ledger.machine.available_parallelism;
     eprintln!("fleet: {systems} systems, {n_threads} thread(s) available");
 
-    // --- 1. Generation: sequential vs rayon shim, must be identical.
+    // --- 1. Generation: one thread vs the default pool, must be identical.
     let config = FleetConfig::new(42).systems(systems);
+    let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
     let start = Instant::now();
-    let fleet_seq = config.generate();
+    let fleet_seq = one_thread.install(|| config.generate());
     let sequential_ms = start.elapsed().as_secs_f64() * 1e3;
     let start = Instant::now();
-    let fleet_par = config.generate_par();
+    let fleet_par = config.generate();
     let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
     assert!(fleet_seq == fleet_par, "parallel fleet generation must match sequential");
     ledger.lower("generation", "sequential_ms", "ms", sequential_ms);

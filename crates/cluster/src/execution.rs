@@ -10,7 +10,11 @@
 //! 4. cluster ground-truth power from the node power models, observed
 //!    through a simulated Watts Up? PRO at the PDU (1 Hz, quantized, with
 //!    calibration error) — the measured average power and energy come from
-//!    that trace, exactly like the physical setup of Figure 1.
+//!    its readings, exactly like the physical setup of Figure 1. The
+//!    readings stream into a running trapezoid
+//!    ([`power_model::trace::Trapezoid`]) as they are taken, so a run keeps
+//!    no samples; [`ExecutionEngine::trace`] re-meters the same readings
+//!    into a [`PowerTrace`] for callers that want them.
 //!
 //! The result carries a ready-made [`tgi_core::Measurement`].
 
@@ -18,7 +22,7 @@ use crate::scaling;
 use crate::spec::ClusterSpec;
 use crate::workload::Workload;
 use power_model::meter::{PowerMeter, WattsUpPro};
-use power_model::trace::PowerTrace;
+use power_model::trace::{PowerTrace, Trapezoid};
 use power_model::utilization::UtilizationSample;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -37,16 +41,15 @@ pub struct SimulatedRun {
     pub performance: Perf,
     /// Wall time, seconds.
     pub seconds: f64,
-    /// Average wall power over the metered trace.
+    /// Average wall power the meter read over the run.
     pub average_power: Watts,
-    /// Energy integrated from the metered trace.
+    /// Metered average power × wall time.
     pub energy_joules: f64,
-    /// The metered power trace (1 Hz samples, possibly long).
-    pub trace: PowerTrace,
 }
 
 impl SimulatedRun {
-    /// Converts to a `tgi-core` measurement (energy taken from the trace).
+    /// Converts to a `tgi-core` measurement (energy = metered average power
+    /// × wall time).
     pub fn measurement(&self) -> Measurement {
         Measurement::new(
             self.benchmark.clone(),
@@ -65,14 +68,15 @@ impl SimulatedRun {
     }
 }
 
+/// Cap on metered samples per run; runs longer than this are sampled at a
+/// coarser, even stride (a logging meter's memory is finite too).
+const MAX_TRACE_SAMPLES: usize = 8192;
+
 /// Executes workloads on one cluster.
 #[derive(Debug, Clone)]
 pub struct ExecutionEngine {
     cluster: ClusterSpec,
     meter_serial: u64,
-    /// Cap on metered samples per run; traces longer than this are sampled
-    /// at a coarser, even stride (a logging meter's memory is finite too).
-    max_trace_samples: usize,
     /// DVFS setting: CPU clock as a fraction of nominal (1.0 = full clock).
     freq_ratio: f64,
     /// Optional run-to-run performance noise: (relative σ, stream seed).
@@ -88,7 +92,6 @@ impl ExecutionEngine {
         ExecutionEngine {
             cluster,
             meter_serial: 0xF17E,
-            max_trace_samples: 8192,
             freq_ratio: 1.0,
             noise: None,
             thermal: None,
@@ -164,7 +167,10 @@ impl ExecutionEngine {
         &self.cluster
     }
 
-    /// Runs a workload with `processes` MPI ranks.
+    /// Runs a workload with `processes` MPI ranks. The meter's readings
+    /// stream into a running [`Trapezoid`]; the run keeps its average power
+    /// and energy, not the samples ([`ExecutionEngine::trace`] re-meters
+    /// them).
     ///
     /// # Panics
     /// Panics if `processes` is 0 or exceeds the cluster's core count.
@@ -175,6 +181,52 @@ impl ExecutionEngine {
         if tgi_telemetry::enabled() {
             tgi_telemetry::counter!("tgi_sim_runs_total").inc();
         }
+        let mut sum = Trapezoid::default();
+        let into = &mut sum;
+        let (performance, seconds) =
+            self.meter(workload, processes, move |_| move |t, w| into.push(t, w));
+
+        // Energy = metered average power × stopwatch wall time: readings
+        // fall on whole sample intervals, so integrating them directly
+        // would truncate short runs at the last sample boundary.
+        let average_power = sum.average_power();
+        SimulatedRun {
+            benchmark: workload.benchmark_id().to_string(),
+            processes,
+            performance,
+            seconds,
+            average_power,
+            energy_joules: average_power.value() * seconds,
+        }
+    }
+
+    /// The metered power trace of [`ExecutionEngine::run`]`(workload,
+    /// processes)`: each run meters with a freshly seeded device, so this
+    /// re-metering reads the same samples, and the trace's
+    /// [`PowerTrace::average_power`] equals the run's bit for bit. The
+    /// trace is allocated once at its final length.
+    ///
+    /// # Panics
+    /// As [`ExecutionEngine::run`].
+    pub fn trace(&self, workload: Workload, processes: usize) -> PowerTrace {
+        let mut trace = PowerTrace::new();
+        let into = &mut trace;
+        self.meter(workload, processes, move |readings| {
+            into.reserve(readings);
+            move |t, w| into.push(t, Watts::new(w))
+        });
+        trace
+    }
+
+    /// Simulates one run and meters it: `sink(readings)` makes the sink
+    /// for that many readings, which then receives each `(t, watts)` in
+    /// time order. Returns the run's performance and wall time.
+    fn meter<S: FnMut(f64, f64)>(
+        &self,
+        workload: Workload,
+        processes: usize,
+        sink: impl FnOnce(usize) -> S,
+    ) -> (Perf, f64) {
         let spec = &self.cluster;
         assert!(processes > 0, "need at least one process");
         assert!(
@@ -243,8 +295,8 @@ impl ExecutionEngine {
         // and follow the RC warm-up toward the run's steady state; fans add
         // the temperature-dependent term. Idle nodes sit at their steady
         // point throughout.
-        let thermal = self.thermal.clone();
-        let (idle_fan_w, active_steady_c, idle_steady_c) = match &thermal {
+        let thermal = self.thermal.as_ref();
+        let (idle_fan_w, active_steady_c, idle_steady_c) = match thermal {
             Some(m) => {
                 let idle_dc = node_model.dc_power(power_model::UtilizationSample::IDLE);
                 let active_dc = node_model.dc_power_scaled(active_util, self.freq_ratio);
@@ -257,8 +309,8 @@ impl ExecutionEngine {
         // Facility overhead: the meter sits behind cooling/distribution, so
         // it reads IT power × PUE (`pue * x` is exact for the default 1.0).
         let pue = spec.pue;
-        let ground_truth = move |t: f64| {
-            let active_fan = match &thermal {
+        let truth = move |t: f64| {
+            let active_fan = match thermal {
                 Some(m) => {
                     let temp =
                         active_steady_c + (idle_steady_c - active_steady_c) * (-t / m.tau_s).exp();
@@ -272,39 +324,17 @@ impl ExecutionEngine {
         };
 
         // Meter the run. For very long runs, stretch the sampling interval
-        // to bound trace memory (and scale timestamps back afterwards).
+        // to bound trace memory (and scale timestamps back as they stream).
         // Fleet-scale clusters can draw more than a 60 kW PDU measures, so
         // the ceiling grows with the cluster's theoretical envelope (plus
         // fan headroom); clusters under the PDU ceiling meter identically.
         let envelope = spec.pue * spec.nodes as f64 * (node_model.peak_wall_power().value() + 64.0);
         let mut meter = WattsUpPro::pdu(self.meter_serial).with_ceiling(1.5 * envelope);
         let native_interval = meter.spec().sample_interval_s;
-        let stride = ((seconds / native_interval) / self.max_trace_samples as f64).ceil().max(1.0);
-        let trace = if stride > 1.0 {
-            let compressed = meter.record(&ground_truth, seconds / stride);
-            // Stretch the timestamps back in one batch ingest: a single
-            // validation pass instead of per-sample re-checks.
-            let times: Vec<f64> = compressed.times().iter().map(|t| t * stride).collect();
-            let mut scaled = PowerTrace::with_capacity(times.len());
-            scaled.extend_from_slices(&times, compressed.watts());
-            scaled
-        } else {
-            meter.record(&ground_truth, seconds)
-        };
-
-        // Energy = metered average power × stopwatch wall time: the trace
-        // quantizes to whole sample intervals, so integrating it directly
-        // would truncate short runs at the last sample boundary.
-        let average_power = trace.average_power();
-        SimulatedRun {
-            benchmark: workload.benchmark_id().to_string(),
-            processes,
-            performance,
-            seconds,
-            average_power,
-            energy_joules: average_power.value() * seconds,
-            trace,
-        }
+        let stride = ((seconds / native_interval) / MAX_TRACE_SAMPLES as f64).ceil().max(1.0);
+        let mut sink = sink(meter.readings(seconds / stride));
+        meter.stream(truth, seconds / stride, |t, w| sink(t * stride, w));
+        (performance, seconds)
     }
 
     /// Runs the full three-benchmark suite at one process count.
@@ -617,17 +647,6 @@ impl MemoizedEngine {
     }
 }
 
-/// Collects the metered traces of several simulated runs into a labeled
-/// [`power_model::TraceSet`] (labels are `benchmark@processes`), ready for
-/// parallel fleet analysis: aggregate energy, idle floor, window queries.
-pub fn fleet_trace_set(runs: &[SimulatedRun]) -> power_model::TraceSet {
-    power_model::TraceSet::from_entries(
-        runs.iter()
-            .map(|r| (format!("{}@{}", r.benchmark, r.processes), r.trace.clone()))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,7 +736,7 @@ mod tests {
         );
         // And the trace's own integral agrees within the sample-boundary
         // truncation error (one 1 Hz interval on a ~7 s run).
-        let integrated = run.trace.energy().value();
+        let integrated = engine.trace(Workload::Stream { total_bytes: 1e12 }, 64).energy().value();
         assert!(
             (run.energy_joules - integrated).abs() < 0.2 * run.energy_joules,
             "trace integral {integrated} far from {}",
@@ -740,8 +759,9 @@ mod tests {
         let engine = fire_engine();
         // A slow IOzone run: 60 GB at ~70 MB/s ≈ 857 s… make it much longer.
         let run = engine.run(Workload::Iozone { total_bytes: 2e12 }, 16);
-        assert!(run.trace.len() <= 8192 + 2);
-        let dur = run.trace.duration().value();
+        let trace = engine.trace(Workload::Iozone { total_bytes: 2e12 }, 16);
+        assert!(trace.len() <= 8192 + 2);
+        let dur = trace.duration().value();
         assert!(
             (dur - run.seconds).abs() < 0.02 * run.seconds + 2.0,
             "trace duration {dur} vs run {            }",
@@ -750,26 +770,63 @@ mod tests {
     }
 
     #[test]
+    fn streamed_power_matches_the_retraced_samples_bit_for_bit() {
+        // The oracle: a run's streamed average power and energy equal, to
+        // the bit, what the re-metered trace of the same run reports, on
+        // every engine axis that shapes the samples.
+        let mut fleet_scale = ClusterSpec::system_g();
+        fleet_scale.nodes = 2000;
+        let cases = [
+            ("plain", fire_engine(), Workload::Hpl { n: 40_000 }, 128),
+            // Under a second: one sample, whose average is the plain mean.
+            ("one sample", fire_engine(), Workload::Hpl { n: 1_000 }, 128),
+            ("strided", fire_engine(), Workload::Iozone { total_bytes: 2e12 }, 16),
+            (
+                "thermal",
+                fire_engine().with_thermal(power_model::ThermalModel::typical_server()),
+                Workload::Hpl { n: 40_000 },
+                128,
+            ),
+            (
+                "run noise",
+                fire_engine().with_run_noise(0.02, 7),
+                Workload::Stream { total_bytes: 1e12 },
+                64,
+            ),
+            ("dvfs", fire_engine().with_frequency_ratio(0.7), Workload::Hpl { n: 40_000 }, 128),
+            (
+                "pue",
+                ExecutionEngine::new(ClusterSpec::fire().with_pue(1.5)),
+                Workload::Iozone { total_bytes: 1e10 },
+                64,
+            ),
+            (
+                "fleet-scale ceiling",
+                ExecutionEngine::new(fleet_scale),
+                Workload::Hpl { n: 60_000 },
+                1024,
+            ),
+        ];
+        for (name, engine, w, p) in cases {
+            let run = engine.run(w, p);
+            let trace = engine.trace(w, p);
+            let traced = trace.average_power().value();
+            assert_eq!(run.average_power.value().to_bits(), traced.to_bits(), "{name}");
+            assert_eq!(run.energy_joules.to_bits(), (traced * run.seconds).to_bits(), "{name}");
+            match name {
+                "strided" => assert!(trace.len() <= 8192 + 2 && trace.duration().value() > 8192.0),
+                "one sample" => assert_eq!(trace.len(), 1),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
     fn suite_runs_all_workloads() {
         let engine = fire_engine();
         let runs = engine.run_suite(&Workload::fire_suite(), 64);
         let ids: Vec<&str> = runs.iter().map(|r| r.benchmark.as_str()).collect();
         assert_eq!(ids, vec!["hpl", "stream", "iozone"]);
-    }
-
-    #[test]
-    fn fleet_trace_set_labels_and_totals() {
-        let engine = fire_engine();
-        let runs = engine.run_suite(&Workload::fire_suite(), 64);
-        let set = fleet_trace_set(&runs);
-        assert_eq!(set.len(), 3);
-        assert!(set.get("hpl@64").is_some());
-        assert!(set.get("stream@64").is_some());
-        let expected: f64 = runs.iter().map(|r| r.trace.energy().value()).sum();
-        assert!((set.total_energy().value() - expected).abs() < 1e-6 * expected.max(1.0));
-        let summary = set.summarize();
-        assert_eq!(summary.nodes.len(), 3);
-        assert!(summary.peak_node_w > 0.0);
     }
 
     #[test]
@@ -1011,10 +1068,12 @@ mod tests {
 
     #[test]
     fn thermal_model_adds_warmup_ramp_and_fan_energy() {
-        let flat = fire_engine().run(Workload::Hpl { n: 40_000 }, 128);
-        let thermal = ExecutionEngine::new(ClusterSpec::fire())
-            .with_thermal(power_model::ThermalModel::typical_server())
-            .run(Workload::Hpl { n: 40_000 }, 128);
+        let hpl = Workload::Hpl { n: 40_000 };
+        let flat_engine = fire_engine();
+        let thermal_engine = ExecutionEngine::new(ClusterSpec::fire())
+            .with_thermal(power_model::ThermalModel::typical_server());
+        let flat = flat_engine.run(hpl, 128);
+        let thermal = thermal_engine.run(hpl, 128);
         // Fans add power overall.
         assert!(
             thermal.average_power.value() > flat.average_power.value(),
@@ -1023,14 +1082,14 @@ mod tests {
             flat.average_power
         );
         // And the trace ramps up early (warm-up) instead of being flat.
-        let samples = thermal.trace.samples();
+        let samples = thermal_engine.trace(hpl, 128).samples();
         let early = samples[1].watts;
         let late = samples[samples.len() / 2].watts;
         // 8 nodes' fans ramping from idle-cool to HPL-steady adds tens of
         // watts — far above the meter's ±0.05% sample jitter.
         assert!(late > early + 25.0, "warm-up ramp: {early} -> {late}");
         // The flat engine's trace varies only by meter jitter (< 1%).
-        let f = flat.trace.samples();
+        let f = flat_engine.trace(hpl, 128).samples();
         let spread = (f[f.len() / 2].watts - f[1].watts).abs();
         assert!(spread < 0.01 * f[1].watts, "flat trace spread {spread}");
     }

@@ -20,9 +20,9 @@
 //! Generation is **deterministic and order-independent**: each spec is
 //! derived from a [SplitMix64](https://prng.di.unimi.it/splitmix64.c)
 //! stream seeded by `(fleet seed, index)` alone, so
-//! [`FleetConfig::generate_par`] (over the rayon shim) produces bitwise
-//! the same fleet as [`FleetConfig::generate`] at any thread count — the
-//! property the golden test pins down.
+//! [`FleetConfig::generate`], which runs over the rayon shim, produces
+//! bitwise the same fleet at any thread count — the property the golden
+//! test pins down.
 
 use crate::spec::{ClusterSpec, InterconnectSpec, NodeSpec, ScalingParams, SharedFsSpec};
 use power_model::components::{BaseboardPower, CpuPower, DiskPower, MemoryPower, NicPower};
@@ -183,17 +183,12 @@ impl FleetConfig {
         self
     }
 
-    /// Generates the fleet sequentially. Every spec passes
-    /// [`ClusterSpec::validate`] by construction.
+    /// Generates the fleet over the rayon shim, in index order. Every spec
+    /// passes [`ClusterSpec::validate`] by construction, and the fleet is
+    /// bitwise the same at any thread count: each index draws from its
+    /// own seeded stream, so no ordering effects exist.
     pub fn generate(&self) -> Vec<ClusterSpec> {
-        (0..self.systems).map(|i| self.generate_one(i)).collect()
-    }
-
-    /// Generates the fleet over the rayon shim. Bitwise identical to
-    /// [`FleetConfig::generate`] at any thread count: each index draws
-    /// from its own seeded stream, so no ordering effects exist.
-    pub fn generate_par(&self) -> Vec<ClusterSpec> {
-        (0..self.systems as u64).into_par_iter().map(|i| self.generate_one(i as usize)).collect()
+        (0..self.systems).into_par_iter().map(|i| self.generate_one(i)).collect()
     }
 
     /// Generates the `index`-th system of this fleet — a pure function of
@@ -401,8 +396,9 @@ mod tests {
     #[test]
     fn parallel_generation_matches_sequential_bitwise() {
         let cfg = FleetConfig::new(7).systems(64);
-        let seq = cfg.generate();
-        let par = cfg.generate_par();
+        let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let seq = one_thread.install(|| cfg.generate());
+        let par = cfg.generate();
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(&par) {
             // PartialEq on f64 fields is bitwise here: all values come from

@@ -16,8 +16,9 @@
 //! * [`workload`] — benchmark workload descriptors (which benchmark, how
 //!   many processes / active nodes).
 //! * [`execution`] — the engine: run a workload on a cluster, producing
-//!   wall time, performance, a metered power trace (through the simulated
-//!   Watts Up? PRO at the PDU), and a ready-to-use `tgi_core::Measurement`.
+//!   wall time, performance, the average power a simulated Watts Up? PRO
+//!   at the PDU reads, and a ready-to-use `tgi_core::Measurement`; the
+//!   metered power trace itself on request.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +30,7 @@ pub mod scaling;
 pub mod spec;
 pub mod workload;
 
-pub use execution::{fleet_trace_set, ExecutionEngine, MemoizedEngine, SimulatedRun};
+pub use execution::{ExecutionEngine, MemoizedEngine, SimulatedRun};
 pub use fleet::FleetConfig;
 pub use power_cap::{run_capped, CappedRun};
 pub use spec::{ClusterSpec, InterconnectSpec, NodeSpec, SharedFsSpec};

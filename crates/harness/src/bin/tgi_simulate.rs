@@ -167,11 +167,12 @@ fn main() {
     println!("  efficiency  : {:.4e} (canonical units per watt)", run.energy_efficiency());
 
     if let Some(path) = &args.trace {
-        if let Err(e) = trace_io::write_log_file(&run.trace, path) {
+        let trace = engine.trace(workload, args.procs);
+        if let Err(e) = trace_io::write_log_file(&trace, path) {
             eprintln!("cannot write {}: {e}", path.display());
             std::process::exit(1);
         }
-        eprintln!("wrote {} samples to {}", run.trace.len(), path.display());
+        eprintln!("wrote {} samples to {}", trace.len(), path.display());
     }
 
     if let Err(e) = telemetry.finish() {

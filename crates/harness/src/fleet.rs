@@ -336,17 +336,16 @@ impl FleetSweep {
     }
 
     /// Tallies anomaly events over every metered trace of one (system,
-    /// suite) point. Runs against the warm memo cache (the sweep already
-    /// simulated every point), and the simulated traces are deterministic,
-    /// so the tallies are identical at any thread count.
+    /// suite) point. The memo keeps no samples, so each run is re-metered
+    /// ([`ExecutionEngine::trace`]); the meter is deterministic, so the
+    /// tallies are identical at any thread count.
     fn scan_point(&self, config: AnomalyConfig, point: usize) -> AnomalyCounts {
         let system = &self.systems[point / self.suites.len()];
         let suite = &self.suites[point % self.suites.len()];
-        let runs = system.engine.run_suite(&suite.workloads, system.cores);
         let mut counts = AnomalyCounts::default();
-        for run in runs.iter() {
-            let events = power_model::anomaly::scan(&run.trace, config);
-            counts.absorb(AnomalyCounts::from_events(&events));
+        for &workload in &suite.workloads {
+            let trace = system.engine.engine().trace(workload, system.cores);
+            counts.absorb(AnomalyCounts::from_events(&power_model::anomaly::scan(&trace, config)));
         }
         counts
     }

@@ -8,8 +8,11 @@
 //! with per-chunk reused buffers, so a warm 500-system sweep's hot path is
 //! allocation-free.
 //!
-//! It also checks that a cold simulated run's allocation count does not
-//! grow with its trace length: the meter sizes its trace before sampling.
+//! It also checks what a cold simulated run allocates: a run streams its
+//! meter readings into a running integral, so it allocates the same
+//! however long it meters, and no more than [`COLD_RUN_ALLOCS`]; the
+//! re-metered trace of a run is sized before sampling, so its allocation
+//! count does not grow with its length either.
 //!
 //! Single `#[test]` on purpose — concurrent tests would bump the global
 //! counter and produce false positives.
@@ -21,6 +24,11 @@ use cluster_sim::{ClusterSpec, ExecutionEngine, FleetConfig, MemoizedEngine, Wor
 use tgi_core::evaluator::{EvalScratch, TgiEvaluator};
 use tgi_core::{MeanKind, Weighting};
 use tgi_harness::experiments::system_g_reference;
+
+/// Allocations of one cold `ExecutionEngine::run`: its benchmark id and
+/// the node power model's PSU curve. A run that kept its trace took six:
+/// these two and the trace's four columns.
+const COLD_RUN_ALLOCS: usize = 2;
 
 /// System allocator with a global allocation counter.
 struct CountingAlloc;
@@ -62,19 +70,25 @@ fn min_allocs(mut f: impl FnMut()) -> usize {
 
 #[test]
 fn warm_fleet_point_does_not_allocate() {
-    // A cold run allocates the same whatever its trace length: HPL on
-    // Fire at two sizes, hundreds versus thousands of 1 Hz samples, both
-    // under the engine's 8,192-sample cap so neither takes the stride path.
+    // A cold run, and the trace of one, allocate the same whatever its
+    // length: HPL on Fire at two sizes, hundreds versus thousands of 1 Hz
+    // samples, both under the engine's 8,192-sample cap so neither takes
+    // the stride path.
     let fire = ExecutionEngine::new(ClusterSpec::fire());
-    let cold_run = |n: usize, samples: std::ops::Range<usize>| {
+    let cold = |n: usize, samples: std::ops::Range<usize>| {
         let mut len = 0;
-        let allocs = min_allocs(|| len = fire.run(Workload::Hpl { n }, 128).trace.len());
+        let traced = min_allocs(|| len = fire.trace(Workload::Hpl { n }, 128).len());
         assert!(samples.contains(&len), "HPL n = {n} metered {len} samples");
-        allocs
+        let mut seconds = 0.0;
+        let run = min_allocs(|| seconds = fire.run(Workload::Hpl { n }, 128).seconds);
+        assert!(seconds > len as f64 - 1.0, "HPL n = {n} ran {seconds} s");
+        (run, traced)
     };
-    let short = cold_run(30_000, 100..1_000);
-    let long = cold_run(80_000, 2_000..8_192);
-    assert_eq!(short, long, "a longer trace must not cost more allocations");
+    let (short_run, short_trace) = cold(30_000, 100..1_000);
+    let (long_run, long_trace) = cold(80_000, 2_000..8_192);
+    assert_eq!(short_run, long_run, "a longer run must not cost more allocations");
+    assert!(short_run <= COLD_RUN_ALLOCS, "a cold run made {short_run} allocations");
+    assert_eq!(short_trace, long_trace, "a longer trace must not cost more allocations");
 
     let fleet = FleetConfig::new(42).systems(4).generate();
     let systems: Vec<(MemoizedEngine, usize)> = fleet

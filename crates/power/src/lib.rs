@@ -14,11 +14,14 @@
 //!   workload does to each subsystem.
 //! * [`meter`] — the [`meter::PowerMeter`] trait and the simulated
 //!   [`meter::WattsUpPro`] (1 Hz sampling, 0.1 W quantization, calibrated
-//!   accuracy noise) — the code path a real meter would plug into.
+//!   accuracy noise, readings streamed to any sink) — the code path a real
+//!   meter would plug into.
 //! * [`trace`] — time-stamped power traces stored as struct-of-arrays with
 //!   an incrementally maintained prefix index: total energy / average /
 //!   peak / min are O(1), and arbitrary `[t0, t1]` energy windows are
-//!   O(log n) after an O(1)-amortized push.
+//!   O(log n) after an O(1)-amortized push. [`Trapezoid`] is the index's
+//!   integration step on its own: energy and average power of a sample
+//!   stream without storing it.
 //! * [`trace_io`] — streaming meter-log I/O: logs parse line-by-line from
 //!   any [`std::io::BufRead`] and write through any [`std::io::Write`]
 //!   without materializing the file in memory.
@@ -76,5 +79,5 @@ pub use persist::StoreBackedTrace;
 pub use psu::PsuEfficiency;
 pub use sampler::{BackgroundSampler, PowerSource};
 pub use thermal::ThermalModel;
-pub use trace::{PowerTrace, TraceQuery};
+pub use trace::{PowerTrace, TraceQuery, Trapezoid};
 pub use utilization::{UtilizationProfile, UtilizationSample};

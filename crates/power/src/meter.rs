@@ -61,10 +61,21 @@ pub trait PowerMeter {
     /// Records `ground_truth(t)` for `duration_s` seconds at the meter's
     /// native rate, returning the (instrument-distorted) trace.
     fn record(&mut self, ground_truth: &dyn Fn(f64) -> Watts, duration_s: f64) -> PowerTrace;
+
+    /// The number of samples a recording of `duration_s` seconds takes:
+    /// one at each whole sample interval from 0, so a trace of them is
+    /// allocated once at full length.
+    ///
+    /// # Panics
+    /// Panics on a negative or non-finite duration.
+    fn readings(&self, duration_s: f64) -> usize {
+        assert!(duration_s >= 0.0 && duration_s.is_finite(), "duration must be non-negative");
+        samples((duration_s / self.spec().sample_interval_s).floor() as u64)
+    }
 }
 
-/// The number of samples a `record` loop over `0..=steps` pushes, so its
-/// trace is allocated once at full length; saturates rather than wrapping.
+/// The number of samples at `0..=steps` sample intervals; saturates rather
+/// than wrapping.
 fn samples(steps: u64) -> usize {
     usize::try_from(steps).unwrap_or(usize::MAX).saturating_add(1)
 }
@@ -124,6 +135,31 @@ impl WattsUpPro {
         self.gain
     }
 
+    /// Samples `ground_truth` for `duration_s` seconds at the native rate,
+    /// handing each instrument-distorted reading `(t, watts)` to `sink` in
+    /// time order — [`PowerMeter::readings`] of them. A device draws its
+    /// jitter from one stream, so a fresh device with the same serial
+    /// reads the same stream again.
+    ///
+    /// # Panics
+    /// Panics on a negative or non-finite duration.
+    pub fn stream(
+        &mut self,
+        ground_truth: impl Fn(f64) -> Watts,
+        duration_s: f64,
+        mut sink: impl FnMut(f64, f64),
+    ) {
+        let dt = self.spec.sample_interval_s;
+        for k in 0..self.readings(duration_s) {
+            let t = k as f64 * dt;
+            let true_w = ground_truth(t).value();
+            // Gain error, then ±0.05% sample jitter, then clamp, quantize.
+            let jitter = 1.0 + 0.0005 * (self.rng.gen::<f64>() * 2.0 - 1.0);
+            let reading = (true_w * self.gain * jitter).clamp(0.0, self.spec.max_watts);
+            sink(t, self.quantize(reading));
+        }
+    }
+
     fn quantize(&self, w: f64) -> f64 {
         if self.spec.resolution_w > 0.0 {
             (w / self.spec.resolution_w).round() * self.spec.resolution_w
@@ -139,18 +175,8 @@ impl PowerMeter for WattsUpPro {
     }
 
     fn record(&mut self, ground_truth: &dyn Fn(f64) -> Watts, duration_s: f64) -> PowerTrace {
-        assert!(duration_s >= 0.0 && duration_s.is_finite(), "duration must be non-negative");
-        let dt = self.spec.sample_interval_s;
-        let steps = (duration_s / dt).floor() as u64;
-        let mut trace = PowerTrace::with_capacity(samples(steps));
-        for k in 0..=steps {
-            let t = k as f64 * dt;
-            let true_w = ground_truth(t).value();
-            // Gain error, then ±0.05% sample jitter, then clamp, quantize.
-            let jitter = 1.0 + 0.0005 * (self.rng.gen::<f64>() * 2.0 - 1.0);
-            let reading = (true_w * self.gain * jitter).clamp(0.0, self.spec.max_watts);
-            trace.push(t, Watts::new(self.quantize(reading)));
-        }
+        let mut trace = PowerTrace::with_capacity(self.readings(duration_s));
+        self.stream(ground_truth, duration_s, |t, w| trace.push(t, Watts::new(w)));
         trace
     }
 }
@@ -177,11 +203,10 @@ impl PowerMeter for IdealMeter {
     }
 
     fn record(&mut self, ground_truth: &dyn Fn(f64) -> Watts, duration_s: f64) -> PowerTrace {
-        let dt = self.spec.sample_interval_s;
-        let steps = (duration_s / dt).floor() as u64;
-        let mut trace = PowerTrace::with_capacity(samples(steps));
-        for k in 0..=steps {
-            let t = k as f64 * dt;
+        let readings = self.readings(duration_s);
+        let mut trace = PowerTrace::with_capacity(readings);
+        for k in 0..readings {
+            let t = k as f64 * self.spec.sample_interval_s;
             trace.push(t, ground_truth(t));
         }
         trace

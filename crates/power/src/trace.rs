@@ -21,7 +21,10 @@
 //!
 //! `cum_energy` is accumulated in sample order with exactly the operations
 //! the naive trapezoid loop performs, so `energy()` is bit-identical to a
-//! from-scratch integration of the same samples.
+//! from-scratch integration of the same samples. That step is
+//! [`Trapezoid`], which also integrates a sample stream without storing
+//! it: a stream summed there and the trace of the same samples report the
+//! same energy and average power, bit for bit.
 //!
 //! [`TraceQuery`] is the read contract shared with the on-disk
 //! [`crate::persist::StoreBackedTrace`]: code that only reads a trace takes
@@ -31,7 +34,7 @@
 use crate::anomaly::{AnomalyConfig, AnomalyEvent};
 use serde::{DeError, Deserialize, Serialize, Value};
 use tgi_core::{Joules, Seconds, Watts};
-use tgi_trace_store::{check_sample, clamp_window, Place, StoreError};
+use tgi_trace_store::{chain_step, check_sample, clamp_window, Place, StoreError};
 
 /// The trace reads every consumer needs, answered by the in-memory
 /// [`PowerTrace`] and the store-backed
@@ -87,9 +90,7 @@ pub trait TraceQuery {
             return Ok(Watts::new(self.energy()?.value() / (last - first)));
         }
         // Every sample sits at `first`, so this window is the whole trace.
-        let samples = self.window(first, last)?;
-        let total = samples.prefix_watts().last().copied().unwrap_or(0.0);
-        Ok(Watts::new(total / samples.len() as f64))
+        Ok(self.window(first, last)?.average_power())
     }
 
     /// Scans `[from, to]` (the whole trace when a bound is `None`) with a
@@ -191,6 +192,66 @@ pub struct PowerSample {
     pub watts: f64,
 }
 
+/// A running trapezoidal integral of a sample stream in O(1) memory: the
+/// energy, power sum and time span that [`PowerTrace::energy`] and
+/// [`PowerTrace::average_power`] read. [`PowerTrace`] builds its prefix
+/// index with this step, so both agree bit for bit over the same samples.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Trapezoid {
+    len: usize,
+    first_t: f64,
+    /// Time of the last sample; 0 before the first bounds nothing, as
+    /// times must be non-negative.
+    last_t: f64,
+    last_w: f64,
+    energy: f64,
+    watts_sum: f64,
+}
+
+impl Trapezoid {
+    /// Adds a sample, checked as [`PowerTrace::push`] checks it.
+    ///
+    /// # Panics
+    /// Panics if `t` precedes the previous sample or any value is not
+    /// finite/non-negative.
+    #[inline]
+    pub fn push(&mut self, t: f64, w: f64) {
+        if let Err(broken) = check_sample(t, w, self.last_t) {
+            panic!("{broken}");
+        }
+        self.step(t, w);
+    }
+
+    #[inline]
+    fn step(&mut self, t: f64, w: f64) {
+        if self.len == 0 {
+            self.first_t = t;
+            self.watts_sum = w;
+        } else {
+            self.energy = chain_step(self.energy, (self.last_t, self.last_w), (t, w));
+            self.watts_sum += w;
+        }
+        self.len += 1;
+        self.last_t = t;
+        self.last_w = w;
+    }
+
+    /// Trapezoidal energy of the samples so far.
+    pub fn energy(&self) -> Joules {
+        Joules::new(self.energy)
+    }
+
+    /// Time-weighted average power (energy / duration); the plain sample
+    /// mean when the samples span zero time, and 0 before the first.
+    pub fn average_power(&self) -> Watts {
+        Watts::new(match self.len {
+            0 => 0.0,
+            _ if self.last_t > self.first_t => self.energy / (self.last_t - self.first_t),
+            n => self.watts_sum / n as f64,
+        })
+    }
+}
+
 /// A sequence of power samples with monotonically non-decreasing timestamps,
 /// stored as struct-of-arrays with an incrementally maintained prefix index.
 #[derive(Debug, Clone)]
@@ -207,6 +268,8 @@ pub struct PowerTrace {
     peak_w: f64,
     /// Running minimum power (+∞ until the first sample).
     min_w: f64,
+    /// The running integral whose steps fill `cum_energy`/`cum_watts`.
+    sum: Trapezoid,
 }
 
 impl Default for PowerTrace {
@@ -238,6 +301,7 @@ impl PowerTrace {
             cum_watts: Vec::with_capacity(n),
             peak_w: 0.0,
             min_w: f64::INFINITY,
+            sum: Trapezoid::default(),
         }
     }
 
@@ -247,36 +311,23 @@ impl PowerTrace {
     /// Panics if `t` precedes the previous sample or any value is not
     /// finite/non-negative.
     pub fn push(&mut self, t: f64, watts: Watts) {
-        let last = self.times.last().copied().unwrap_or(f64::NEG_INFINITY);
-        if let Err(broken) = check_sample(t, watts.value(), last) {
-            panic!("{broken}");
-        }
-        self.append(t, watts.value());
+        self.sum.push(t, watts.value());
+        self.store(t, watts.value());
     }
 
     /// Appends a pre-validated sample (ingest paths that have already
     /// checked the invariants line-by-line, e.g. the meter-log parser).
     pub(crate) fn push_unvalidated(&mut self, t: f64, w: f64) {
-        self.append(t, w);
+        self.sum.step(t, w);
+        self.store(t, w);
     }
 
-    /// Appends a sample and maintains the index. No validation.
-    fn append(&mut self, t: f64, w: f64) {
-        let (ce, cw) = match self.times.last() {
-            Some(&lt) => {
-                let dt = t - lt;
-                let prev_w = *self.watts.last().expect("columns stay in lockstep");
-                (
-                    self.cum_energy.last().unwrap() + 0.5 * (prev_w + w) * dt,
-                    self.cum_watts.last().unwrap() + w,
-                )
-            }
-            None => (0.0, w),
-        };
+    /// Stores a sample `sum` has just integrated.
+    fn store(&mut self, t: f64, w: f64) {
         self.times.push(t);
         self.watts.push(w);
-        self.cum_energy.push(ce);
-        self.cum_watts.push(cw);
+        self.cum_energy.push(self.sum.energy);
+        self.cum_watts.push(self.sum.watts_sum);
         self.peak_w = self.peak_w.max(w);
         self.min_w = self.min_w.min(w);
     }
@@ -290,16 +341,13 @@ impl PowerTrace {
     /// slices have different lengths.
     pub fn extend_from_slices(&mut self, times: &[f64], watts: &[f64]) {
         assert_eq!(times.len(), watts.len(), "times and watts must have equal lengths");
-        let mut last = self.times.last().copied().unwrap_or(f64::NEG_INFINITY);
+        let mut check = self.sum;
         for (&t, &w) in times.iter().zip(watts) {
-            if let Err(broken) = check_sample(t, w, last) {
-                panic!("{broken}");
-            }
-            last = t;
+            check.push(t, w);
         }
         self.reserve(times.len());
         for (&t, &w) in times.iter().zip(watts) {
-            self.append(t, w);
+            self.push_unvalidated(t, w);
         }
     }
 
@@ -380,14 +428,14 @@ impl PowerTrace {
     /// Total energy by trapezoidal integration — O(1) from the prefix
     /// index, bit-identical to integrating the samples from scratch.
     pub fn energy(&self) -> Joules {
-        Joules::new(self.cum_energy.last().copied().unwrap_or(0.0))
+        self.sum.energy()
     }
 
     /// Time-weighted average power (energy / duration) — O(1). Falls back
     /// to the plain sample mean when the trace spans zero time (see
     /// [`TraceQuery::average_power`]).
     pub fn average_power(&self) -> Watts {
-        in_memory(TraceQuery::average_power(self))
+        self.sum.average_power()
     }
 
     /// Peak sampled power — O(1).
@@ -410,10 +458,12 @@ impl PowerTrace {
         if t <= self.times[i] {
             return base;
         }
-        let dt = t - self.times[i];
-        let seg = self.times[i + 1] - self.times[i];
-        let w_t = self.watts[i] + (self.watts[i + 1] - self.watts[i]) * (dt / seg);
-        base + 0.5 * (self.watts[i] + w_t) * dt
+        let (a, b) = (self.sample_at(i), self.sample_at(i + 1));
+        chain_step(base, a, (t, interpolate(a, b, t)))
+    }
+
+    fn sample_at(&self, i: usize) -> (f64, f64) {
+        (self.times[i], self.watts[i])
     }
 
     /// Trapezoidal energy and time-weighted average power over `[t0, t1]`
@@ -463,9 +513,7 @@ impl PowerTrace {
         if t <= self.times[i] {
             return Some(Watts::new(self.watts[i]));
         }
-        let seg = self.times[i + 1] - self.times[i];
-        let frac = (t - self.times[i]) / seg;
-        Some(Watts::new(self.watts[i] + (self.watts[i + 1] - self.watts[i]) * frac))
+        Some(Watts::new(interpolate(self.sample_at(i), self.sample_at(i + 1), t)))
     }
 
     /// The sub-trace covering `[t0, t1]` (clamped to the trace span), with
@@ -479,16 +527,15 @@ impl PowerTrace {
         let lo = self.times.partition_point(|&x| x < a);
         let hi = self.times.partition_point(|&x| x <= b);
         let mut out = PowerTrace::with_capacity(hi - lo + 2);
-        let mut clip = Clip::new(a, b, |t, w| out.append(t, w));
-        let sample = |i: usize| (self.times[i], self.watts[i]);
+        let mut clip = Clip::new(a, b, |t, w| out.push_unvalidated(t, w));
         if let Some(i) = lo.checked_sub(1) {
-            clip.feed(sample(i), Place::Before);
+            clip.feed(self.sample_at(i), Place::Before);
         }
         for i in lo..hi {
-            clip.feed(sample(i), Place::Inside);
+            clip.feed(self.sample_at(i), Place::Inside);
         }
         if hi < self.len() {
-            clip.feed(sample(hi), Place::After);
+            clip.feed(self.sample_at(hi), Place::After);
         }
         out
     }

@@ -49,6 +49,6 @@ pub mod store;
 pub mod wal;
 
 pub use store::{
-    check_sample, clamp_window, CompactionStats, Place, StoreConfig, StoreError, TraceStore,
-    SEGMENT_FILE, WAL_FILE,
+    chain_step, check_sample, clamp_window, CompactionStats, Place, StoreConfig, StoreError,
+    TraceStore, SEGMENT_FILE, WAL_FILE,
 };

@@ -214,10 +214,11 @@ impl Bracket {
 }
 
 /// One step of the running trapezoid accumulation chain from sample
-/// `(t0, w0)` to `(t1, w1)` — the exact arithmetic of the in-memory
-/// prefix index, so chains built here stay `to_bits`-identical to it.
+/// `(t0, w0)` to `(t1, w1)`: the one trapezoid step of this store and of
+/// the in-memory `PowerTrace` index, so chains built by either stay
+/// `to_bits`-identical.
 #[inline]
-fn chain_step(cum: f64, (t0, w0): (f64, f64), (t1, w1): (f64, f64)) -> f64 {
+pub fn chain_step(cum: f64, (t0, w0): (f64, f64), (t1, w1): (f64, f64)) -> f64 {
     cum + 0.5 * (w0 + w1) * (t1 - t0)
 }
 
