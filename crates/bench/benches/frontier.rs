@@ -48,7 +48,8 @@ fn measure(threads: usize, gemm_n: usize, stream_elems: usize) -> ((f64, f64), (
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
     pool.install(|| {
         let g = gemm::benchmark(gemm_n, 7);
-        let s = stream::run(StreamConfig { array_size: stream_elems, ntimes: 3 });
+        let s = stream::run(StreamConfig { array_size: stream_elems, ntimes: 3 })
+            .expect("STREAM arrays allocate");
         assert!(s.validated, "STREAM results check failed");
         let triad = s.timing(stream::StreamKernel::Triad);
         ((g.seconds, g.gflops), (triad.best_seconds, triad.best_bytes_per_sec / 1e9))

@@ -46,7 +46,8 @@ fn measure(threads: usize) -> [(&'static str, &'static str, f64); 4] {
         let g = gemm::benchmark(GEMM_N, 7);
         let h = hpl::run(hpl::HplConfig::new(HPL_N)).expect("non-singular HPL system");
         assert!(h.passed, "HPL residual check failed");
-        let s = stream::run(StreamConfig { array_size: STREAM_ELEMS, ntimes: 3 });
+        let s = stream::run(StreamConfig { array_size: STREAM_ELEMS, ntimes: 3 })
+            .expect("STREAM arrays allocate");
         assert!(s.validated, "STREAM results check failed");
         let r = random_access::run(random_access::GupsConfig::new(GUPS_LOG2))
             .expect("GUPS table allocates");

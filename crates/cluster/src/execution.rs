@@ -287,7 +287,7 @@ impl ExecutionEngine {
 
         // Ground-truth cluster power: active nodes at `active_util`, the
         // rest idle but powered (all behind the same meter).
-        let node_model = spec.node_power_model();
+        let node_model = spec.node_power();
         let active_w = node_model.wall_power_scaled(active_util, self.freq_ratio).value();
         let idle_w = node_model.idle_wall_power().value();
         let idle_nodes = (spec.nodes - active) as f64;

@@ -8,6 +8,7 @@
 
 use power_model::NodePowerModel;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// One node's hardware description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -251,14 +252,29 @@ impl ClusterSpec {
     /// override when present, otherwise a preset matched to the cluster name's
     /// hardware generation.
     pub fn node_power_model(&self) -> NodePowerModel {
+        self.node_power().clone()
+    }
+
+    /// [`ClusterSpec::node_power_model`] by reference. The presets are
+    /// built once per process, so a simulated run copies no model.
+    pub(crate) fn node_power(&self) -> &NodePowerModel {
+        static PRESETS: OnceLock<[NodePowerModel; 4]> = OnceLock::new();
         if let Some(power) = &self.power {
-            return power.clone();
+            return power;
         }
+        let [system_g, gpu, sandy_bridge, fire] = PRESETS.get_or_init(|| {
+            [
+                NodePowerModel::system_g_node(),
+                NodePowerModel::gpu_node(),
+                NodePowerModel::sandy_bridge_node(),
+                NodePowerModel::fire_node(),
+            ]
+        });
         match self.name.as_str() {
-            "SystemG" => NodePowerModel::system_g_node(),
-            name if name.contains("GPU") => NodePowerModel::gpu_node(),
-            name if name.contains("Sandy") => NodePowerModel::sandy_bridge_node(),
-            _ => NodePowerModel::fire_node(),
+            "SystemG" => system_g,
+            name if name.contains("GPU") => gpu,
+            name if name.contains("Sandy") => sandy_bridge,
+            _ => fire,
         }
     }
 

@@ -18,13 +18,18 @@
 //!   `static` arrays: the first run of a size first-touches them in
 //!   parallel chunks ([`rayon::resize_first_touch`]), so with a pinned
 //!   pool (`TGI_PIN_THREADS=1`) pages land on the NUMA node of the worker
-//!   that streams them, and later runs of that size refill them in place
-//!   on the same chunk grid instead of faulting fresh pages. The cost is
-//!   that `3 × array_size × 8` bytes stay resident until exit. A run holds
-//!   the set only while it runs, so a concurrent run (an MPI rank, a
-//!   parallel test) allocates its own and at most one set is kept;
-//! * the results check is a chunked parallel max over the three arrays,
-//!   and a NaN anywhere fails it.
+//!   that streams them. Later runs of that size use the set as the last
+//!   run left it and write nothing before the timed kernels: only `a`'s
+//!   start value is ever read (Copy overwrites all of `c`, and Scale all
+//!   of `b`, before either is read), and the results check puts it back.
+//!   The cost is that `3 × array_size × 8` bytes stay resident until exit.
+//!   A run holds the set only while it runs, so a concurrent run (an MPI
+//!   rank, a parallel test) allocates its own and at most one set is kept.
+//!   Arrays too large for the address space or the allocator are an
+//!   [`ArrayAllocError`], not an abort;
+//! * the results check is one parallel pass over the three arrays on the
+//!   kernels' chunk grid: a max of every element's relative error, in
+//!   which a NaN anywhere fails the run, that also resets `a` to 1.0.
 
 use crate::matrix::max_or_nan;
 use crate::simd::{self, Isa};
@@ -118,9 +123,9 @@ pub struct StreamResult {
     /// Array size used.
     pub array_size: usize,
     /// Wall-clock seconds from the first timed kernel to the end of the
-    /// results check. Setting the arrays to their start values before that
-    /// (a first touch on the first run of a size in the process, an
-    /// in-place refill after it) is not included.
+    /// results check, which in the same pass resets `a` to its start value
+    /// for the next run. Allocating and first-touching a fresh set before
+    /// that (the first run of a size in the process) is not included.
     pub total_seconds: f64,
     /// Maximum relative error of the final array values against the
     /// analytic expectation — the reference STREAM's results check.
@@ -148,6 +153,26 @@ impl StreamResult {
 /// The scalar used by Scale and Triad (the reference uses 3.0).
 pub const SCALAR: f64 = 3.0;
 
+/// The most repetitions a run can check: after 263 cycles `a`'s analytic
+/// value overflows to ∞, and the results check reads NaN.
+pub const MAX_NTIMES: usize = 262;
+
+/// STREAM arrays the process cannot allocate: their byte size overflows
+/// `isize::MAX`, or the allocator refuses them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArrayAllocError {
+    /// The requested elements per array.
+    pub array_size: usize,
+}
+
+impl std::fmt::Display for ArrayAllocError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cannot allocate three {}-element STREAM arrays", self.array_size)
+    }
+}
+
+impl std::error::Error for ArrayAllocError {}
+
 /// Runs the STREAM benchmark on the process-wide dispatched ISA
 /// ([`crate::simd::active`]).
 ///
@@ -155,18 +180,29 @@ pub const SCALAR: f64 = 3.0;
 /// Copy→Scale→Add→Triad cycle, each kernel is timed within the cycle, the
 /// per-kernel *minimum* across repetitions is reported, and the final array
 /// contents are checked against the analytic expectation.
-pub fn run(config: StreamConfig) -> StreamResult {
+pub fn run(config: StreamConfig) -> Result<StreamResult, ArrayAllocError> {
     run_with_isa(simd::active(), config)
 }
 
 /// [`run`] on an explicitly chosen ISA path — the hook the SIMD oracle
 /// tests use to validate every supported path in one process.
-pub fn run_with_isa(isa: Isa, config: StreamConfig) -> StreamResult {
+///
+/// Errors, before any kernel runs, if a fresh set of arrays cannot be
+/// allocated.
+pub fn run_with_isa(isa: Isa, config: StreamConfig) -> Result<StreamResult, ArrayAllocError> {
     assert!(config.array_size > 0, "array size must be positive");
     assert!(config.ntimes > 0, "ntimes must be positive");
+    let mut arrays = Arrays::take(config.array_size)?;
+    let result = run_on(&mut arrays, isa, config);
+    arrays.put_back();
+    Ok(result)
+}
+
+/// One STREAM run on `arrays`, whose `a` must hold 1.0; `b` and `c` may
+/// hold anything. Leaves `a` at 1.0 again.
+fn run_on(arrays: &mut Arrays, isa: Isa, config: StreamConfig) -> StreamResult {
     let n = config.array_size;
-    let mut arrays = Arrays::take(n);
-    let Arrays { a, b, c } = &mut arrays;
+    let Arrays { a, b, c } = &mut *arrays;
 
     let run_start = Instant::now();
     let mut best = [f64::INFINITY; 4];
@@ -230,9 +266,8 @@ pub fn run_with_isa(isa: Isa, config: StreamConfig) -> StreamResult {
         })
         .collect();
 
-    let max_relative_error = arrays.max_relative_error(config.ntimes);
+    let max_relative_error = arrays.check_and_reset(config.ntimes);
     let total_seconds = run_start.elapsed().as_secs_f64();
-    arrays.put_back();
 
     StreamResult {
         kernels: results,
@@ -255,19 +290,25 @@ struct Arrays {
 static RETAINED: Mutex<Option<Arrays>> = Mutex::new(None);
 
 impl Arrays {
-    /// Takes the retained set, or a new one if a concurrent run holds it,
-    /// and sets it to STREAM's start values `a = 1, b = 2, c = 0` at length
-    /// `n`. A set of another length is freed before the new one is touched,
-    /// so two sets are never live here. On a set of the right length the
-    /// fill reuses the allocation: it rewrites the pages in place on the
-    /// kernels' chunk grid instead of faulting fresh ones.
-    fn take(n: usize) -> Arrays {
+    /// Takes the retained set if it has length `n`, as the last run's
+    /// results check left it (`a` back at 1.0). Otherwise, or if a
+    /// concurrent run holds it, reserves a new set and first-touches it
+    /// with STREAM's start values `a = 1, b = 2, c = 0`. A set of another
+    /// length is freed before the new one is reserved, so two sets are
+    /// never live here.
+    fn take(n: usize) -> Result<Arrays, ArrayAllocError> {
         let retained = RETAINED.lock().unwrap_or_else(PoisonError::into_inner).take();
-        let mut set = retained.filter(|set| set.a.len() == n).unwrap_or_default();
+        if let Some(set) = retained.filter(|set| set.a.len() == n) {
+            return Ok(set);
+        }
+        let mut set = Arrays::default();
+        for v in [&mut set.a, &mut set.b, &mut set.c] {
+            v.try_reserve_exact(n).map_err(|_| ArrayAllocError { array_size: n })?;
+        }
         rayon::resize_first_touch(&mut set.a, n, 1.0);
         rayon::resize_first_touch(&mut set.b, n, 2.0);
         rayon::resize_first_touch(&mut set.c, n, 0.0);
-        set
+        Ok(set)
     }
 
     /// Returns the set to the slot. If a concurrent run put one back
@@ -277,38 +318,58 @@ impl Arrays {
         drop(displaced);
     }
 
-    /// The reference's checkSTREAMresults: the largest relative error of
-    /// any element against its analytic value after `ntimes` cycles, as a
-    /// chunked parallel max. A NaN element makes the result NaN.
+    /// The reference's checkSTREAMresults, fused with the reset of `a`:
+    /// one parallel pass on the kernels' chunk grid returns the largest
+    /// relative error of any element of `a`, `b` and `c` against its
+    /// analytic value after `ntimes` cycles, and writes each chunk of `a`
+    /// back to 1.0 once it is checked. A NaN element makes the result NaN;
+    /// `a` is reset either way.
     ///
     /// Each chunk divides its largest absolute error by `|want|` once:
     /// rounded division by a positive constant is monotone, so that is
     /// bit-equal to the largest per-element `|(got − want) / want|`.
-    fn max_relative_error(&self, ntimes: usize) -> f64 {
+    fn check_and_reset(&mut self, ntimes: usize) -> f64 {
         let (ea, eb, ec) = expected_values(ntimes);
-        [(&self.a, ea), (&self.b, eb), (&self.c, ec)]
-            .into_iter()
-            .flat_map(|(v, want)| {
-                v.par_chunks(PAR_CHUNK)
-                    .map(move |chunk| max_abs_error(chunk, want) / want.abs())
-                    .collect::<Vec<f64>>()
+        let relative = |chunk: &[f64], want: f64| max_abs_error(chunk, want) / want.abs();
+        let Arrays { a, b, c } = self;
+        a.par_chunks_mut(PAR_CHUNK)
+            .zip(b.par_chunks(PAR_CHUNK))
+            .zip(c.par_chunks(PAR_CHUNK))
+            .map(|((ac, bc), cc)| {
+                let error = relative(ac, ea);
+                ac.fill(1.0);
+                max_or_nan(max_or_nan(error, relative(bc, eb)), relative(cc, ec))
             })
+            .collect::<Vec<f64>>()
+            .into_iter()
             .fold(0.0, max_or_nan)
     }
 }
 
 /// The largest `|got − want|` over `chunk`, or NaN if any is NaN. Four
-/// independent running maxima let the loop vectorize, so the check runs
-/// at memory bandwidth rather than at one compare per cycle.
+/// independent lanes, each a plain compare-select maximum with its own
+/// NaN flag, let the loop vectorize to packed max and compare
+/// instructions; a NaN-propagating select in the loop ran at about half
+/// the speed, below memory bandwidth.
 fn max_abs_error(chunk: &[f64], want: f64) -> f64 {
     let mut lanes = [0.0f64; 4];
+    let mut nan = [false; 4];
     let mut quads = chunk.chunks_exact(4);
     for quad in &mut quads {
-        for (m, &got) in lanes.iter_mut().zip(quad) {
-            *m = max_or_nan(*m, (got - want).abs());
+        for ((m, nan), &got) in lanes.iter_mut().zip(&mut nan).zip(quad) {
+            let error = (got - want).abs();
+            // A NaN never wins the compare; its flag records it.
+            *m = if error > *m { error } else { *m };
+            *nan |= error.is_nan();
         }
     }
-    quads.remainder().iter().map(|&got| (got - want).abs()).chain(lanes).fold(0.0, max_or_nan)
+    let tail = quads.remainder().iter().map(|&got| (got - want).abs()).fold(0.0, max_or_nan);
+    let max = lanes.into_iter().fold(tail, max_or_nan);
+    if nan.contains(&true) {
+        f64::NAN
+    } else {
+        max
+    }
 }
 
 /// Verifies the STREAM invariant analytically: after the Copy→Scale→Add→
@@ -332,7 +393,7 @@ mod tests {
 
     #[test]
     fn run_produces_all_four_kernels() {
-        let r = run(StreamConfig::small());
+        let r = run(StreamConfig::small()).expect("small arrays allocate");
         assert_eq!(r.kernels.len(), 4);
         assert!(r.validated, "results check failed: {}", r.max_relative_error);
         for k in StreamKernel::ALL {
@@ -386,7 +447,7 @@ mod tests {
     fn results_check_validates_many_cycles() {
         // After 10 cycles the values are astronomically large; the check
         // must still hold exactly in relative terms.
-        let r = run(StreamConfig { array_size: 1024, ntimes: 10 });
+        let r = run(StreamConfig { array_size: 1024, ntimes: 10 }).expect("allocates");
         assert!(r.validated, "error {}", r.max_relative_error);
         let (ea, _, _) = expected_values(10);
         assert!(ea > 1e10, "values grow fast: {ea}");
@@ -397,15 +458,50 @@ mod tests {
         let n = 3 * PAR_CHUNK + 5;
         let (ea, eb, ec) = expected_values(2);
         let clean = || Arrays { a: vec![ea; n], b: vec![eb; n], c: vec![ec; n] };
-        assert_eq!(clean().max_relative_error(2), 0.0);
+        assert_eq!(clean().check_and_reset(2), 0.0);
         for i in [0, PAR_CHUNK - 1, PAR_CHUNK, n - 1] {
             for array in 0..3 {
                 let mut set = clean();
                 [&mut set.a, &mut set.b, &mut set.c][array][i] = f64::NAN;
-                let err = set.max_relative_error(2);
+                let err = set.check_and_reset(2);
                 let validated = err < 1e-13;
                 assert!(!validated, "NaN in array {array} at {i} validated with error {err}");
             }
+        }
+    }
+
+    #[test]
+    fn results_check_resets_a_even_when_it_fails() {
+        let n = 3 * PAR_CHUNK + 5;
+        let (ea, eb, ec) = expected_values(2);
+        for nan_at in [None, Some(0), Some(PAR_CHUNK), Some(n - 1)] {
+            let mut set = Arrays { a: vec![ea; n], b: vec![eb; n], c: vec![ec; n] };
+            if let Some(i) = nan_at {
+                set.a[i] = f64::NAN;
+            }
+            let err = set.check_and_reset(2);
+            assert_eq!(nan_at.is_some(), err.is_nan(), "NaN at {nan_at:?}: error {err}");
+            assert!(set.a.iter().all(|&v| v == 1.0), "NaN at {nan_at:?}: a not reset");
+            assert!(set.b.iter().all(|&v| v == eb) && set.c.iter().all(|&v| v == ec));
+        }
+    }
+
+    #[test]
+    fn reused_set_with_nan_in_b_and_c_matches_a_fresh_one() {
+        // `b` and `c` are written before they are read, so whatever a
+        // reused set holds there cannot reach the results.
+        let n = 2 * PAR_CHUNK + 3;
+        let config = StreamConfig { array_size: n, ntimes: 3 };
+        let isa = simd::active();
+        let mut fresh = Arrays { a: vec![1.0; n], b: vec![2.0; n], c: vec![0.0; n] };
+        let mut reused = Arrays { a: vec![1.0; n], b: vec![f64::NAN; n], c: vec![f64::NAN; n] };
+        let want = run_on(&mut fresh, isa, config);
+        assert!(want.validated, "fresh set: error {}", want.max_relative_error);
+        for round in 0..2 {
+            let got = run_on(&mut reused, isa, config);
+            assert!(got.validated, "round {round}: error {}", got.max_relative_error);
+            assert_eq!(got.max_relative_error.to_bits(), want.max_relative_error.to_bits());
+            assert!(reused.a.iter().all(|&v| v == 1.0), "round {round}: a not reset");
         }
     }
 
@@ -414,7 +510,7 @@ mod tests {
         let n = 2 * PAR_CHUNK + 7;
         let (ea, eb, ec) = expected_values(3);
         let off = |want: f64, i: usize| want * (1.0 + ((i * 7919) % 1013) as f64 * 1e-15);
-        let set = Arrays {
+        let mut set = Arrays {
             a: (0..n).map(|i| off(ea, i)).collect(),
             b: (0..n).map(|i| off(eb, i + 1)).collect(),
             c: (0..n).map(|i| off(ec, i + 2)).collect(),
@@ -424,7 +520,23 @@ mod tests {
             .flat_map(|(v, want)| v.iter().map(move |&got| ((got - want) / want).abs()))
             .fold(0.0, f64::max);
         assert!(per_element > 0.0);
-        assert_eq!(set.max_relative_error(3).to_bits(), per_element.to_bits());
+        assert_eq!(set.check_and_reset(3).to_bits(), per_element.to_bits());
+    }
+
+    #[test]
+    fn expected_values_stay_finite_through_max_ntimes() {
+        let finite = |(a, b, c): (f64, f64, f64)| a.is_finite() && b.is_finite() && c.is_finite();
+        assert!(finite(expected_values(MAX_NTIMES)));
+        assert!(!finite(expected_values(MAX_NTIMES + 1)));
+    }
+
+    #[test]
+    fn unallocatable_arrays_are_an_error_not_an_abort() {
+        // Past isize::MAX bytes the reservation fails without asking the
+        // allocator for anything.
+        let array_size = isize::MAX as usize / 8 + 1;
+        let config = StreamConfig { array_size, ntimes: 2 };
+        assert_eq!(run(config), Err(ArrayAllocError { array_size }));
     }
 
     #[test]
@@ -435,7 +547,7 @@ mod tests {
 
     #[test]
     fn triad_is_fastest_reported_metric_unit() {
-        let r = run(StreamConfig::small());
+        let r = run(StreamConfig::small()).expect("small arrays allocate");
         let triad = r.timing(StreamKernel::Triad);
         let mbps = r.triad_mbps();
         assert!((mbps - triad.best_bytes_per_sec / 1e6).abs() < 1e-9);
@@ -444,12 +556,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_array_size_panics() {
-        run(StreamConfig { array_size: 0, ntimes: 1 });
+        let _ = run(StreamConfig { array_size: 0, ntimes: 1 });
     }
 
     #[test]
     #[should_panic(expected = "ntimes")]
     fn zero_ntimes_panics() {
-        run(StreamConfig { array_size: 16, ntimes: 0 });
+        let _ = run(StreamConfig { array_size: 16, ntimes: 0 });
     }
 }

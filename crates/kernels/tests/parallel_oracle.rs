@@ -144,7 +144,8 @@ fn fft_matches_naive_dft_and_is_deterministic() {
 #[test]
 fn stream_validates_at_every_thread_count() {
     for threads in THREAD_COUNTS {
-        let r = with_threads(threads, || stream::run(StreamConfig::small()));
+        let r = with_threads(threads, || stream::run(StreamConfig::small()))
+            .expect("small arrays allocate");
         assert!(
             r.validated,
             "{threads} threads: results check failed (rel err {})",

@@ -132,7 +132,8 @@ fn lu_each_isa_is_bit_identical_across_thread_counts() {
 fn stream_validates_on_every_supported_isa_and_thread_count() {
     for isa in simd::supported() {
         for threads in THREAD_COUNTS {
-            let r = with_threads(threads, || stream::run_with_isa(isa, StreamConfig::small()));
+            let r = with_threads(threads, || stream::run_with_isa(isa, StreamConfig::small()))
+                .expect("small arrays allocate");
             // STREAM's values remain exact integers below 2^53, so even
             // the FMA paths must validate to zero error.
             assert!(r.validated, "{isa} at {threads} threads: rel err {}", r.max_relative_error);

@@ -13,6 +13,7 @@ use crate::native::{
 };
 use crate::suite::BenchmarkSuite;
 use hpc_kernels::random_access::GupsConfig;
+use hpc_kernels::stream::MAX_NTIMES;
 use serde::{Deserialize, Serialize};
 
 /// The most ranks a `distributed_hpl` or `comm` entry may ask for: the
@@ -99,6 +100,10 @@ impl BenchmarkSpec {
             BenchmarkSpec::Stream { ntimes: 0, .. } => {
                 reject("stream", "ntimes must be positive".into())
             }
+            BenchmarkSpec::Stream { ntimes, .. } if ntimes > MAX_NTIMES => reject(
+                "stream",
+                format!("ntimes {ntimes} is above {MAX_NTIMES}, past which the check overflows"),
+            ),
             BenchmarkSpec::Fft { n } if !n.is_power_of_two() => {
                 reject("fft", format!("n {n} is not a power of two"))
             }
@@ -296,6 +301,15 @@ mod tests {
         assert!(e.contains("ntimes"), "{e}");
         let e = rejection(r#"{"kind": "stream", "array_size": 0, "ntimes": 2}"#);
         assert!(e.contains("array_size"), "{e}");
+    }
+
+    #[test]
+    fn stream_repetitions_stop_where_the_expected_values_overflow() {
+        let e = rejection(r#"{"kind": "stream", "array_size": 1024, "ntimes": 263}"#);
+        assert!(e.contains("ntimes 263"), "{e}");
+        let spec =
+            SuiteSpec { benchmarks: vec![BenchmarkSpec::Stream { array_size: 1024, ntimes: 262 }] };
+        assert!(spec.build().is_ok());
     }
 
     #[test]

@@ -144,6 +144,7 @@ impl Benchmark for NativeStream {
     fn run_detailed(&self) -> Result<BenchmarkOutput, SuiteError> {
         let (result, meter) =
             metered(&self.model, UtilizationSample::memory_bound(1.0), || stream::run(self.config));
+        let result = result.map_err(|e| SuiteError::Kernel(e.to_string()))?;
         if !result.validated {
             return Err(SuiteError::ValidationFailed {
                 benchmark: "stream".into(),
@@ -526,6 +527,19 @@ mod tests {
     }
 
     #[test]
+    fn native_stream_reports_unallocatable_arrays_as_a_kernel_error() {
+        // Past isize::MAX bytes per array the reservation fails at once
+        // and no memory is touched.
+        let array_size = isize::MAX as usize / 8 + 1;
+        match NativeStream::new(array_size).run() {
+            Err(SuiteError::Kernel(detail)) => {
+                assert!(detail.contains(&array_size.to_string()), "{detail}")
+            }
+            other => panic!("expected a kernel error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn native_iozone_runs() {
         let mut b = NativeIozone::new(512 << 10);
         b.config.fsync = false;
@@ -618,7 +632,8 @@ mod tests {
         // A ring that counted bytes it never copied read ~90x Copy here.
         const LEN: usize = 2 << 20; // 16 MiB messages
         let ring = (0..3).map(|_| run_ring(2, LEN, 4).unwrap().mbps()).fold(0.0, f64::max);
-        let result = stream::run(stream::StreamConfig { array_size: LEN, ntimes: 3 });
+        let result =
+            stream::run(stream::StreamConfig { array_size: LEN, ntimes: 3 }).expect("allocates");
         let copy = result.timing(stream::StreamKernel::Copy).best_bytes_per_sec / 1e6;
         assert!(ring <= 10.0 * copy, "ring {ring:.0} MB/s vs STREAM Copy {copy:.0} MB/s");
     }
