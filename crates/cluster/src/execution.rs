@@ -24,17 +24,17 @@ use crate::workload::Workload;
 use power_model::meter::{PowerMeter, WattsUpPro};
 use power_model::trace::{PowerTrace, Trapezoid};
 use power_model::utilization::UtilizationSample;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use tgi_core::{Measurement, Perf, Seconds, Watts};
 
 /// Outcome of one simulated benchmark run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimulatedRun {
     /// Benchmark id (`"hpl"`, `"stream"`, `"iozone"`).
-    pub benchmark: String,
+    pub benchmark: &'static str,
     /// Process count (HPL/STREAM) or client-node count × cores (IOzone).
     pub processes: usize,
     /// Aggregate performance.
@@ -52,7 +52,7 @@ impl SimulatedRun {
     /// × wall time).
     pub fn measurement(&self) -> Measurement {
         Measurement::new(
-            self.benchmark.clone(),
+            self.benchmark,
             self.performance.clone(),
             self.average_power,
             Seconds::new(self.seconds),
@@ -191,7 +191,7 @@ impl ExecutionEngine {
         // would truncate short runs at the last sample boundary.
         let average_power = sum.average_power();
         SimulatedRun {
-            benchmark: workload.benchmark_id().to_string(),
+            benchmark: workload.benchmark_id(),
             processes,
             performance,
             seconds,
@@ -287,7 +287,7 @@ impl ExecutionEngine {
 
         // Ground-truth cluster power: active nodes at `active_util`, the
         // rest idle but powered (all behind the same meter).
-        let node_model = spec.node_power();
+        let node_model = &spec.power;
         let active_w = node_model.wall_power_scaled(active_util, self.freq_ratio).value();
         let idle_w = node_model.idle_wall_power().value();
         let idle_nodes = (spec.nodes - active) as f64;
@@ -670,7 +670,7 @@ mod tests {
     #[test]
     fn measured_power_is_within_cluster_envelope() {
         let engine = fire_engine();
-        let node = engine.cluster().node_power_model();
+        let node = &engine.cluster().power;
         let lo = 8.0 * node.idle_wall_power().value();
         let hi = 8.0 * node.peak_wall_power().value();
         for (w, p) in [
@@ -825,7 +825,7 @@ mod tests {
     fn suite_runs_all_workloads() {
         let engine = fire_engine();
         let runs = engine.run_suite(&Workload::fire_suite(), 64);
-        let ids: Vec<&str> = runs.iter().map(|r| r.benchmark.as_str()).collect();
+        let ids: Vec<&str> = runs.iter().map(|r| r.benchmark).collect();
         assert_eq!(ids, vec!["hpl", "stream", "iozone"]);
     }
 
@@ -1053,7 +1053,7 @@ mod tests {
             let w = Workload::fire_suite()[widx];
             let run = engine.run(w, procs);
 
-            let node = spec.node_power_model();
+            let node = &spec.power;
             let lo = spec.nodes as f64 * node.idle_wall_power().value();
             let fan_headroom = if thermal { spec.nodes as f64 * 48.0 } else { 0.0 };
             let hi = spec.nodes as f64 * node.peak_wall_power().value() + fan_headroom;

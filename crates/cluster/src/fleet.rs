@@ -285,7 +285,7 @@ impl FleetConfig {
             shared_fs,
             scaling,
             pue,
-            power: Some(power),
+            power,
         };
         debug_assert!(spec.validate().is_ok(), "generated spec must validate");
         spec
@@ -418,7 +418,7 @@ mod tests {
     #[test]
     fn specs_hit_sampled_power_band_and_physics() {
         for spec in FleetConfig::new(3).systems(30).generate() {
-            let model = spec.node_power_model();
+            let model = &spec.power;
             let idle = model.idle_wall_power().value();
             let peak = model.peak_wall_power().value();
             assert!(idle > 30.0 && idle < 900.0, "{}: idle {idle}", spec.name);

@@ -6,7 +6,8 @@
 //! used; 8.1 TFLOPS HPL). This crate simulates them:
 //!
 //! * [`spec`] — parameterized machine descriptions with both clusters as
-//!   presets, each paired with its [`power_model::NodePowerModel`].
+//!   presets. Each spec carries its own [`power_model::NodePowerModel`], so
+//!   a cluster's power draw never depends on its name.
 //! * [`scaling`] — analytic performance models for the three benchmarks:
 //!   HPL parallel efficiency vs process count, STREAM per-node bandwidth
 //!   saturation, and shared-filesystem I/O contention. Model shapes follow
@@ -25,13 +26,11 @@
 
 pub mod execution;
 pub mod fleet;
-pub mod power_cap;
 pub mod scaling;
 pub mod spec;
 pub mod workload;
 
 pub use execution::{ExecutionEngine, MemoizedEngine, SimulatedRun};
 pub use fleet::FleetConfig;
-pub use power_cap::{run_capped, CappedRun};
 pub use spec::{ClusterSpec, InterconnectSpec, NodeSpec, SharedFsSpec};
 pub use workload::Workload;

@@ -2,13 +2,13 @@
 //!
 //! A [`ClusterSpec`] bundles node hardware, interconnect, shared-filesystem
 //! characteristics, and the scaling-model parameters that the analytic
-//! performance models in [`crate::scaling`] consume. The two presets are the
-//! paper's systems (§IV): the *Fire* system under test and the *SystemG*
-//! reference.
+//! performance models in [`crate::scaling`] consume, and the node power
+//! model that prices each node's utilization. The presets include the
+//! paper's two systems (§IV): the *Fire* system under test and the
+//! *SystemG* reference.
 
 use power_model::NodePowerModel;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// One node's hardware description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,11 +108,11 @@ pub struct ClusterSpec {
     /// setup) means the meter sees IT power directly.
     #[serde(default = "default_pue")]
     pub pue: f64,
-    /// Explicit per-node power model. `None` (the default) selects a preset
-    /// by cluster name, preserving the paper systems' behavior; generated
-    /// fleet specs carry their sampled idle/peak power curves here.
-    #[serde(default)]
-    pub power: Option<NodePowerModel>,
+    /// Per-node power model. Each preset sets its own; generated fleet
+    /// specs carry their sampled idle/peak power curves here. A spec
+    /// serialized before this field existed loads with Fire's model.
+    #[serde(default = "NodePowerModel::fire_node")]
+    pub power: NodePowerModel,
 }
 
 fn default_pue() -> f64 {
@@ -212,15 +212,13 @@ impl ClusterSpec {
                 reason: "must be a finite number of at least 1 (1 = no facility overhead)",
             });
         }
-        if let Some(power) = &self.power {
-            let idle = power.idle_wall_power().value();
-            let peak = power.peak_wall_power().value();
-            if !(idle.is_finite() && idle > 0.0 && peak.is_finite() && peak >= idle) {
-                return Err(InvalidSpec {
-                    field: "power",
-                    reason: "node power model must have 0 < idle <= peak wall power",
-                });
-            }
+        let idle = self.power.idle_wall_power().value();
+        let peak = self.power.peak_wall_power().value();
+        if !(idle.is_finite() && idle > 0.0 && peak.is_finite() && peak >= idle) {
+            return Err(InvalidSpec {
+                field: "power",
+                reason: "node power model must have 0 < idle <= peak wall power",
+            });
         }
         Ok(())
     }
@@ -235,47 +233,9 @@ impl ClusterSpec {
         self
     }
 
-    /// Overrides the per-node power model (builder style). Generated fleet
-    /// specs use this so their sampled idle/peak watts survive serde and
-    /// drive the simulation instead of a name-matched preset.
-    pub fn with_node_power(mut self, power: NodePowerModel) -> Self {
-        self.power = Some(power);
-        self
-    }
-
     /// Theoretical peak GFLOPS of the whole cluster.
     pub fn peak_gflops(&self) -> f64 {
         self.nodes as f64 * self.node.peak_gflops()
-    }
-
-    /// The node power model for this cluster: the explicit [`ClusterSpec::power`]
-    /// override when present, otherwise a preset matched to the cluster name's
-    /// hardware generation.
-    pub fn node_power_model(&self) -> NodePowerModel {
-        self.node_power().clone()
-    }
-
-    /// [`ClusterSpec::node_power_model`] by reference. The presets are
-    /// built once per process, so a simulated run copies no model.
-    pub(crate) fn node_power(&self) -> &NodePowerModel {
-        static PRESETS: OnceLock<[NodePowerModel; 4]> = OnceLock::new();
-        if let Some(power) = &self.power {
-            return power;
-        }
-        let [system_g, gpu, sandy_bridge, fire] = PRESETS.get_or_init(|| {
-            [
-                NodePowerModel::system_g_node(),
-                NodePowerModel::gpu_node(),
-                NodePowerModel::sandy_bridge_node(),
-                NodePowerModel::fire_node(),
-            ]
-        });
-        match self.name.as_str() {
-            "SystemG" => system_g,
-            name if name.contains("GPU") => gpu,
-            name if name.contains("Sandy") => sandy_bridge,
-            _ => fire,
-        }
     }
 
     /// The *Fire* cluster (§IV): 8 nodes × 2× AMD Opteron 6134 (8 cores,
@@ -315,7 +275,7 @@ impl ClusterSpec {
                 hpl_accelerator_factor: 1.0,
             },
             pue: 1.0,
-            power: None,
+            power: NodePowerModel::fire_node(),
         }
     }
 
@@ -331,6 +291,7 @@ impl ClusterSpec {
         spec.name = "Fire-GPU".to_string();
         // Two Fermi-class boards sustain ~6× the host's HPL throughput.
         spec.scaling.hpl_accelerator_factor = 6.0;
+        spec.power = NodePowerModel::gpu_node();
         spec
     }
 
@@ -368,7 +329,7 @@ impl ClusterSpec {
                 hpl_accelerator_factor: 1.0,
             },
             pue: 1.0,
-            power: None,
+            power: NodePowerModel::sandy_bridge_node(),
         }
     }
 
@@ -411,7 +372,7 @@ impl ClusterSpec {
                 hpl_accelerator_factor: 1.0,
             },
             pue: 1.0,
-            power: None,
+            power: NodePowerModel::system_g_node(),
         }
     }
 }
@@ -445,9 +406,7 @@ mod tests {
 
     #[test]
     fn power_models_are_distinct_per_cluster() {
-        let f = ClusterSpec::fire().node_power_model();
-        let g = ClusterSpec::system_g().node_power_model();
-        assert_ne!(f, g);
+        assert_ne!(ClusterSpec::fire().power, ClusterSpec::system_g().power);
     }
 
     #[test]
@@ -460,9 +419,8 @@ mod tests {
         assert_eq!(gpu.node.mem_bandwidth_gbps, fire.node.mem_bandwidth_gbps);
         assert_eq!(gpu.shared_fs, fire.shared_fs);
         // Power model picks up the GPU boards.
-        let model = gpu.node_power_model();
-        assert!(model.accelerator.is_present());
-        assert!(!fire.node_power_model().accelerator.is_present());
+        assert!(gpu.power.accelerator.is_present());
+        assert!(!fire.power.accelerator.is_present());
     }
 
     #[test]
@@ -516,7 +474,7 @@ mod tests {
         let legacy = format!("{}}}", &json[..cut]);
         let back: ClusterSpec = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back.pue, 1.0);
-        assert!(back.power.is_none());
+        assert_eq!(back.power, power_model::NodePowerModel::fire_node());
         assert_eq!(back, ClusterSpec::fire());
     }
 
@@ -528,11 +486,11 @@ mod tests {
         let mut nan = ClusterSpec::fire();
         nan.pue = f64::NAN;
         assert_eq!(nan.validate().unwrap_err().field, "pue");
-        // A power override whose idle draw exceeds its peak is rejected.
+        // A power model whose idle draw exceeds its peak is rejected.
         let mut model = power_model::NodePowerModel::fire_node();
         model.cpu.idle_w = model.cpu.max_w + 10_000.0;
         let mut inverted = ClusterSpec::fire();
-        inverted.power = Some(model);
+        inverted.power = model;
         assert_eq!(inverted.validate().unwrap_err().field, "power");
     }
 
@@ -550,15 +508,24 @@ mod tests {
     }
 
     #[test]
-    fn node_power_override_beats_name_matching() {
-        // A spec named like SystemG but carrying an explicit model uses it.
-        let custom = power_model::NodePowerModel::sandy_bridge_node();
-        let spec = ClusterSpec::system_g().with_node_power(custom.clone());
-        assert_eq!(spec.node_power_model(), custom);
-        spec.validate().unwrap();
-        // And it survives serde, unlike name matching which is lossy.
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: ClusterSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.node_power_model(), custom);
+    fn renamed_presets_keep_their_physics() {
+        // A cluster's power draw comes from its spec, not its name.
+        let suite_bits = |spec: &ClusterSpec| -> Vec<[u64; 3]> {
+            crate::ExecutionEngine::new(spec.clone())
+                .run_suite(&crate::Workload::fire_suite(), 128)
+                .iter()
+                .map(|r| {
+                    [
+                        r.performance.value().to_bits(),
+                        r.seconds.to_bits(),
+                        r.average_power.value().to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        let rig = ClusterSpec { name: "Rig".into(), ..ClusterSpec::system_g() };
+        assert_eq!(suite_bits(&rig), suite_bits(&ClusterSpec::system_g()));
+        let lookalike = ClusterSpec { name: "Fire-GPU-lookalike".into(), ..ClusterSpec::fire() };
+        assert_eq!(suite_bits(&lookalike), suite_bits(&ClusterSpec::fire()));
     }
 }

@@ -59,17 +59,6 @@ impl EnergyEfficiency {
             power: m.power(),
         }
     }
-
-    /// The value expressed in MFLOPS/W (meaningful when the underlying
-    /// performance unit is FLOPS — the Green500 convention).
-    pub fn as_mflops_per_watt(&self) -> f64 {
-        self.value / 1e6
-    }
-
-    /// The value expressed in MB/s per watt (for byte-rate benchmarks).
-    pub fn as_mbps_per_watt(&self) -> f64 {
-        self.value / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +82,7 @@ mod tests {
     fn mflops_per_watt_matches_green500_convention() {
         // 90 GFLOPS at 2000 W is 45 MFLOPS/W.
         let ee = EnergyEfficiency::of(&m(90.0, 2000.0));
-        assert!((ee.as_mflops_per_watt() - 45.0).abs() < 1e-9);
+        assert!((ee.value / 1e6 - 45.0).abs() < 1e-9);
         assert_eq!(ee.benchmark, "hpl");
         assert_eq!(ee.power.value(), 2000.0);
     }

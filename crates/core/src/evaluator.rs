@@ -152,11 +152,6 @@ impl<'r, M: EfficiencyMetric> TgiEvaluator<'r, M> {
         self.reference
     }
 
-    /// Number of benchmarks the reference provides.
-    pub fn benchmark_count(&self) -> usize {
-        self.ids.len()
-    }
-
     /// The precomputed reference efficiency for a benchmark id, if present.
     pub fn reference_efficiency(&self, benchmark: &str) -> Option<f64> {
         self.ids.binary_search(&benchmark).ok().map(|i| self.ref_ees[i])
@@ -471,7 +466,6 @@ mod tests {
     fn reference_efficiency_lookup() {
         let reference = reference();
         let evaluator = TgiEvaluator::new(&reference);
-        assert_eq!(evaluator.benchmark_count(), 3);
         assert_eq!(evaluator.reference().name(), "SystemG");
         let ee = evaluator.reference_efficiency("hpl").unwrap();
         assert!((ee - 8.1e12 / 26_000.0).abs() < 1.0);

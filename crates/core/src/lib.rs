@@ -62,11 +62,9 @@ pub mod measurement;
 pub mod ranking;
 pub mod reference;
 pub mod repeats;
-pub mod sensitivity;
 pub mod stats;
 pub mod tgi;
 pub mod units;
-pub mod vector;
 pub mod weights;
 
 pub use edp::{EnergyDelayProduct, EnergyDelaySquaredProduct};
@@ -77,10 +75,8 @@ pub use measurement::Measurement;
 pub use ranking::{RankedSystem, Ranking};
 pub use reference::{ReferenceSystem, ReferenceSystemBuilder};
 pub use repeats::{MeasurementSet, TgiWithUncertainty};
-pub use sensitivity::{FlipPoint, Robustness};
 pub use tgi::{BenchmarkContribution, MeanKind, Tgi, TgiBuilder, TgiResult};
 pub use units::{Joules, Perf, PerfUnit, Seconds, Watts};
-pub use vector::{Dominance, EfficiencyVector};
 pub use weights::{WeightSet, Weighting};
 
 /// Convenience re-exports for downstream crates.
@@ -96,6 +92,5 @@ pub mod prelude {
     pub use crate::stats;
     pub use crate::tgi::{MeanKind, Tgi, TgiResult};
     pub use crate::units::{Joules, Perf, PerfUnit, Seconds, Watts};
-    pub use crate::vector::{Dominance, EfficiencyVector};
     pub use crate::weights::{WeightSet, Weighting};
 }

@@ -117,11 +117,6 @@ impl Joules {
         self.0
     }
 
-    /// Converts to kilowatt-hours.
-    pub fn kilowatt_hours(self) -> f64 {
-        self.0 / 3.6e6
-    }
-
     /// Average power if this energy was spent over `duration`.
     pub fn average_power(self, duration: Seconds) -> Watts {
         Watts(self.0 / duration.0)
@@ -293,11 +288,6 @@ impl Perf {
         &self.unit
     }
 
-    /// Value expressed in MFLOPS (only meaningful for FLOPS units).
-    pub fn as_mflops(&self) -> f64 {
-        self.value / 1e6
-    }
-
     /// Value expressed in GFLOPS (only meaningful for FLOPS units).
     pub fn as_gflops(&self) -> f64 {
         self.value / 1e9
@@ -373,12 +363,6 @@ mod tests {
         assert!(Watts::try_new(f64::NAN).is_err());
         assert!(Watts::try_new(f64::INFINITY).is_err());
         assert!(Watts::try_new(400.0).is_ok());
-    }
-
-    #[test]
-    fn joules_kwh_conversion() {
-        let e = Joules::new(3.6e6);
-        assert!((e.kilowatt_hours() - 1.0).abs() < 1e-12);
     }
 
     #[test]

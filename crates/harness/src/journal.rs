@@ -123,14 +123,6 @@ pub struct TolerantRead {
     pub skipped: Vec<SkippedLine>,
 }
 
-impl TolerantRead {
-    /// True when every non-blank line parsed (the strict [`read`] would
-    /// have succeeded).
-    pub fn is_complete(&self) -> bool {
-        self.skipped.is_empty()
-    }
-}
-
 /// Reads the journal at `path`, recovering every parseable record and
 /// reporting the rest instead of failing.
 ///
@@ -301,7 +293,6 @@ mod tests {
     fn tolerant_read_recovers_good_records_and_reports_the_rest() {
         let path = truncated_journal("tolerant-truncated");
         let result = read_tolerant(&path).unwrap();
-        assert!(!result.is_complete());
         assert_eq!(result.records.len(), 1);
         assert_eq!(result.records[0].benchmark, "a");
         assert_eq!(result.skipped.len(), 1);
@@ -319,7 +310,7 @@ mod tests {
         append(&path, &report).unwrap();
         let strict = read(&path).unwrap();
         let tolerant = read_tolerant(&path).unwrap();
-        assert!(tolerant.is_complete());
+        assert!(tolerant.skipped.is_empty());
         assert_eq!(tolerant.records.len(), strict.len());
         for (a, b) in tolerant.records.iter().zip(&strict) {
             assert_eq!(a.benchmark, b.benchmark);

@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod complex;
-pub mod condest;
 pub mod fft;
 pub mod gemm;
 pub mod hpl;

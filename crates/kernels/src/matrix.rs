@@ -87,16 +87,6 @@ impl Matrix {
         &self.data[j * self.rows..(j + 1) * self.rows]
     }
 
-    /// Mutably borrow one column as a contiguous slice.
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        &mut self.data[j * self.rows..(j + 1) * self.rows]
-    }
-
-    /// Splits the data into mutable column chunks (for parallel updates).
-    pub fn par_columns_mut(&mut self) -> std::slice::ChunksMut<'_, f64> {
-        self.data.chunks_mut(self.rows)
-    }
-
     /// Matrix–vector product `A · x`.
     ///
     /// # Panics
@@ -226,11 +216,6 @@ pub(crate) fn max_or_nan(m: f64, v: f64) -> f64 {
     }
 }
 
-/// One norm of a vector: sum of absolute entries.
-pub fn vec_norm_one(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +332,6 @@ mod tests {
     #[test]
     fn vector_norms() {
         assert_eq!(vec_norm_inf(&[1.0, -5.0, 3.0]), 5.0);
-        assert_eq!(vec_norm_one(&[1.0, -5.0, 3.0]), 9.0);
         assert_eq!(vec_norm_inf(&[]), 0.0);
     }
 

@@ -253,11 +253,6 @@ impl AnomalyDetector {
         self.counts
     }
 
-    /// Samples consumed.
-    pub fn samples_seen(&self) -> usize {
-        self.n
-    }
-
     /// The minimum watts floor used for relative comparisons.
     fn scale_floor(&self) -> f64 {
         (0.002 * self.fast.abs()).max(1e-9)

@@ -48,17 +48,7 @@ impl CoolingModel {
 
     /// Facility power for a given IT power at the design temperature.
     pub fn facility_power(&self, it_power: Watts) -> Watts {
-        self.facility_power_at(it_power, self.design_temp_c)
-    }
-
-    /// Facility power for a given IT power and outside temperature.
-    pub fn facility_power_at(&self, it_power: Watts, temp_c: f64) -> Watts {
-        it_power * self.pue_at(temp_c)
-    }
-
-    /// Cooling/overhead power alone (facility − IT).
-    pub fn overhead_power(&self, it_power: Watts) -> Watts {
-        self.facility_power(it_power) - it_power
+        it_power * self.pue_at(self.design_temp_c)
     }
 }
 
@@ -71,7 +61,6 @@ mod tests {
     fn fixed_pue_scales_it_power() {
         let c = CoolingModel::fixed(1.5);
         assert!((c.facility_power(Watts::new(1000.0)).value() - 1500.0).abs() < 1e-9);
-        assert!((c.overhead_power(Watts::new(1000.0)).value() - 500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -107,7 +96,7 @@ mod tests {
         #[test]
         fn prop_facility_at_least_it(it in 1.0..1e6f64, temp in -40.0..50.0f64) {
             let c = CoolingModel::typical_2012();
-            let f = c.facility_power_at(Watts::new(it), temp).value();
+            let f = (Watts::new(it) * c.pue_at(temp)).value();
             prop_assert!(f >= it - 1e-9);
         }
     }

@@ -450,48 +450,18 @@ impl RunReport {
         self.entries.iter().map(|e| e.record()).collect()
     }
 
-    /// Collects the meter traces of every successful metered item into a
-    /// [`power_model::TraceSet`] labeled `benchmark#repeat`, ready for
-    /// parallel fleet analysis (aggregate energy, idle floor, window
-    /// queries). Unmetered and failed items contribute nothing.
-    pub fn trace_set(&self) -> power_model::TraceSet {
-        let mut set = power_model::TraceSet::new();
-        for (entry, trace) in self.metered_traces() {
-            set.push(format!("{}#{}", entry.benchmark, entry.repeat), trace.clone());
-        }
-        set
-    }
-
-    /// The power trace of every successful metered item, with its entry.
-    fn metered_traces(&self) -> impl Iterator<Item = (&BenchmarkReport, &power_model::PowerTrace)> {
-        self.entries.iter().filter_map(|entry| match &entry.outcome {
-            RunOutcome::Success(output) => output.trace.as_ref().map(|trace| (entry, trace)),
-            _ => None,
-        })
-    }
-
-    /// Summarizes per-item wall time through a log-linear quantile sketch
-    /// (1% relative error): p50/p99/p999 over every *attempted* item —
-    /// skipped items spent no wall time and are excluded.
-    pub fn latency_quantiles(&self) -> tgi_telemetry::QuantileSummary {
-        let hist = tgi_telemetry::QuantileHistogram::new(0.01);
-        for entry in &self.entries {
-            if !matches!(entry.outcome, RunOutcome::Skipped) {
-                hist.observe(entry.wall_secs);
-            }
-        }
-        hist.summary()
-    }
-
     /// Scans the power trace of every successful metered item with the
     /// anomaly detector and totals the events per kind. Deterministic
     /// given the traces: the scan replays a fresh detector per trace in
     /// sample order regardless of how the run was scheduled.
     pub fn anomaly_counts(&self, config: power_model::AnomalyConfig) -> power_model::AnomalyCounts {
         let mut counts = power_model::AnomalyCounts::default();
-        for (_, trace) in self.metered_traces() {
-            let events = power_model::anomaly::scan(trace, config);
-            counts.absorb(power_model::AnomalyCounts::from_events(&events));
+        for entry in &self.entries {
+            if let RunOutcome::Success(BenchmarkOutput { trace: Some(trace), .. }) = &entry.outcome
+            {
+                let events = power_model::anomaly::scan(trace, config);
+                counts.absorb(power_model::AnomalyCounts::from_events(&events));
+            }
         }
         counts
     }
@@ -833,36 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_set_collects_metered_traces() {
-        struct WithTrace;
-        impl Benchmark for WithTrace {
-            fn id(&self) -> &str {
-                "metered"
-            }
-            fn subsystem(&self) -> &'static str {
-                "test"
-            }
-            fn run_detailed(&self) -> Result<BenchmarkOutput, SuiteError> {
-                let mut t = power_model::PowerTrace::new();
-                t.push(0.0, Watts::new(100.0));
-                t.push(1.0, Watts::new(100.0));
-                Ok(BenchmarkOutput::metered(meas("metered", 1.0), t))
-            }
-        }
-        let suite = BenchmarkSuite::new().with(WithTrace).with(Fixed { id: "plain", gflops: 1.0 });
-        let report = SuiteRunner::new().repeats(2).run(&suite);
-        assert_eq!(report.entries.len(), 4);
-        let set = report.trace_set();
-        assert_eq!(set.len(), 2, "only metered successes carry traces");
-        assert!(set.get("metered#0").is_some());
-        assert!(set.get("metered#1").is_some());
-        assert!((set.total_energy().value() - 200.0).abs() < 1e-9);
-        let summary = set.summarize();
-        assert_eq!(summary.nodes.len(), 2);
-        assert_eq!(summary.total_samples, 4);
-    }
-
-    #[test]
     fn observability_summaries_over_the_report() {
         /// Metered benchmark whose trace carries an injected 3-sample
         /// spike over a noisy-but-quiet baseline.
@@ -888,18 +828,9 @@ mod tests {
         let suite = BenchmarkSuite::new().with(Spiky).with(Fixed { id: "plain", gflops: 1.0 });
         let report = SuiteRunner::new().parallelism(2).run(&suite);
 
-        let q = report.latency_quantiles();
-        assert_eq!(q.count, 2, "both attempted items are summarized");
-        assert!(q.p50 > 0.0 && q.p99 >= q.p50 && q.p999 >= q.p99, "{q:?}");
-
         let counts = report.anomaly_counts(power_model::AnomalyConfig::default());
         assert_eq!(counts.spikes, 1, "the injected spike is the only event: {counts:?}");
         assert_eq!(counts.drifts, 0, "{counts:?}");
-
-        // Skipped items contribute no latency sample.
-        let failing = BenchmarkSuite::new().with(AlwaysFails).with(Fixed { id: "z", gflops: 1.0 });
-        let report = SuiteRunner::new().run(&failing);
-        assert_eq!(report.latency_quantiles().count, 1, "skipped item excluded");
     }
 
     #[test]

@@ -65,13 +65,6 @@ pub struct Event {
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
-impl Event {
-    /// End time in nanoseconds since the telemetry epoch.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns + self.dur_ns
-    }
-}
-
 /// Per-thread buffer of finished events, shared with the global registry.
 struct ThreadBuffer {
     events: Mutex<Vec<Event>>,

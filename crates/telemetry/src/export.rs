@@ -229,11 +229,6 @@ pub fn write_chrome_trace(path: impl AsRef<Path>, events: &[Event]) -> io::Resul
     write_with_parents(path.as_ref(), &chrome_trace(events))
 }
 
-/// Writes [`jsonl`] output to `path`, creating parent directories.
-pub fn write_jsonl(path: impl AsRef<Path>, events: &[Event]) -> io::Result<()> {
-    write_with_parents(path.as_ref(), &jsonl(events))
-}
-
 /// Writes [`prometheus`] output to `path`, creating parent directories.
 pub fn write_prometheus(path: impl AsRef<Path>, snapshot: &MetricsSnapshot) -> io::Result<()> {
     write_with_parents(path.as_ref(), &prometheus(snapshot))

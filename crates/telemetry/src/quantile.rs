@@ -106,12 +106,6 @@ impl QuantileHistogram {
         self.alpha
     }
 
-    /// Number of buckets (fixed at construction; memory is
-    /// `buckets() * 8` bytes plus the struct header).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Records one observation. Invalid inputs (NaN, negatives) count
     /// into the underflow bucket as `min_value`.
     #[inline]

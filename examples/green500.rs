@@ -4,12 +4,12 @@
 //! cargo run --release --example green500
 //! ```
 //!
-//! Where `green500_ranking` ranks a handful of hand-built Fire variants,
-//! this example runs the machinery at list scale: 500 clusters sampled
-//! from Top500-style distributions ([`tgi::cluster::FleetConfig`]), every
-//! one simulated and scored across the paper's full weighting × mean grid
-//! in one parallel [`tgi::harness::FleetSweep`], then the energy-weighted
-//! geometric column sorted into a Green500-style top 20.
+//! This example runs the Green500-style machinery at list scale: 500
+//! clusters sampled from Top500-style distributions
+//! ([`tgi::cluster::FleetConfig`]), every one simulated and scored across
+//! the paper's full weighting × mean grid in one parallel
+//! [`tgi::harness::FleetSweep`], then the energy-weighted geometric column
+//! sorted into a Green500-style top 20.
 
 use tgi::cluster::{FleetConfig, Workload};
 use tgi::core::{MeanKind, Weighting};

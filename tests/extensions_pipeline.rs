@@ -1,14 +1,12 @@
-//! Integration tests for the extension features: config-driven suites,
-//! sensitivity analysis, power capping, and the experiment bundle. The two
+//! Integration tests for the extension features: config-driven suites, the
+//! §II weight flip through `FleetSweep`, and the experiment bundle. The two
 //! native-suite tests take one file-level lock, so neither times its
 //! kernels while the other competes for the same cores — the self-TGI
 //! check is a ratio of single-shot timings.
 
 use std::sync::Mutex;
-use tgi::cluster::{power_cap, ClusterSpec, ExecutionEngine, Workload};
-use tgi::core::sensitivity;
-use tgi::core::vector::{Dominance, EfficiencyVector};
-use tgi::harness::{extensions, system_g_reference, ExperimentBundle};
+use tgi::cluster::{ClusterSpec, Workload};
+use tgi::harness::{extensions, system_g_reference, ExperimentBundle, FleetSweep};
 use tgi::prelude::*;
 use tgi::suite::{BenchmarkSpec, SuiteSpec};
 
@@ -63,89 +61,39 @@ fn hpcc_style_spec_runs_seven_benchmarks() {
 }
 
 #[test]
-fn sensitivity_flip_is_consistent_with_dominance() {
-    // Fire vs Fire-GPU are Pareto-incomparable, so a flip must exist; a
-    // system compared against itself scaled down is dominated, so none may.
+fn hpl_heavy_weights_flip_fire_vs_fire_gpu() {
+    // §II: the weights decide the purchase. Under equal weights Fire leads
+    // Fire-GPU (as `ext-gpu` shows); Fire-GPU's HPL edge wins once HPL
+    // carries nearly all the weight. TGI is linear in the weights, so the
+    // flip weight follows from the measured REEs.
     let reference = system_g_reference();
-    let measure = |cluster: &ClusterSpec| -> Vec<Measurement> {
-        ExecutionEngine::new(cluster.clone())
-            .run_suite(&Workload::fire_suite(), cluster.total_cores())
-            .into_iter()
-            .map(|r| r.measurement())
-            .collect()
+    let sweep = |weightings: &[Weighting]| {
+        FleetSweep::new()
+            .fleet([ClusterSpec::fire(), ClusterSpec::fire_gpu()])
+            .suite("fire", Workload::fire_suite())
+            .weightings(weightings)
+            .means(&[MeanKind::Arithmetic])
     };
-    let fire_ms = measure(&ClusterSpec::fire());
-    let gpu_ms = measure(&ClusterSpec::fire_gpu());
-
-    let tgi = |ms: &[Measurement]| {
-        Tgi::builder()
-            .reference(reference.clone())
-            .measurements(ms.iter().cloned())
-            .compute()
-            .expect("valid")
+    let probe = sweep(&[Weighting::Arithmetic]);
+    let rees = |system: usize| -> Vec<f64> {
+        probe.measurements(system, 0).iter().map(|m| reference.ree(m).expect("valid")).collect()
     };
-    let va = EfficiencyVector::from_suite(&reference, &fire_ms).expect("valid");
-    let vb = EfficiencyVector::from_suite(&reference, &gpu_ms).expect("valid");
-    assert_eq!(va.dominance(&vb).expect("comparable"), Dominance::Incomparable);
-    let rob =
-        sensitivity::compare("fire", &tgi(&fire_ms), "gpu", &tgi(&gpu_ms)).expect("comparable");
-    assert!(rob.flip.is_some(), "incomparable pair must have a flip");
+    let (fire, gpu) = (rees(0), rees(1));
+    // With weight w on HPL and (1 − w)/2 on STREAM and IOzone, Fire-GPU
+    // leads once w·hpl_gain > (1 − w)/2 · rest_loss.
+    let hpl_gain = gpu[0] - fire[0];
+    let rest_loss = (fire[1] - gpu[1]) + (fire[2] - gpu[2]);
+    assert!(hpl_gain > 0.0 && rest_loss > 0.0, "HPL gain {hpl_gain}, rest loss {rest_loss}");
+    let flip = rest_loss / (2.0 * hpl_gain + rest_loss);
+    assert!(flip > 1.0 / 3.0 && flip < 1.0, "flip weight {flip}");
+    let w = (1.0 + flip) / 2.0;
+    let hpl_heavy = Weighting::Custom(vec![w, (1.0 - w) / 2.0, (1.0 - w) / 2.0]);
 
-    // Dominated pair: the same system with every performance halved.
-    let worse: Vec<Measurement> = fire_ms
-        .iter()
-        .map(|m| {
-            Measurement::new(
-                m.id(),
-                Perf::new(m.performance().value() / 2.0, m.performance().unit().clone())
-                    .expect("valid"),
-                m.power(),
-                m.time(),
-            )
-            .expect("valid")
-        })
-        .collect();
-    let rob2 =
-        sensitivity::compare("fire", &tgi(&fire_ms), "half", &tgi(&worse)).expect("comparable");
-    assert_eq!(rob2.leader, "fire");
-    assert!(rob2.flip.is_none(), "dominated pair cannot flip: {:?}", rob2.flip);
-}
-
-#[test]
-fn capped_tgi_is_below_uncapped_tgi() {
-    let reference = system_g_reference();
-    let fire = ClusterSpec::fire();
-    let suite = Workload::fire_suite();
-
-    let capped_measurements: Vec<Measurement> = suite
-        .iter()
-        .map(|w| {
-            // Cap at 80% of each workload's natural draw.
-            let natural = ExecutionEngine::new(fire.clone()).run(*w, 128);
-            power_cap::run_capped(&fire, *w, 128, natural.average_power.value() * 0.8)
-                .run
-                .measurement()
-        })
-        .collect();
-    let uncapped: Vec<Measurement> = ExecutionEngine::new(fire.clone())
-        .run_suite(&suite, 128)
-        .into_iter()
-        .map(|r| r.measurement())
-        .collect();
-
-    let tgi = |ms: Vec<Measurement>| {
-        Tgi::builder()
-            .reference(reference.clone())
-            .measurements(ms)
-            .compute()
-            .expect("valid")
-            .value()
-    };
-    let (capped, full) = (tgi(capped_measurements), tgi(uncapped));
-    // Capping only throttles the CPU: HPL slows while the memory- and
-    // I/O-bound benchmarks keep their throughput at lower power, so the
-    // capped system is at least as green and not wildly different.
-    assert!(capped > 0.5 * full && capped < 2.0 * full, "capped {capped} vs full {full}");
+    let table = sweep(&[Weighting::Arithmetic, hpl_heavy]).run(&reference).expect("runs");
+    let (fire_eq, gpu_eq) = (table.value(0, 0, 0, 0), table.value(1, 0, 0, 0));
+    assert!(fire_eq > gpu_eq, "equal weights: Fire {fire_eq} vs Fire-GPU {gpu_eq}");
+    let (fire_hpl, gpu_hpl) = (table.value(0, 0, 1, 0), table.value(1, 0, 1, 0));
+    assert!(gpu_hpl > fire_hpl, "HPL weight {w}: Fire {fire_hpl} vs Fire-GPU {gpu_hpl}");
 }
 
 #[test]

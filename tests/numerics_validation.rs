@@ -1,7 +1,6 @@
 //! Numerical stress tests for the linear-algebra substrate: pathological
 //! matrices that punish sloppy pivoting, plus analytically-known transforms.
 
-use tgi::kernels::condest;
 use tgi::kernels::fft::{self, Direction};
 use tgi::kernels::lu;
 use tgi::kernels::matrix::{vec_norm_inf, Matrix};
@@ -26,12 +25,6 @@ fn hilbert_matrix_solves_with_expected_accuracy() {
     let h = Matrix::from_fn(n, n, |i, j| 1.0 / (i + j + 1) as f64);
     let residual = solve_and_residual(&h, 4);
     assert!(residual < 1e-13, "residual {residual}");
-
-    // And the condition estimator flags the danger.
-    let mut lu_m = h.clone();
-    let piv = lu::factor_blocked(&mut lu_m, 4).expect("non-singular");
-    let cond = condest::condition_estimate(&h, &lu_m, &piv);
-    assert!(cond > 1e8, "κ₁(H₈) estimated at {cond}");
 }
 
 #[test]
